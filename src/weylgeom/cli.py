@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from . import __version__
-from .curvature import CurvatureBundle, build_bundle
+from .curvature import FIELD_VARIANCE, CurvatureBundle, build_bundle
 from .identities import (
     GROUPS,
     NOT_APPLICABLE,
@@ -32,7 +33,23 @@ from .identities import (
 )
 from .models import CATALOG_NAMES, MetricModel, builtin_model, default_model_specs, sample_points
 
-__all__ = ["RunConfig", "load_config", "default_config", "run", "main", "entrypoint"]
+__all__ = [
+    "RunConfig",
+    "CHUNK_ELEMENTS",
+    "chunk_size",
+    "load_config",
+    "default_config",
+    "run",
+    "main",
+    "entrypoint",
+]
+
+# Element budget of one chunk of points built together.  The largest arrays
+# (∇C in the bundle; ∂C and third metric derivatives while a chunk is built)
+# hold n**5 entries per point, so a chunk has CHUNK_ELEMENTS // n**5 points:
+# 128 at n = 4, 16 at n = 6.  Larger chunks save little Python overhead but
+# hold more memory at once.
+CHUNK_ELEMENTS = 2**17
 
 _CONFIG_KEYS = {"models", "points", "seed", "tolerances", "output_format", "output_path"}
 _MODEL_KEYS = {"name", "n", "parameters", "label"}
@@ -95,24 +112,50 @@ def default_config() -> RunConfig:
     return RunConfig(models=models)
 
 
+def _check_int(value, name: str, low: int, high: int | None = None) -> None:
+    """Reject anything but an integer in [low, high] (JSON booleans included)."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not is_int or value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def _check_tolerance(identity_id: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"tolerance for {identity_id} must be a number, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"tolerance for {identity_id} must be finite and positive, got {value!r}")
+
+
 def _validate_config(config: RunConfig) -> RunConfig:
-    if config.points < 1:
-        raise ValueError("points must be >= 1")
+    _check_int(config.points, "points", 1)
+    _check_int(config.seed, "seed", 0)
     if config.output_format not in _FORMATS:
         raise ValueError(f"output_format must be one of {_FORMATS}")
+    if not isinstance(config.tolerances, dict):
+        raise ValueError("tolerances must be an object mapping identity ids to numbers")
     known = set(registry_ids())
     unknown = set(config.tolerances) - known
     if unknown:
         raise ValueError(f"unknown identity ids in tolerances: {sorted(unknown)}")
+    for identity_id, value in config.tolerances.items():
+        _check_tolerance(identity_id, value)
+    if not isinstance(config.models, list):
+        raise ValueError("models must be a list of model entries")
     for entry in config.models:
+        if not isinstance(entry, dict):
+            raise ValueError(f"every model entry must be an object, got {entry!r}")
         extra = set(entry) - _MODEL_KEYS
         if extra:
             raise ValueError(f"unknown model-entry fields: {sorted(extra)}")
         if "name" not in entry:
             raise ValueError("every model entry needs a 'name'")
-        if entry.get("n") is not None and not 4 <= int(entry["n"]) <= 7:
-            raise ValueError("model dimension n must be in 4..7")
-        declared = (entry.get("parameters") or {}).get("expected_failures")
+        if entry.get("n") is not None:
+            _check_int(entry["n"], "model dimension n", 4, 7)
+        parameters = entry.get("parameters") or {}
+        if not isinstance(parameters, dict):
+            raise ValueError(f"model-entry 'parameters' must be an object, got {parameters!r}")
+        declared = parameters.get("expected_failures")
         if declared is not None:
             bad = set(map(str, declared)) - known
             if bad:
@@ -132,9 +175,9 @@ def load_config(path: str) -> RunConfig:
     base = default_config()
     config = RunConfig(
         models=data.get("models", base.models),
-        points=int(data.get("points", base.points)),
-        seed=int(data.get("seed", base.seed)),
-        tolerances={k: float(v) for k, v in data.get("tolerances", {}).items()},
+        points=data.get("points", base.points),
+        seed=data.get("seed", base.seed),
+        tolerances=data.get("tolerances", {}),
         output_format=data.get("output_format", base.output_format),
         output_path=data.get("output_path"),
     )
@@ -150,19 +193,34 @@ def _build_model(entry: dict) -> MetricModel:
     return builtin_model(entry["name"], entry.get("n"), entry.get("parameters"))
 
 
+def chunk_size(n: int) -> int:
+    """Points per chunk for dimension n (see ``CHUNK_ELEMENTS``)."""
+    return max(1, CHUNK_ELEMENTS // n**5)
+
+
 def _collect_bundles(
-    model: MetricModel, points: list, warnings: list[str]
+    model: MetricModel, points: np.ndarray, warnings: list[str]
 ) -> list[CurvatureBundle]:
+    """Bundles of a model's sampled points, built a chunk at a time.
+
+    A chunk that fails is rebuilt one point at a time, so only the points
+    that fail are skipped (each with a warning); skipping 5% or more of the
+    sample, or all of it, is a model error.
+    """
     bundles = []
     skipped = 0
-    for point in points:
+    size = chunk_size(model.n)
+    for start in range(0, len(points), size):
+        chunk = points[start : start + size]
         try:
-            bundles.append(build_bundle(model, point))
-        except ValueError as err:
-            skipped += 1
-            warnings.append(
-                f"{model.label}: skipped point {np.asarray(point).tolist()}: {err}"
-            )
+            bundles.append(build_bundle(model, chunk))
+        except ValueError:
+            for point in chunk:
+                try:
+                    bundles.append(build_bundle(model, point[None]))
+                except ValueError as err:
+                    skipped += 1
+                    warnings.append(f"{model.label}: skipped point {point.tolist()}: {err}")
     if skipped and skipped / len(points) >= 0.05:
         raise RuntimeError(
             f"{model.label}: {skipped}/{len(points)} sampled points failed to evaluate"
@@ -347,22 +405,21 @@ def cmd_tensor_dump(args: argparse.Namespace) -> int:
         )
     model = builtin_model(args.model, args.n, _parse_param_flags(args.param))
     point = np.array([float(x) for x in args.point.split(",")])
-    bundle = build_bundle(model, point)
-    value = getattr(bundle, field_name)
+    if point.size != model.n:
+        raise ValueError(f"--point needs {model.n} coordinates for {model.label}, got {point.size}")
+    value = getattr(build_bundle(model, point[None]), field_name)[0]
     record: dict = {
         "model": model.label,
         "n": model.n,
         "point": point.tolist(),
         "field": field_name,
     }
-    if isinstance(value, (int, float)):
+    variance = FIELD_VARIANCE.get(field_name)
+    if value.ndim == 0:
         record["value"] = float(value)
-    elif isinstance(value, np.ndarray):
-        record["variance"] = None
-        record["components"] = value.tolist()
     else:
-        record["variance"] = list(value.variance)
-        record["components"] = value.components.tolist()
+        record["variance"] = None if variance is None else list(variance)
+        record["components"] = value.tolist()
     sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -2,9 +2,10 @@
 
 Each registry entry pins one identity: a stable ``identity_id``, the formula
 it checks (``paper_ref``, printed next to the result for auditability), a
-relative tolerance, and an evaluator.  Pointwise evaluators return a
-``(residual, scale)`` pair per curvature bundle, where ``scale`` is the
-magnitude of the dominant contributing term; a report passes iff
+relative tolerance, and an evaluator.  Pointwise evaluators take one
+curvature bundle (a chunk of P points) and return ``(residual, scale)`` as
+two arrays of shape ``(P,)``, where ``scale`` is the magnitude of the
+dominant contributing term at each point; a report passes iff
 ``max_residual <= tolerance * max(1, scale)`` at the worst point in that
 relative sense.  Collection evaluators (the if-and-only-if checks and the
 divergence-free consequences) look at all sampled points of a model at once,
@@ -19,14 +20,16 @@ discriminating power.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .curvature import CurvatureBundle, TensorField, covariant_derivative
+from .curvature import CurvatureBundle
 from .models import TORSE_CLASSES, MetricModel
-from .tensors import DOWN, TensorValue, generalized_curvature_check, kulkarni_nomizu, max_abs, norm_squared
+from .tensors import generalized_curvature_check, kulkarni_nomizu, max_abs, norm_squared, raise_all
 
 __all__ = [
     "IdentityReport",
@@ -39,16 +42,6 @@ __all__ = [
     "expected_verdict",
     "report_ok",
     "POINT_EVALUATORS",
-    "torse_forming_residual",
-    "weyl_compatibility_residual",
-    "contraction_identity_residual",
-    "ricci_decomposition_residual",
-    "four_dim_identities",
-    "remainder_suite",
-    "bianchi_contraction_residual",
-    "divergence_formula_residual",
-    "master_recurrence_residual",
-    "divergence_free_suite",
 ]
 
 # Relative threshold below which a measured tensor counts as zero when
@@ -100,353 +93,388 @@ class IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# Shared per-bundle pieces
+# Shared per-chunk pieces
+# ---------------------------------------------------------------------------
+
+PointPairs = tuple[np.ndarray, np.ndarray]
+
+
+def _pmax(x: np.ndarray) -> np.ndarray:
+    """Largest absolute component at each point of a chunk."""
+    return max_abs(x, per_point=True)
+
+
+def _pair(lhs: np.ndarray, rhs: np.ndarray) -> PointPairs:
+    return _pmax(lhs - rhs), np.maximum(_pmax(lhs), _pmax(rhs))
+
+
+def _slots(x: np.ndarray, rank: int) -> np.ndarray:
+    """Per-point scalars ``x`` with ``rank`` unit axes, to scale a tensor."""
+    return x.reshape(x.shape + (1,) * rank)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None] * b[..., None, :]
+
+
+def _cyclic(t: np.ndarray) -> np.ndarray:
+    """``t`` with its first three slots shifted cyclically: out_ijk... = t_jki...
+
+    ``t`` has one point axis and at least three slots after it."""
+    return np.moveaxis(t, 3, 1)
+
+
+class _Shared:
+    """Quantities several evaluators use, each computed at most once per chunk.
+
+    Holds its bundle through a weak proxy, so the cache entry in ``_SHARED``
+    goes away with the bundle.
+    """
+
+    def __init__(self, b: CurvatureBundle) -> None:
+        self.b = weakref.proxy(b)
+
+    @cached_property
+    def acceleration(self) -> np.ndarray:
+        """u^p ∇_p u_a (zero exactly when u is torse-forming)."""
+        return np.einsum("...p,...pa->...a", self.b.u_up, self.b.nabla_u_down)
+
+    @cached_property
+    def electric_along_u(self) -> np.ndarray:
+        """u^p ∇_p E_kl."""
+        return np.einsum("...p,...pkl->...kl", self.b.u_up, self.b.nabla_electric)
+
+    @cached_property
+    def weyl_u(self) -> np.ndarray:
+        """C_jklm u^m."""
+        return np.einsum("...jklm,...m->...jkl", self.b.weyl, self.b.u_up)
+
+    @cached_property
+    def weyl_along_u(self) -> np.ndarray:
+        """u^p ∇_p C_jklm."""
+        return np.einsum("...p,...pjklm->...jklm", self.b.u_up, self.b.nabla_weyl)
+
+    @cached_property
+    def weyl_sq(self) -> np.ndarray:
+        return norm_squared(self.b.weyl, self.b.g_inv)
+
+    @cached_property
+    def electric_sq(self) -> np.ndarray:
+        return norm_squared(self.b.electric, self.b.g_inv)
+
+    @cached_property
+    def remainder_sq(self) -> np.ndarray:
+        return norm_squared(self.b.weyl_remainder, self.b.g_inv)
+
+    @cached_property
+    def recurrences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Weyl-remainder transport u^p ∇_p Γ, and both sides of the
+        master recurrence as stated.
+
+        The transport is assembled by the product rule from ∇(Weyl), ∇E and
+        ∇u through the two Kulkarni-Nomizu blocks (u⊗u) ∧ E and g ∧ E.
+        """
+        b = self.b
+        n = b.n
+        u, e, acc = b.u_down, b.electric, self.acceleration
+        de = self.electric_along_u
+        uu = _outer(u, u)
+        duu = _outer(acc, u) + _outer(u, acc)
+        d_kn_uu = kulkarni_nomizu(duu, e) + kulkarni_nomizu(uu, de)
+        d_kn_g = kulkarni_nomizu(b.g, de)
+        k_uu, k_g = (n - 2.0) / (n - 3.0), 1.0 / (n - 3.0)
+        transport = self.weyl_along_u - k_uu * d_kn_uu - k_g * d_kn_g
+
+        two_phi = _slots(2.0 * b.hubble_rate, 4)
+        lhs = (n - 3.0) * (self.weyl_along_u + two_phi * b.weyl)
+        rhs = (n - 2.0) * (d_kn_uu + two_phi * kulkarni_nomizu(uu, e)) + (
+            d_kn_g + two_phi * kulkarni_nomizu(b.g, e)
+        )
+        return transport, lhs, rhs
+
+
+# Keyed weakly by bundle: every evaluate_check call on one chunk finds the same
+# entry without callers passing it along, and it is dropped with the chunk.
+_SHARED: "weakref.WeakKeyDictionary[CurvatureBundle, _Shared]" = weakref.WeakKeyDictionary()
+
+
+def _shared(b: CurvatureBundle) -> _Shared:
+    """The shared quantities of one chunk, created on first use."""
+    shared = _SHARED.get(b)
+    if shared is None:
+        shared = _SHARED[b] = _Shared(b)
+    return shared
+
+
+# ---------------------------------------------------------------------------
+# Pointwise evaluators: bundle (P points) -> (residual, scale), each (P,)
 # ---------------------------------------------------------------------------
 
 
-def _pair(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
-    return max_abs(np.asarray(lhs) - np.asarray(rhs)), max(max_abs(lhs), max_abs(rhs))
-
-
-def _weyl_u(b: CurvatureBundle) -> np.ndarray:
-    """C_jklm u^m."""
-    return np.einsum("jklm,m->jkl", b.weyl.components, b.u_up.components)
-
-
-def _acceleration(b: CurvatureBundle) -> np.ndarray:
-    """u^p ∇_p u_a (zero exactly when u is torse-forming)."""
-    return np.einsum("p,pa->a", b.u_up.components, b.nabla_u_down.components)
-
-
-def _d_electric_along_u(b: CurvatureBundle) -> np.ndarray:
-    """u^p ∇_p E_kl."""
-    return np.einsum("p,pkl->kl", b.u_up.components, b.nabla_electric.components)
-
-
-def _uu_tensor(b: CurvatureBundle) -> TensorValue:
-    u = b.u_down.components
-    return TensorValue.of(np.multiply.outer(u, u), (DOWN, DOWN))
-
-
-def _remainder_transport(b: CurvatureBundle) -> np.ndarray:
-    """u^p ∇_p of the Weyl remainder, assembled by the product rule from
-    ∇(Weyl), ∇E and ∇u through the two Kulkarni-Nomizu blocks."""
-    n = b.n
-    u = b.u_down.components
-    acc = _acceleration(b)
-    de = TensorValue.of(_d_electric_along_u(b), (DOWN, DOWN))
-    duu = TensorValue.of(np.multiply.outer(acc, u) + np.multiply.outer(u, acc), (DOWN, DOWN))
-    d_nabla_c = np.einsum("p,pjklm->jklm", b.u_up.components, b.nabla_weyl.components)
-    k_uu = (n - 2.0) / (n - 3.0)
-    k_g = 1.0 / (n - 3.0)
-    return (
-        d_nabla_c
-        - k_uu * (kulkarni_nomizu(duu, b.electric).components + kulkarni_nomizu(_uu_tensor(b), de).components)
-        - k_g * kulkarni_nomizu(b.g, de).components
-    )
-
-
-def _master_recurrence_sides(b: CurvatureBundle) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the master recurrence, grouped as stated."""
-    n = b.n
-    phi = b.hubble_rate
-    u = b.u_down.components
-    acc = _acceleration(b)
-    e = b.electric
-    de = TensorValue.of(_d_electric_along_u(b), (DOWN, DOWN))
-    uu = _uu_tensor(b)
-    duu = TensorValue.of(np.multiply.outer(acc, u) + np.multiply.outer(u, acc), (DOWN, DOWN))
-
-    kn_uu = kulkarni_nomizu(uu, e).components
-    kn_g = kulkarni_nomizu(b.g, e).components
-    d_kn_uu = kulkarni_nomizu(duu, e).components + kulkarni_nomizu(uu, de).components
-    d_kn_g = kulkarni_nomizu(b.g, de).components
-
-    d_weyl_along_u = np.einsum("p,pjklm->jklm", b.u_up.components, b.nabla_weyl.components)
-    lhs = (n - 3.0) * (d_weyl_along_u + 2.0 * phi * b.weyl.components)
-    rhs = (n - 2.0) * (d_kn_uu + 2.0 * phi * kn_uu) + (d_kn_g + 2.0 * phi * kn_g)
-    return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# Pointwise evaluators: bundle -> (residual, scale)
-# ---------------------------------------------------------------------------
-
-
-def _torse_forming(b: CurvatureBundle) -> tuple[float, float]:
-    u = b.u_down.components
-    lhs = b.nabla_u_down.components
-    rhs = b.hubble_rate * (b.g.components + np.multiply.outer(u, u))
+def _torse_forming(b: CurvatureBundle) -> PointPairs:
+    u = b.u_down
+    lhs = b.nabla_u_down
+    rhs = _slots(b.hubble_rate, 2) * (b.g + _outer(u, u))
     residual, scale = _pair(lhs, rhs)
-    u_norm = abs(float(u @ b.u_up.components) + 1.0)
-    return max(residual, u_norm), scale
+    u_norm = np.abs(np.einsum("...a,...a->...", u, b.u_up) + 1.0)
+    return np.maximum(residual, u_norm), scale
 
 
-def _weyl_compatibility(b: CurvatureBundle) -> tuple[float, float]:
-    u = b.u_down.components
-    cu = _weyl_u(b)
+def _weyl_compatibility(b: CurvatureBundle) -> PointPairs:
+    u = b.u_down
+    cu = _shared(b).weyl_u
     cyc = (
-        np.einsum("i,jkl->ijkl", u, cu)
-        + np.einsum("j,kil->ijkl", u, cu)
-        + np.einsum("k,ijl->ijkl", u, cu)
+        np.einsum("...i,...jkl->...ijkl", u, cu)
+        + np.einsum("...j,...kil->...ijkl", u, cu)
+        + np.einsum("...k,...ijl->...ijkl", u, cu)
     )
-    return max_abs(cyc), max_abs(b.weyl)
+    return _pmax(cyc), _pmax(b.weyl)
 
 
-def _electric_contraction(b: CurvatureBundle) -> tuple[float, float]:
-    u = b.u_down.components
-    e = b.electric.components
-    rhs = np.einsum("k,jl->jkl", u, e) - np.einsum("j,kl->jkl", u, e)
-    return _pair(_weyl_u(b), rhs)
+def _electric_contraction(b: CurvatureBundle) -> PointPairs:
+    u = b.u_down
+    e = b.electric
+    rhs = np.einsum("...k,...jl->...jkl", u, e) - np.einsum("...j,...kl->...jkl", u, e)
+    return _pair(_shared(b).weyl_u, rhs)
 
 
-def _ricci_form(b: CurvatureBundle) -> tuple[float, float]:
+def _ricci_form(b: CurvatureBundle) -> PointPairs:
     n = b.n
-    u = b.u_down.components
+    u = b.u_down
     xi = b.raychaudhuri_scalar
     r = b.scalar_curvature
-    v_down = b.g.components @ b.hubble_gradient_up.components
+    v_down = np.einsum("...ab,...b->...a", b.g, b.hubble_gradient_up)
     rhs = (
-        (r - n * xi) / (n - 1) * np.multiply.outer(u, u)
-        + (r - xi) / (n - 1) * b.g.components
-        + (n - 2)
-        * (np.multiply.outer(u, v_down) + np.multiply.outer(v_down, u) - b.electric.components)
+        _slots((r - n * xi) / (n - 1), 2) * _outer(u, u)
+        + _slots((r - xi) / (n - 1), 2) * b.g
+        + (n - 2) * (_outer(u, v_down) + _outer(v_down, u) - b.electric)
     )
-    return _pair(b.ricci.components, rhs)
+    return _pair(b.ricci, rhs)
 
 
-def _hubble_gradient_spacelike(b: CurvatureBundle) -> tuple[float, float]:
-    v = b.hubble_gradient_up.components
-    return abs(float(v @ b.u_down.components)), max_abs(v)
+def _hubble_gradient_spacelike(b: CurvatureBundle) -> PointPairs:
+    v = b.hubble_gradient_up
+    return np.abs(np.einsum("...a,...a->...", v, b.u_down)), _pmax(v)
 
 
-def _lovelock_n4(b: CurvatureBundle) -> tuple[float, float]:
-    g = b.g.components
-    c = b.weyl.components
-    total = (
-        np.einsum("ar,bcst->abcrst", g, c)
-        + np.einsum("br,cast->abcrst", g, c)
-        + np.einsum("cr,abst->abcrst", g, c)
-        + np.einsum("at,bcrs->abcrst", g, c)
-        + np.einsum("bt,cars->abcrst", g, c)
-        + np.einsum("ct,abrs->abcrst", g, c)
-        + np.einsum("as,bctr->abcrst", g, c)
-        + np.einsum("bs,catr->abcrst", g, c)
-        + np.einsum("cs,abtr->abcrst", g, c)
+def _lovelock_n4(b: CurvatureBundle) -> PointPairs:
+    g = b.g
+    c = b.weyl
+    # The nine terms are the three below and their cyclic shifts a -> b -> c.
+    pattern = (
+        np.einsum("...ar,...bcst->...abcrst", g, c)
+        + np.einsum("...at,...bcrs->...abcrst", g, c)
+        + np.einsum("...as,...bctr->...abcrst", g, c)
     )
-    return max_abs(total), max_abs(g) * max_abs(c)
+    total = pattern + _cyclic(pattern) + _cyclic(_cyclic(pattern))
+    return _pmax(total), _pmax(g) * _pmax(c)
 
 
-def _weyl_all_up(b: CurvatureBundle) -> np.ndarray:
-    gi = b.g_inv.components
-    return np.einsum("aA,bB,cC,dD,ABCD->abcd", gi, gi, gi, gi, b.weyl.components)
+def _quarter_trace_n4(b: CurvatureBundle) -> PointPairs:
+    c = b.weyl
+    c_up = raise_all(c, b.g_inv)
+    c2 = np.einsum("...abcd,...abcd->...", c, c_up)
+    t = np.einsum("...abcr,...abcs->...rs", c, c_up)
+    return _pair(t, _slots(0.25 * c2, 2) * np.eye(b.n))
 
 
-def _quarter_trace_n4(b: CurvatureBundle) -> tuple[float, float]:
-    c = b.weyl.components
-    c_up = _weyl_all_up(b)
-    c2 = float(np.einsum("abcd,abcd->", c, c_up))
-    t = np.einsum("abcr,abcs->rs", c, c_up)
-    return _pair(t, 0.25 * c2 * np.eye(b.n))
-
-
-def _reconstruction_n4(b: CurvatureBundle) -> tuple[float, float]:
-    u_up = b.u_up.components
-    u = b.u_down.components
-    g = b.g.components
-    c = b.weyl.components
-    e = b.electric.components
-    q0 = np.einsum("m,mbcd->bcd", u_up, c)
-    q1 = np.einsum("m,amcd->acd", u_up, c)
-    q2 = np.einsum("m,abmd->abd", u_up, c)
-    q3 = np.einsum("m,abcm->abc", u_up, c)
+def _reconstruction_n4(b: CurvatureBundle) -> PointPairs:
+    u_up = b.u_up
+    u = b.u_down
+    g = b.g
+    c = b.weyl
+    e = b.electric
+    q0 = np.einsum("...m,...mbcd->...bcd", u_up, c)
+    q1 = np.einsum("...m,...amcd->...acd", u_up, c)
+    q2 = np.einsum("...m,...abmd->...abd", u_up, c)
+    q3 = np.einsum("...m,...abcm->...abc", u_up, c)
     recon = -(
-        np.einsum("a,bcd->abcd", u, q0)
-        + np.einsum("b,acd->abcd", u, q1)
-        + np.einsum("c,abd->abcd", u, q2)
-        + np.einsum("d,abc->abcd", u, q3)
+        np.einsum("...a,...bcd->...abcd", u, q0)
+        + np.einsum("...b,...acd->...abcd", u, q1)
+        + np.einsum("...c,...abd->...abcd", u, q2)
+        + np.einsum("...d,...abc->...abcd", u, q3)
     ) + (
-        np.einsum("ad,bc->abcd", g, e)
-        - np.einsum("bd,ac->abcd", g, e)
-        - np.einsum("ac,bd->abcd", g, e)
-        + np.einsum("bc,ad->abcd", g, e)
+        np.einsum("...ad,...bc->...abcd", g, e)
+        - np.einsum("...bd,...ac->...abcd", g, e)
+        - np.einsum("...ac,...bd->...abcd", g, e)
+        + np.einsum("...bc,...ad->...abcd", g, e)
     )
     return _pair(c, recon)
 
 
-def _electric_rep_n4(b: CurvatureBundle) -> tuple[float, float]:
-    u = b.u_down.components
-    g = b.g.components
-    e = b.electric.components
+def _electric_rep_n4(b: CurvatureBundle) -> PointPairs:
+    u = b.u_down
+    g = b.g
+    e = b.electric
     rep = 2.0 * (
-        np.einsum("a,d,bc->abcd", u, u, e)
-        - np.einsum("a,c,bd->abcd", u, u, e)
-        + np.einsum("b,c,ad->abcd", u, u, e)
-        - np.einsum("b,d,ac->abcd", u, u, e)
+        np.einsum("...a,...d,...bc->...abcd", u, u, e)
+        - np.einsum("...a,...c,...bd->...abcd", u, u, e)
+        + np.einsum("...b,...c,...ad->...abcd", u, u, e)
+        - np.einsum("...b,...d,...ac->...abcd", u, u, e)
     ) + (
-        np.einsum("ad,bc->abcd", g, e)
-        - np.einsum("ac,bd->abcd", g, e)
-        + np.einsum("bc,ad->abcd", g, e)
-        - np.einsum("bd,ac->abcd", g, e)
+        np.einsum("...ad,...bc->...abcd", g, e)
+        - np.einsum("...ac,...bd->...abcd", g, e)
+        + np.einsum("...bc,...ad->...abcd", g, e)
+        - np.einsum("...bd,...ac->...abcd", g, e)
     )
-    return _pair(b.weyl.components, rep)
+    return _pair(b.weyl, rep)
 
 
-def _weyl_sq_8_electric_sq(b: CurvatureBundle) -> tuple[float, float]:
-    c2 = norm_squared(b.weyl, b.g)
-    e2 = norm_squared(b.electric, b.g)
-    return abs(c2 - 8.0 * e2), abs(c2)
+def _weyl_sq_8_electric_sq(b: CurvatureBundle) -> PointPairs:
+    shared = _shared(b)
+    c2, e2 = shared.weyl_sq, shared.electric_sq
+    return np.abs(c2 - 8.0 * e2), np.abs(c2)
 
 
-def _remainder_curvature_symmetries(b: CurvatureBundle) -> tuple[float, float]:
+def _remainder_curvature_symmetries(b: CurvatureBundle) -> PointPairs:
     residuals = generalized_curvature_check(b.weyl_remainder)
-    scale = max(max_abs(b.weyl), max_abs(b.weyl_remainder))
-    return max(residuals.values()), scale
+    scale = np.maximum(_pmax(b.weyl), _pmax(b.weyl_remainder))
+    return np.max(list(residuals.values()), axis=0), scale
 
 
-def _remainder_traceless(b: CurvatureBundle) -> tuple[float, float]:
-    gi = b.g_inv.components
-    t = b.weyl_remainder.components
+def _remainder_traceless(b: CurvatureBundle) -> PointPairs:
+    gi = b.g_inv
+    t = b.weyl_remainder
     letters = "iklm"
-    worst = 0.0
+    worst = np.zeros(len(t))
     for a in range(4):
         for bb in range(a + 1, 4):
-            spec = f"{letters[a]}{letters[bb]},{letters}->" + "".join(
+            spec = f"...{letters[a]}{letters[bb]},...{letters}->..." + "".join(
                 letters[s] for s in range(4) if s not in (a, bb)
             )
-            worst = max(worst, max_abs(np.einsum(spec, gi, t)))
-    return worst, max(max_abs(b.weyl), max_abs(t))
+            worst = np.maximum(worst, _pmax(np.einsum(spec, gi, t)))
+    return worst, np.maximum(_pmax(b.weyl), _pmax(t))
 
 
-def _remainder_u_annihilation(b: CurvatureBundle) -> tuple[float, float]:
-    u = b.u_up.components
-    t = b.weyl_remainder.components
+def _remainder_u_annihilation(b: CurvatureBundle) -> PointPairs:
+    u = b.u_up
+    t = b.weyl_remainder
     letters = "iklm"
-    worst = 0.0
+    worst = np.zeros(len(t))
     for slot in range(4):
-        spec = f"{letters[slot]},{letters}->" + letters.replace(letters[slot], "")
-        worst = max(worst, max_abs(np.einsum(spec, u, t)))
-    return worst, max(max_abs(b.weyl), max_abs(t))
+        spec = f"...{letters[slot]},...{letters}->..." + letters.replace(letters[slot], "")
+        worst = np.maximum(worst, _pmax(np.einsum(spec, u, t)))
+    return worst, np.maximum(_pmax(b.weyl), _pmax(t))
 
 
-def _remainder_recurrence(b: CurvatureBundle) -> tuple[float, float]:
-    transport = _remainder_transport(b)
-    decay = 2.0 * b.hubble_rate * b.weyl_remainder.components
-    return max_abs(transport + decay), max(max_abs(transport), max_abs(decay))
+def _remainder_recurrence(b: CurvatureBundle) -> PointPairs:
+    transport = _shared(b).recurrences[0]
+    decay = _slots(2.0 * b.hubble_rate, 4) * b.weyl_remainder
+    return _pmax(transport + decay), np.maximum(_pmax(transport), _pmax(decay))
 
 
-def _remainder_vanishes_n4(b: CurvatureBundle) -> tuple[float, float]:
-    return max_abs(b.weyl_remainder), max_abs(b.weyl)
+def _remainder_vanishes_n4(b: CurvatureBundle) -> PointPairs:
+    return _pmax(b.weyl_remainder), _pmax(b.weyl)
 
 
-def _remainder_scalar_relation(b: CurvatureBundle) -> tuple[float, float]:
+def _remainder_scalar_relation(b: CurvatureBundle) -> PointPairs:
     n = b.n
-    c2 = norm_squared(b.weyl, b.g)
-    e2 = norm_squared(b.electric, b.g)
-    t2 = norm_squared(b.weyl_remainder, b.g)
+    shared = _shared(b)
+    c2, e2, t2 = shared.weyl_sq, shared.electric_sq, shared.remainder_sq
     coeff = 4.0 * (n - 2.0) / (n - 3.0)
-    return abs(t2 - c2 + coeff * e2), max(abs(c2), abs(t2), coeff * abs(e2))
+    scale = np.maximum(np.maximum(np.abs(c2), np.abs(t2)), coeff * np.abs(e2))
+    return np.abs(t2 - c2 + coeff * e2), scale
 
 
-def _weyl_scalar_positivity(b: CurvatureBundle) -> tuple[float, float]:
-    c2 = norm_squared(b.weyl, b.g)
-    e2 = norm_squared(b.electric, b.g)
-    t2 = norm_squared(b.weyl_remainder, b.g)
-    residual = max(0.0, -c2, -e2, -t2)
-    return residual, max(abs(c2), abs(e2), abs(t2))
+def _weyl_scalar_positivity(b: CurvatureBundle) -> PointPairs:
+    shared = _shared(b)
+    c2, e2, t2 = shared.weyl_sq, shared.electric_sq, shared.remainder_sq
+    residual = np.maximum(np.maximum(0.0, -c2), np.maximum(-e2, -t2))
+    scale = np.maximum(np.maximum(np.abs(c2), np.abs(e2)), np.abs(t2))
+    return residual, scale
 
 
-def _bianchi_contraction(b: CurvatureBundle) -> tuple[float, float]:
+def _bianchi_contraction(b: CurvatureBundle) -> PointPairs:
     n = b.n
-    nc = b.nabla_weyl.components
-    lhs = nc + np.einsum("jkilm->ijklm", nc) + np.einsum("kijlm->ijklm", nc)
-    g = b.g.components
-    dv = b.div_weyl.components
-    rhs = (
-        np.einsum("jm,kil->ijklm", g, dv)
-        + np.einsum("km,ijl->ijklm", g, dv)
-        + np.einsum("im,jkl->ijklm", g, dv)
-        + np.einsum("kl,jim->ijklm", g, dv)
-        + np.einsum("il,kjm->ijklm", g, dv)
-        + np.einsum("jl,ikm->ijklm", g, dv)
+    nc = b.nabla_weyl
+    g = b.g
+    dv = b.div_weyl
+    # Both sides sum a pattern over the cyclic shifts i -> j -> k: ∇_i C_jklm
+    # on the left, (g_jm D_kil + g_kl D_jim)/(n-3) on the right.
+    pattern = nc - (
+        np.einsum("...jm,...kil->...ijklm", g, dv) + np.einsum("...kl,...jim->...ijklm", g, dv)
     ) / (n - 3.0)
-    return max_abs(lhs - rhs), max_abs(nc)
+    residual = pattern + _cyclic(pattern) + _cyclic(_cyclic(pattern))
+    return _pmax(residual), _pmax(nc)
 
 
-def _divergence_formula(b: CurvatureBundle) -> tuple[float, float]:
+def _divergence_formula(b: CurvatureBundle) -> PointPairs:
     n = b.n
-    phi = b.hubble_rate
-    u = b.u_down.components
-    e = b.electric.components
-    ne = b.nabla_electric.components
-    de = _d_electric_along_u(b)
-    acc = _acceleration(b)
-    div_e = b.div_electric.components
-    g = b.g.components
+    shared = _shared(b)
+    phi = _slots(b.hubble_rate, 3)
+    u = b.u_down
+    e = b.electric
+    ne = b.nabla_electric
+    de = shared.electric_along_u
+    acc = shared.acceleration
+    div_e = b.div_electric
+    g = b.g
 
-    antisym = np.einsum("i,km->ikm", u, e) - np.einsum("k,im->ikm", u, e)
+    antisym = np.einsum("...i,...km->...ikm", u, e) - np.einsum("...k,...im->...ikm", u, e)
     d_antisym = (
-        np.einsum("i,km->ikm", acc, e)
-        + np.einsum("i,km->ikm", u, de)
-        - np.einsum("k,im->ikm", acc, e)
-        - np.einsum("k,im->ikm", u, de)
+        np.einsum("...i,...km->...ikm", acc, e)
+        + np.einsum("...i,...km->...ikm", u, de)
+        - np.einsum("...k,...im->...ikm", acc, e)
+        - np.einsum("...k,...im->...ikm", u, de)
     )
-    grad_term = (n - 3.0) * (ne - np.einsum("kim->ikm", ne))
+    grad_term = (n - 3.0) * (ne - np.einsum("...kim->...ikm", ne))
     transport_term = (n - 2.0) * (d_antisym + 2.0 * phi * antisym)
-    proj_term = np.einsum("k,m,i->ikm", u, u, div_e) * 2.0 + np.einsum(
-        "km,i->ikm", g, div_e
-    ) - np.einsum("i,m,k->ikm", u, u, div_e) * 2.0 - np.einsum("im,k->ikm", g, div_e)
+    proj_term = np.einsum("...k,...m,...i->...ikm", u, u, div_e) * 2.0 + np.einsum(
+        "...km,...i->...ikm", g, div_e
+    ) - np.einsum("...i,...m,...k->...ikm", u, u, div_e) * 2.0 - np.einsum(
+        "...im,...k->...ikm", g, div_e
+    )
     rhs = grad_term + transport_term + proj_term
-    lhs = b.div_weyl.components
-    residual = max_abs(lhs - rhs)
-    scale = max(max_abs(lhs), max_abs(grad_term), max_abs(transport_term), max_abs(proj_term))
+    lhs = b.div_weyl
+    residual = _pmax(lhs - rhs)
+    scale = np.max([_pmax(lhs), _pmax(grad_term), _pmax(transport_term), _pmax(proj_term)], axis=0)
     return residual, scale
 
 
-def _master_recurrence(b: CurvatureBundle) -> tuple[float, float]:
-    lhs, rhs = _master_recurrence_sides(b)
-    return max_abs(lhs - rhs), max(max_abs(lhs), max_abs(rhs))
-
-
-def _master_recurrence_consistency(b: CurvatureBundle) -> tuple[float, float]:
-    lhs, rhs = _master_recurrence_sides(b)
-    master_residual = lhs - rhs
-    recurrence_residual = _remainder_transport(b) + 2.0 * b.hubble_rate * b.weyl_remainder.components
-    regrouped = (b.n - 3.0) * recurrence_residual
-    return max_abs(master_residual - regrouped), max(max_abs(master_residual), max_abs(regrouped))
-
-
-def _divfree_corollary_point(b: CurvatureBundle) -> tuple[float, float]:
-    n = b.n
-    phi = b.hubble_rate
-    de = _d_electric_along_u(b)
-    decay = phi * (n - 1.0) * b.electric.components
-    residual = max(max_abs(b.div_electric), max_abs(de + decay))
-    scale = max(max_abs(b.nabla_electric), max_abs(decay))
-    return residual, scale
-
-
-def _electric_gradient_recurrence_point(b: CurvatureBundle) -> tuple[float, float]:
-    n = b.n
-    phi = b.hubble_rate
-    u = b.u_down.components
-    e = b.electric.components
-    ne = b.nabla_electric.components
-    lhs = ne - np.einsum("kim->ikm", ne)
-    rhs = (n - 2.0) * phi * (np.einsum("i,km->ikm", u, e) - np.einsum("k,im->ikm", u, e))
+def _master_recurrence(b: CurvatureBundle) -> PointPairs:
+    _, lhs, rhs = _shared(b).recurrences
     return _pair(lhs, rhs)
 
 
-def _weyl_u_recurrence_point(b: CurvatureBundle) -> tuple[float, float]:
+def _master_recurrence_consistency(b: CurvatureBundle) -> PointPairs:
+    transport, lhs, rhs = _shared(b).recurrences
+    master_residual = lhs - rhs
+    recurrence_residual = transport + _slots(2.0 * b.hubble_rate, 4) * b.weyl_remainder
+    regrouped = (b.n - 3.0) * recurrence_residual
+    return _pair(master_residual, regrouped)
+
+
+def _divfree_corollary_point(b: CurvatureBundle) -> PointPairs:
     n = b.n
-    phi = b.hubble_rate
-    u_up = b.u_up.components
-    cu = _weyl_u(b)
-    d_cu = np.einsum("pjklm,m->pjkl", b.d_weyl, u_up)
-    nabla_cu = covariant_derivative(TensorField((DOWN,) * 3, cu, d_cu), b.christoffel)
-    transport = np.einsum("p,pjkl->jkl", u_up, nabla_cu.components)
-    decay = phi * (n - 1.0) * cu
-    return max_abs(transport + decay), max(max_abs(transport), max_abs(decay))
+    de = _shared(b).electric_along_u
+    decay = _slots(b.hubble_rate * (n - 1.0), 2) * b.electric
+    residual = np.maximum(_pmax(b.div_electric), _pmax(de + decay))
+    scale = np.maximum(_pmax(b.nabla_electric), _pmax(decay))
+    return residual, scale
+
+
+def _electric_gradient_recurrence_point(b: CurvatureBundle) -> PointPairs:
+    n = b.n
+    phi = _slots(b.hubble_rate, 3)
+    u = b.u_down
+    e = b.electric
+    ne = b.nabla_electric
+    lhs = ne - np.einsum("...kim->...ikm", ne)
+    antisym = np.einsum("...i,...km->...ikm", u, e) - np.einsum("...k,...im->...ikm", u, e)
+    rhs = (n - 2.0) * phi * antisym
+    return _pair(lhs, rhs)
+
+
+def _weyl_u_recurrence_point(b: CurvatureBundle) -> PointPairs:
+    n = b.n
+    shared = _shared(b)
+    # u^p ∇_p (C_jklm u^m) by the product rule: (u^p ∇_p C_jklm) u^m + C_jklm u^p ∇_p u^m.
+    acc_up = np.einsum("...p,...pm->...m", b.u_up, b.nabla_u_up)
+    transport = np.einsum("...jklm,...m->...jkl", shared.weyl_along_u, b.u_up) + np.einsum(
+        "...jklm,...m->...jkl", b.weyl, acc_up
+    )
+    decay = _slots(b.hubble_rate * (n - 1.0), 3) * shared.weyl_u
+    return _pmax(transport + decay), np.maximum(_pmax(transport), _pmax(decay))
 
 
 # ---------------------------------------------------------------------------
@@ -463,25 +491,26 @@ class EvalResult:
     extras: dict = field(default_factory=dict)
 
 
-def _worst_point(pairs: Iterable[tuple[float, float]]) -> tuple[float, float]:
-    best = (0.0, 0.0)
-    best_ratio = -1.0
-    for residual, scale in pairs:
-        ratio = residual / max(1.0, scale)
-        if ratio > best_ratio:
-            best_ratio, best = ratio, (residual, scale)
-    return best
+def _worst_point(pairs: Sequence[PointPairs]) -> EvalResult:
+    """The first point with the largest ``residual / max(1, scale)``."""
+    residual = np.concatenate([r for r, _ in pairs])
+    scale = np.concatenate([s for _, s in pairs])
+    k = int(np.argmax(residual / np.maximum(1.0, scale)))
+    return EvalResult(True, float(residual[k]), float(scale[k]), len(residual))
 
 
 def _pointwise_result(fn, bundles: Sequence[CurvatureBundle]) -> EvalResult:
-    residual, scale = _worst_point(fn(b) for b in bundles)
-    return EvalResult(True, residual, scale, len(bundles))
+    return _worst_point([fn(b) for b in bundles])
+
+
+def _largest(values) -> float:
+    return max(max_abs(v) for v in values)
 
 
 def _electric_contraction_iff(model, bundles) -> EvalResult:
-    max_cu = max(max_abs(_weyl_u(b)) for b in bundles)
-    max_e = max(max_abs(b.electric) for b in bundles)
-    max_c = max(max_abs(b.weyl) for b in bundles)
+    max_cu = _largest(_shared(b).weyl_u for b in bundles)
+    max_e = _largest(b.electric for b in bundles)
+    max_c = _largest(b.weyl for b in bundles)
     threshold = HYPOTHESIS_RTOL * max(1.0, max_c)
     ok = (max_cu < threshold) == (max_e < threshold)
     residual = 0.0 if ok else max(max_cu, max_e)
@@ -489,14 +518,14 @@ def _electric_contraction_iff(model, bundles) -> EvalResult:
         True,
         residual,
         max_c,
-        len(bundles),
+        sum(len(b.points) for b in bundles),
         extras={"max_weyl_u": max_cu, "max_electric": max_e},
     )
 
 
 def _electric_iff_n4(model, bundles) -> EvalResult:
-    max_c = max(max_abs(b.weyl) for b in bundles)
-    max_e = max(max_abs(b.electric) for b in bundles)
+    max_c = _largest(b.weyl for b in bundles)
+    max_e = _largest(b.electric for b in bundles)
     threshold = HYPOTHESIS_RTOL * max(1.0, max_c, max_e)
     ok = (max_c < threshold) == (max_e < threshold)
     residual = 0.0 if ok else max(max_c, max_e)
@@ -504,21 +533,21 @@ def _electric_iff_n4(model, bundles) -> EvalResult:
         True,
         residual,
         max(max_c, max_e),
-        len(bundles),
+        sum(len(b.points) for b in bundles),
         extras={"max_weyl": max_c, "max_electric": max_e},
     )
 
 
 def _electric_hypothesis_holds(bundles) -> tuple[bool, dict]:
-    max_e = max(max_abs(b.electric) for b in bundles)
-    max_c = max(max_abs(b.weyl) for b in bundles)
+    max_e = _largest(b.electric for b in bundles)
+    max_c = _largest(b.weyl for b in bundles)
     holds = max_e < HYPOTHESIS_RTOL * max(1.0, max_c)
     return holds, {"max_electric": max_e, "max_weyl": max_c}
 
 
 def _divfree_hypothesis_holds(bundles) -> tuple[bool, dict]:
-    max_div = max(max_abs(b.div_weyl) for b in bundles)
-    max_nc = max(max_abs(b.nabla_weyl) for b in bundles)
+    max_div = _largest(b.div_weyl for b in bundles)
+    max_nc = _largest(b.nabla_weyl for b in bundles)
     holds = max_div < HYPOTHESIS_RTOL * max(1.0, max_nc)
     return holds, {"max_div_weyl": max_div, "max_nabla_weyl": max_nc}
 
@@ -527,12 +556,11 @@ def _electric_zero_implies_divfree(model, bundles) -> EvalResult:
     holds, extras = _electric_hypothesis_holds(bundles)
     if not holds:
         ev = EvalResult(False, extras=extras)
-        ev.extras["max_div_weyl"] = max(max_abs(b.div_weyl) for b in bundles)
+        ev.extras["max_div_weyl"] = _largest(b.div_weyl for b in bundles)
         return ev
-    residual, scale = _worst_point(
-        (max_abs(b.div_weyl), max_abs(b.nabla_weyl)) for b in bundles
-    )
-    return EvalResult(True, residual, scale, len(bundles), extras=extras)
+    result = _worst_point([(_pmax(b.div_weyl), _pmax(b.nabla_weyl)) for b in bundles])
+    result.extras = extras
+    return result
 
 
 def _conditional_on_divfree(point_fn):
@@ -575,7 +603,7 @@ class IdentityCheck:
     group: str
     tolerance: float
     applies: Callable[[MetricModel], bool]
-    point_fn: Callable[[CurvatureBundle], tuple[float, float]] | None = None
+    point_fn: Callable[[CurvatureBundle], PointPairs] | None = None
     collection_fn: Callable[[MetricModel, Sequence[CurvatureBundle]], EvalResult] | None = None
 
 
@@ -819,7 +847,7 @@ GROUPS = (
 _BY_ID = {check.identity_id: check for check in REGISTRY}
 
 # Pointwise evaluators exposed for tests that need per-point residuals.
-POINT_EVALUATORS: dict[str, Callable[[CurvatureBundle], tuple[float, float]]] = {
+POINT_EVALUATORS: dict[str, Callable[[CurvatureBundle], PointPairs]] = {
     check.identity_id: check.point_fn for check in REGISTRY if check.point_fn is not None
 }
 
@@ -838,7 +866,8 @@ def evaluate_check(
     bundles: Sequence[CurvatureBundle],
     tolerance: float | None = None,
 ) -> IdentityReport:
-    """Evaluate one identity over a model's bundles and build its report."""
+    """Evaluate one identity over a model's bundles (chunks of sampled points)
+    and build its report; the verdict rule lives here and nowhere else."""
     if not bundles:
         raise ValueError("at least one curvature bundle is required")
     tol = check.tolerance if tolerance is None else float(tolerance)
@@ -899,112 +928,3 @@ def expected_verdict(model: MetricModel, report: IdentityReport) -> str:
 def report_ok(model: MetricModel, report: IdentityReport) -> bool:
     """True when the verdict matches the catalog's expectation."""
     return report.verdict == expected_verdict(model, report)
-
-
-# ---------------------------------------------------------------------------
-# Grouped entry points mirroring the suite's operation-level surface
-# ---------------------------------------------------------------------------
-
-
-def _as_bundles(bundles) -> list[CurvatureBundle]:
-    if isinstance(bundles, CurvatureBundle):
-        return [bundles]
-    return list(bundles)
-
-
-def _single(identity_id: str, bundles, tolerance: float | None = None) -> IdentityReport:
-    check = _BY_ID[identity_id]
-    bl = _as_bundles(bundles)
-    result = (
-        check.collection_fn(None, bl)
-        if check.collection_fn is not None
-        else _pointwise_result(check.point_fn, bl)
-    )
-    tol = check.tolerance if tolerance is None else float(tolerance)
-    if not result.applicable:
-        return IdentityReport(
-            check.identity_id, check.paper_ref, 0, 0.0, 0.0, tol, NOT_APPLICABLE, result.extras
-        )
-    verdict = PASS if result.residual <= tol * max(1.0, result.scale) else FAIL
-    return IdentityReport(
-        check.identity_id,
-        check.paper_ref,
-        result.points,
-        result.residual,
-        result.scale,
-        tol,
-        verdict,
-        result.extras,
-    )
-
-
-def torse_forming_residual(bundles) -> IdentityReport:
-    return _single("torse_forming", bundles)
-
-
-def weyl_compatibility_residual(bundles) -> IdentityReport:
-    return _single("weyl_compatibility", bundles)
-
-
-def contraction_identity_residual(bundles) -> list[IdentityReport]:
-    return [_single("electric_contraction", bundles), _single("electric_contraction_iff", bundles)]
-
-
-def ricci_decomposition_residual(bundles) -> list[IdentityReport]:
-    return [_single("ricci_form", bundles), _single("hubble_gradient_spacelike", bundles)]
-
-
-def four_dim_identities(bundles) -> list[IdentityReport]:
-    bl = _as_bundles(bundles)
-    ids = (
-        "lovelock_n4",
-        "quarter_trace_n4",
-        "reconstruction_n4",
-        "electric_rep_n4",
-        "weyl_sq_8_electric_sq_n4",
-        "electric_iff_n4",
-    )
-    if bl[0].n != 4:
-        return [
-            IdentityReport(i, _BY_ID[i].paper_ref, 0, 0.0, 0.0, _BY_ID[i].tolerance, NOT_APPLICABLE)
-            for i in ids
-        ]
-    return [_single(i, bl) for i in ids]
-
-
-def remainder_suite(bundles) -> list[IdentityReport]:
-    bl = _as_bundles(bundles)
-    ids = [
-        "remainder_curvature_symmetries",
-        "remainder_traceless",
-        "remainder_u_annihilation",
-        "remainder_recurrence",
-        "remainder_scalar_relation",
-        "weyl_scalar_positivity",
-    ]
-    reports = [_single(i, bl) for i in ids]
-    if bl[0].n == 4:
-        reports.insert(4, _single("remainder_vanishes_n4", bl))
-    return reports
-
-
-def bianchi_contraction_residual(bundles) -> IdentityReport:
-    return _single("weyl_bianchi_contraction", bundles)
-
-
-def divergence_formula_residual(bundles) -> IdentityReport:
-    return _single("weyl_divergence_formula", bundles)
-
-
-def master_recurrence_residual(bundles) -> list[IdentityReport]:
-    return [_single("master_recurrence", bundles), _single("master_recurrence_consistency", bundles)]
-
-
-def divergence_free_suite(bundles) -> list[IdentityReport]:
-    ids = (
-        "electric_zero_implies_divfree",
-        "divfree_corollary",
-        "electric_gradient_recurrence",
-        "weyl_u_recurrence",
-    )
-    return [_single(i, bundles) for i in ids]

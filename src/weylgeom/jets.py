@@ -8,10 +8,13 @@ consume third metric derivatives at machine precision.  No numerical
 differentiation happens anywhere in the library; finite differences exist
 only in the test suite, as an independent oracle.
 
-Derivative layout: ``d1[i] = ∂_i f``, ``d2[i, j] = ∂_i ∂_j f``,
-``d3[i, j, k] = ∂_i ∂_j ∂_k f`` (raw partials, not Taylor coefficients).
-``d2`` and ``d3`` are exactly symmetric: every rule below is written as a
-manifestly symmetric combination, so symmetry survives to the last bit.
+Derivative layout: ``d1[..., i] = ∂_i f``, ``d2[..., i, j] = ∂_i ∂_j f``,
+``d3[..., i, j, k] = ∂_i ∂_j ∂_k f`` (raw partials, not Taylor coefficients).
+The leading axes ``...`` are the shape of ``value``: empty for a jet at one
+point, ``(P,)`` for a jet evaluated at P chart points at once.  A constant
+jet has no leading axes and broadcasts against a batched one.  ``d2`` and
+``d3`` are exactly symmetric: every rule below is written as a manifestly
+symmetric combination, so symmetry survives to the last bit.
 """
 
 from __future__ import annotations
@@ -44,27 +47,32 @@ class Jet3:
     in the arithmetic rules can never break it.
     """
 
-    value: float
+    value: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
     d3: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "d1", np.asarray(self.d1, dtype=float))
+        value = np.asarray(self.value, dtype=float)
+        d1 = np.asarray(self.d1, dtype=float)
         d2 = np.asarray(self.d2, dtype=float)
         d3 = np.asarray(self.d3, dtype=float)
-        n = self.d1.shape[0] if self.d1.ndim == 1 else -1
-        if self.d1.shape != (n,) or d2.shape != (n, n) or d3.shape != (n, n, n):
-            raise ValueError("jet derivative arrays must have shapes (n,), (n,n), (n,n,n)")
+        n = d1.shape[-1] if d1.ndim else -1
+        lead = value.shape
+        if d1.shape != lead + (n,) or d2.shape != lead + (n, n) or d3.shape != lead + (n, n, n):
+            raise ValueError(
+                "jet derivative arrays must have shapes (..., n), (..., n,n), (..., n,n,n)"
+            )
         a2, b2, a3, b3, c3 = _sym_indices(n)
-        object.__setattr__(self, "d2", d2[a2, b2])
-        object.__setattr__(self, "d3", d3[a3, b3, c3])
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2[..., a2, b2])
+        object.__setattr__(self, "d3", d3[..., a3, b3, c3])
 
     @property
     def n(self) -> int:
         """Number of chart variables."""
-        return self.d1.shape[0]
+        return self.d1.shape[-1]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -95,15 +103,17 @@ class Jet3:
             c = float(other)
             return Jet3(c * self.value, c * self.d1, c * self.d2, c * self.d3)
         o = self._lift(other)
-        cross = np.multiply.outer(self.d1, o.d1)
-        d2 = self.d2 * o.value + o.d2 * self.value + cross + cross.T
+        a1, b1 = self.value[..., None], o.value[..., None]
+        a2, b2 = a1[..., None], b1[..., None]
+        cross = self.d1[..., :, None] * o.d1[..., None, :]
+        d2 = self.d2 * b2 + o.d2 * a2 + cross + cross.swapaxes(-1, -2)
         d3 = (
-            self.d3 * o.value
-            + o.d3 * self.value
+            self.d3 * b2[..., None]
+            + o.d3 * a2[..., None]
             + _sym_2_1(self.d2, o.d1)
             + _sym_2_1(o.d2, self.d1)
         )
-        return Jet3(self.value * o.value, self.d1 * o.value + o.d1 * self.value, d2, d3)
+        return Jet3(self.value * o.value, self.d1 * b1 + o.d1 * a1, d2, d3)
 
     __rmul__ = __mul__
 
@@ -120,24 +130,28 @@ class Jet3:
 
 def _sym_2_1(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Symmetric rank-3 combination m_ij v_k + m_ik v_j + m_jk v_i."""
-    t = np.multiply.outer(m, v)
-    return t + t.transpose(0, 2, 1) + t.transpose(2, 0, 1)
+    t = m[..., :, :, None] * v[..., None, None, :]
+    t_ikj = t.swapaxes(-1, -2)
+    return t + t_ikj + t_ikj.swapaxes(-2, -3)
 
 
-def _compose(u: Jet3, f0: float, f1: float, f2: float, f3: float) -> Jet3:
+def _compose(u: Jet3, f0, f1, f2, f3) -> Jet3:
     """Chain rule through order 3 for F(u) given F, F', F'', F''' at u.value."""
-    outer2 = np.multiply.outer(u.d1, u.d1)
-    outer3 = np.multiply.outer(outer2, u.d1)
+    outer2 = u.d1[..., :, None] * u.d1[..., None, :]
+    outer3 = outer2[..., None] * u.d1[..., None, None, :]
+    g1, g2, g3 = (np.asarray(f)[..., None] for f in (f1, f2, f3))
     return Jet3(
         f0,
-        f1 * u.d1,
-        f2 * outer2 + f1 * u.d2,
-        f3 * outer3 + f2 * _sym_2_1(u.d2, u.d1) + f1 * u.d3,
+        g1 * u.d1,
+        g2[..., None] * outer2 + g1[..., None] * u.d2,
+        g3[..., None, None] * outer3
+        + g2[..., None, None] * _sym_2_1(u.d2, u.d1)
+        + g1[..., None, None] * u.d3,
     )
 
 
 def _reciprocal(u: Jet3) -> Jet3:
-    if u.value == 0.0:
+    if np.any(u.value == 0.0):
         raise ValueError("jet division singularity")
     w = 1.0 / u.value
     return _compose(u, w, -w * w, 2.0 * w**3, -6.0 * w**4)
@@ -147,19 +161,24 @@ def _reciprocal(u: Jet3) -> Jet3:
 
 
 def constant(value: float, n: int) -> Jet3:
-    """Jet of a constant: all derivatives vanish."""
+    """Jet of a constant: all derivatives vanish (no leading point axes)."""
     return Jet3(float(value), np.zeros(n), np.zeros((n, n)), np.zeros((n, n, n)))
 
 
 def variables(coords) -> list[Jet3]:
-    """Coordinate jets at a chart point: the i-th jet has d1 equal to e_i."""
+    """Coordinate jets: the i-th jet has value ``coords[..., i]`` and d1 = e_i.
+
+    ``coords`` of shape ``(n,)`` gives jets at one point; shape ``(P, n)``
+    gives jets at P points, with a leading point axis.
+    """
     coords = np.asarray(coords, dtype=float)
-    n = coords.shape[0]
+    n = coords.shape[-1]
+    lead = coords.shape[:-1]
     out = []
     for i in range(n):
-        d1 = np.zeros(n)
-        d1[i] = 1.0
-        out.append(Jet3(coords[i], d1, np.zeros((n, n)), np.zeros((n, n, n))))
+        d1 = np.zeros(lead + (n,))
+        d1[..., i] = 1.0
+        out.append(Jet3(coords[..., i], d1, np.zeros(lead + (n, n)), np.zeros(lead + (n, n, n))))
     return out
 
 
@@ -172,7 +191,7 @@ def exp(u: Jet3) -> Jet3:
 
 
 def log(u: Jet3) -> Jet3:
-    if u.value <= 0.0:
+    if np.any(u.value <= 0.0):
         raise ValueError("log domain violation: jet value must be positive")
     w = 1.0 / u.value
     return _compose(u, np.log(u.value), w, -w * w, 2.0 * w**3)
@@ -198,12 +217,12 @@ def power(u: Jet3, exponent: float) -> Jet3:
     x = u.value
     if p.is_integer():
         p_int = int(p)
-        if x == 0.0 and p_int < 3:
+        if p_int < 3 and np.any(x == 0.0):
             raise ValueError("power domain violation: zero base needs integer exponent >= 3")
         coeffs = [1.0, p, p * (p - 1.0), p * (p - 1.0) * (p - 2.0)]
-        vals = [c * x ** (p_int - k) if c != 0.0 else 0.0 for k, c in enumerate(coeffs)]
+        vals = [c * x ** (p_int - k) if c != 0.0 else np.zeros_like(x) for k, c in enumerate(coeffs)]
         return _compose(u, *vals)
-    if x <= 0.0:
+    if np.any(x <= 0.0):
         raise ValueError("power domain violation: fractional exponent needs positive base")
     return _compose(
         u,

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import jets
 from .jets import Jet3
+from .tensors import _COND_LIMIT
 
 __all__ = [
     "ChartPoint",
@@ -36,13 +37,15 @@ __all__ = [
     "builtin_model",
     "sample_points",
     "evaluate_metric_jets",
+    "coordinate_names",
     "compile_expression",
     "CATALOG_NAMES",
     "MODEL_CLASSES",
     "default_model_specs",
 ]
 
-# A chart point is a plain 1-D float array, x^0 = t first.
+# A chart point is a plain 1-D float array, x^0 = t first; P points stack
+# into a (P, n) array.
 ChartPoint = np.ndarray
 
 MODEL_CLASSES = ("minkowski", "rw", "grw", "twisted", "non_twisted")
@@ -68,10 +71,12 @@ EntryFn = Callable[[Sequence[Jet3]], Jet3]
 
 @dataclass(frozen=True, eq=False)
 class MetricJets:
-    """Metric components and their coordinate derivatives at one point.
+    """Metric components and their coordinate derivatives at one or more points.
 
-    ``value[a, b] = g_ab``, ``d1[p, a, b] = ∂_p g_ab``,
-    ``d2[p, q, a, b] = ∂_p ∂_q g_ab``, ``d3[p, q, r, a, b] = ∂_p ∂_q ∂_r g_ab``.
+    ``value[..., a, b] = g_ab``, ``d1[..., p, a, b] = ∂_p g_ab``,
+    ``d2[..., p, q, a, b] = ∂_p ∂_q g_ab``,
+    ``d3[..., p, q, r, a, b] = ∂_p ∂_q ∂_r g_ab``; the leading axes ``...``
+    are those of the chart points (none for one point, ``(P,)`` for P).
     All arrays are exactly symmetric in (a, b) and in the derivative slots.
     """
 
@@ -113,47 +118,87 @@ class MetricModel:
         u[0] = 1.0
         return u
 
-    def metric_jets(self, point: ChartPoint) -> MetricJets:
-        """Evaluate all g_ab jets at a point and validate the signature."""
-        mj = evaluate_metric_jets(self.entries, self.n, point)
-        eigvals = np.linalg.eigvalsh(mj.value)
-        if np.sum(eigvals < 0.0) != 1 or np.any(eigvals == 0.0):
-            raise ValueError(
-                f"metric signature is not Lorentzian at point {np.asarray(point).tolist()}"
-            )
+    def metric_jets(self, points: ChartPoint) -> MetricJets:
+        """Evaluate all g_ab jets at one point ``(n,)`` or at points ``(P, n)``.
+
+        Raises ``ValueError`` naming the first point whose coordinates or
+        metric components are not finite, or whose metric is not Lorentzian
+        or is too ill-conditioned to invert reliably.
+        """
+        mj = evaluate_metric_jets(self.entries, self.n, points)
+        coords = np.reshape(points, (-1, self.n))
+        finite = np.ones(len(coords), dtype=bool)
+        for array in (mj.value, mj.d1, mj.d2, mj.d3):
+            finite &= np.isfinite(array).reshape(len(coords), -1).all(axis=1)
+        if not finite.all():
+            bad = coords[np.argmin(finite)].tolist()
+            raise ValueError(f"non-finite metric components at point {bad}")
+        eigvals = np.linalg.eigvalsh(mj.value).reshape(-1, self.n)
+        lorentzian = (np.sum(eigvals < 0.0, axis=1) == 1) & np.all(eigvals != 0.0, axis=1)
+        if not lorentzian.all():
+            bad = coords[np.argmin(lorentzian)].tolist()
+            raise ValueError(f"metric signature is not Lorentzian at point {bad}")
+        # For a symmetric matrix the 2-norm condition number is the ratio of
+        # the largest to the smallest eigenvalue magnitude.
+        magnitudes = np.abs(eigvals)
+        conditioned = magnitudes.max(axis=1) <= _COND_LIMIT * magnitudes.min(axis=1)
+        if not conditioned.all():
+            bad = coords[np.argmin(conditioned)].tolist()
+            raise ValueError(f"singular metric at point {bad}")
         return mj
 
 
+def coordinate_names(n: int) -> tuple[str, ...]:
+    """Chart coordinate names in order: ``t, x1, ..., x{n-1}``."""
+    return ("t",) + tuple(f"x{i}" for i in range(1, n))
+
+
 def evaluate_metric_jets(
-    entries: dict[tuple[int, int], EntryFn], n: int, point: ChartPoint
+    entries: dict[tuple[int, int], EntryFn], n: int, points: ChartPoint
 ) -> MetricJets:
-    """Evaluate entry jets at a point, mirroring (a, b) -> (b, a) exactly."""
-    coords = np.asarray(point, dtype=float)
-    if coords.shape != (n,):
+    """Evaluate entry jets at one point ``(n,)`` or at points ``(P, n)``.
+
+    Each entry closure runs once for all points; a constant entry broadcasts.
+    (a, b) is mirrored to (b, a) exactly.  Non-finite coordinates are
+    rejected before any entry runs, naming the coordinate.
+    """
+    coords = np.asarray(points, dtype=float)
+    if coords.ndim not in (1, 2) or coords.shape[-1] != n:
         raise ValueError(f"point must have {n} coordinates, got shape {coords.shape}")
+    rows = coords.reshape(-1, n)
+    if not np.isfinite(rows).all():
+        row, col = np.argwhere(~np.isfinite(rows))[0]
+        raise ValueError(
+            f"chart coordinate {coordinate_names(n)[col]} = {rows[row, col]} is not finite "
+            f"at point {rows[row].tolist()}"
+        )
+    lead = coords.shape[:-1]
     xj = jets.variables(coords)
-    value = np.zeros((n, n))
-    d1 = np.zeros((n, n, n))
-    d2 = np.zeros((n, n, n, n))
-    d3 = np.zeros((n, n, n, n, n))
+    value = np.zeros(lead + (n, n))
+    d1 = np.zeros(lead + (n, n, n))
+    d2 = np.zeros(lead + (n, n, n, n))
+    d3 = np.zeros(lead + (n, n, n, n, n))
     for (a, b), fn in entries.items():
         j = fn(xj)
         for aa, bb in {(a, b), (b, a)}:
-            value[aa, bb] = j.value
-            d1[:, aa, bb] = j.d1
-            d2[:, :, aa, bb] = j.d2
-            d3[:, :, :, aa, bb] = j.d3
+            value[..., aa, bb] = j.value
+            d1[..., aa, bb] = j.d1
+            d2[..., aa, bb] = j.d2
+            d3[..., aa, bb] = j.d3
     return MetricJets(n=n, value=value, d1=d1, d2=d2, d3=d3)
 
 
-def sample_points(model: MetricModel, count: int, seed: int) -> list[ChartPoint]:
-    """Deterministic pseudo-random chart points inside the model's domain."""
+def sample_points(model: MetricModel, count: int, seed: int) -> np.ndarray:
+    """Deterministic pseudo-random chart points inside the model's domain.
+
+    Returns an array of shape ``(count, n)``; row k is the k-th point.
+    """
     if count < 1:
         raise ValueError("empty sample")
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in model.bounds])
     hi = np.array([b[1] for b in model.bounds])
-    return [lo + (hi - lo) * rng.random(model.n) for _ in range(count)]
+    return lo + (hi - lo) * rng.random((count, model.n))
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +223,7 @@ def compile_expression(source: str, n: int) -> EntryFn:
     minus, and calls to ``exp``, ``log``, ``sin``, ``cos``, ``pow``.
     Anything else is rejected.
     """
-    names = {"t": 0}
-    for i in range(1, n):
-        names[f"x{i}"] = i
+    names = {name: i for i, name in enumerate(coordinate_names(n))}
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as err:

@@ -1,14 +1,18 @@
-"""Dense multilinear algebra on component arrays with explicit index variance.
+"""Dense multilinear algebra on component arrays.
 
-Components of every tensor-valued quantity (metric, velocity, curvature,
-derivatives of curvature) live in a :class:`TensorValue`: a dense ``float64``
-array of shape ``(n,)*rank`` plus one up/down flag per slot.  Contraction is
-deliberately restricted to mixed-variance slot pairs — every metric
-contraction in the identity suite must go through an explicit raise or lower,
-which keeps the index bookkeeping auditable.
+The curvature pipeline keeps every tensor as a plain ``float64`` array with
+leading point axes (see :class:`weylgeom.curvature.CurvatureBundle`); the
+array functions here (:func:`kulkarni_nomizu`,
+:func:`generalized_curvature_check`, :func:`raise_all`, :func:`norm_squared`,
+:func:`max_abs`) accept such leading axes and work point by point.
 
-Values are immutable after construction and all operations are pure, so
-evaluation is safe to fan out across chart points.
+:class:`TensorValue` is a single-point array of shape ``(n,)*rank`` plus one
+up/down flag per slot.  Its contraction is deliberately restricted to
+mixed-variance slot pairs, and :func:`raise_lower` flips one slot's variance
+with an explicit metric, which keeps index bookkeeping auditable where
+variance matters to the caller.
+
+Values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ __all__ = [
     "raise_lower",
     "kulkarni_nomizu",
     "generalized_curvature_check",
+    "raise_all",
     "norm_squared",
     "max_abs",
 ]
@@ -90,9 +95,15 @@ class TensorValue:
         return cls(n=int(n), variance=flags, components=comp)
 
 
-def max_abs(t: TensorValue | np.ndarray) -> float:
-    """Largest absolute component; 0 for an empty array."""
+def max_abs(t: TensorValue | np.ndarray, per_point: bool = False) -> float | np.ndarray:
+    """Largest absolute component; 0 for an empty array.
+
+    With ``per_point``, ``t`` has one leading point axis and the result holds
+    one maximum per point (shape ``(P,)``).
+    """
     comp = t.components if isinstance(t, TensorValue) else np.asarray(t)
+    if per_point:
+        return np.abs(comp).reshape(len(comp), -1).max(axis=1)
     return float(np.max(np.abs(comp))) if comp.size else 0.0
 
 
@@ -146,59 +157,71 @@ def raise_lower(t: TensorValue, slot: int, g: TensorValue, direction: str) -> Te
     return TensorValue(n=t.n, variance=variance, components=comp)
 
 
-def kulkarni_nomizu(a: TensorValue, b: TensorValue) -> TensorValue:
+def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kulkarni-Nomizu product of two symmetric covariant rank-2 tensors.
 
+    ``a`` and ``b`` have shape ``(..., n, n)``; the leading axes broadcast.
     Sign pattern, with index pairs (i, k) and (l, m)::
 
         (a ^ b)_iklm = a_im b_kl - a_km b_il - a_il b_km + a_kl b_im
 
-    The result carries all generalized-curvature-tensor symmetries.
+    The result carries all generalized-curvature-tensor symmetries.  Raises
+    ``ValueError`` if either factor is asymmetric beyond 1e-10 anywhere.
     """
-    for name, t in (("first", a), ("second", b)):
-        if t.variance != (DOWN, DOWN):
-            raise ValueError(f"{name} factor must be covariant rank 2")
-        if max_abs(t.components - t.components.T) > 1e-10:
+    for t in (a, b):
+        if max_abs(t - np.swapaxes(t, -1, -2)) > 1e-10:
             raise ValueError("asymmetric factor")
-    am, bm = a.components, b.components
-    comp = (
-        np.einsum("im,kl->iklm", am, bm)
-        - np.einsum("km,il->iklm", am, bm)
-        - np.einsum("il,km->iklm", am, bm)
-        + np.einsum("kl,im->iklm", am, bm)
-    )
-    return TensorValue(n=a.n, variance=(DOWN,) * 4, components=comp)
+    # a_im b_kl - a_il b_km, then the same with i and k exchanged.
+    half = np.einsum("...im,...kl->...iklm", a, b)
+    half = half - np.swapaxes(half, -1, -2)
+    return half - np.swapaxes(half, -3, -4)
 
 
-def generalized_curvature_check(t: TensorValue) -> dict[str, float]:
+def generalized_curvature_check(c: np.ndarray) -> dict[str, np.ndarray]:
     """Max-abs residuals of the algebraic curvature symmetries of a (0,4) tensor.
 
-    Diagnostic only: asymmetric inputs yield large residuals, not errors.
+    ``c`` has shape ``(..., n, n, n, n)``; each residual has the leading
+    shape (one value per point).  Diagnostic only: asymmetric inputs yield
+    large residuals, not errors.
     """
-    if t.variance != (DOWN,) * 4:
-        raise ValueError("generalized curvature check needs a covariant rank-4 tensor")
-    c = t.components
+    if c.ndim < 4 or len(set(c.shape[-4:])) != 1:
+        raise ValueError("generalized curvature check needs a rank-4 tensor")
+
+    def worst(x):
+        return np.max(np.abs(x), axis=(-4, -3, -2, -1))
+
     return {
-        "antisym_first_pair": max_abs(c + np.einsum("iklm->kilm", c)),
-        "antisym_second_pair": max_abs(c + np.einsum("iklm->ikml", c)),
-        "pair_exchange": max_abs(c - np.einsum("iklm->lmik", c)),
-        "first_bianchi": max_abs(c + np.einsum("iklm->klim", c) + np.einsum("iklm->likm", c)),
+        "antisym_first_pair": worst(c + np.swapaxes(c, -4, -3)),
+        "antisym_second_pair": worst(c + np.swapaxes(c, -2, -1)),
+        "pair_exchange": worst(c - np.einsum("...iklm->...lmik", c)),
+        "first_bianchi": worst(
+            c + np.einsum("...iklm->...klim", c) + np.einsum("...iklm->...likm", c)
+        ),
     }
 
 
-def norm_squared(t: TensorValue, g: TensorValue) -> float:
-    """Full self-contraction, raising every down slot (and lowering every up
-    slot) with the metric.  May take either sign for a Lorentzian metric."""
-    _check_metric_like(g, DOWN)
-    if t.rank == 0:
-        return float(t.components) ** 2
-    try:
-        g_inv = np.linalg.inv(g.components)
-    except np.linalg.LinAlgError:
-        raise ValueError("singular metric") from None
-    dual = t.components
-    for slot, flag in enumerate(t.variance):
-        metric = g_inv if flag == DOWN else g.components
-        dual = np.moveaxis(np.tensordot(metric, dual, axes=(1, slot)), 0, slot)
-    axes = list(range(t.rank))
-    return float(np.tensordot(t.components, dual, axes=(axes, axes)))
+def raise_all(t: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """Every slot of a covariant tensor raised with the inverse metric.
+
+    ``g_inv`` has shape ``(..., n, n)`` and ``t`` the same leading axes
+    followed by ``rank >= 2`` slots.  One slot is raised at a time (a
+    pairwise contraction per slot, never one many-operand product).
+    """
+    lead = g_inv.ndim - 2
+    rank = t.ndim - lead
+    if rank < 2:
+        raise ValueError("raise_all needs a tensor of rank >= 2")
+    g = np.expand_dims(g_inv, tuple(range(lead, lead + rank - 2)))
+    out = t
+    for _ in range(rank):
+        out = np.moveaxis(out @ g, -1, lead)
+    return out
+
+
+def norm_squared(t: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """Full self-contraction of a covariant tensor, every slot raised with
+    ``g_inv``: one value per point (the leading axes of ``g_inv``).  May take
+    either sign for a Lorentzian metric."""
+    lead = g_inv.ndim - 2
+    dual = raise_all(t, g_inv)
+    return np.sum((t * dual).reshape(t.shape[:lead] + (-1,)), axis=-1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from weylgeom import build_bundle, builtin_model, sample_points
+from weylgeom.cli import chunk_size
 from weylgeom.models import default_model_specs
 
 SEED = 42
@@ -46,6 +47,16 @@ def fd_tensor_partials(field_fn, x, h=1e-3):
     return out
 
 
+def chunked_bundles(model, points):
+    """Bundles of ``points`` built a chunk at a time, as the CLI builds them."""
+    size = chunk_size(model.n)
+    return [build_bundle(model, points[i : i + size]) for i in range(0, len(points), size)]
+
+
+def point_count(bundles):
+    return sum(len(b.points) for b in bundles)
+
+
 @pytest.fixture(scope="session")
 def suite_data():
     """Bundles for every default model at the acceptance sampling settings."""
@@ -53,16 +64,16 @@ def suite_data():
     for name, n, params in default_model_specs():
         model = builtin_model(name, n, params)
         points = sample_points(model, SUITE_POINTS, SEED)
-        data[model.label] = (model, [build_bundle(model, p) for p in points])
+        data[model.label] = (model, chunked_bundles(model, points))
     return data
 
 
 @pytest.fixture(scope="session")
 def small_bundles():
-    """A few bundles per model for unit-level checks."""
+    """A few points per model for unit-level checks."""
     data = {}
     for name, n, params in default_model_specs():
         model = builtin_model(name, n, params)
         points = sample_points(model, 6, SEED)
-        data[model.label] = (model, [build_bundle(model, p) for p in points])
+        data[model.label] = (model, chunked_bundles(model, points))
     return data

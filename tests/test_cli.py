@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from weylgeom import builtin_model, cli, sample_points
 from weylgeom.cli import default_config, load_config, main, parse_structured, run, serialize_structured
 from weylgeom.identities import IdentityReport
 
@@ -245,33 +246,99 @@ def _threshold_custom_config(threshold, points=50):
 
 
 def _sampled_times(points=50):
-    from weylgeom import builtin_model, sample_points
-
     model = builtin_model("minkowski", 4)
     return sorted(p[0] for p in sample_points(model, points, 42))
 
 
-def test_few_singular_points_are_skipped_with_warning():
+# Chunks of 5 points put the two earliest sampled times (sample indices 17
+# and 21 at seed 42) in the middle of two different chunks; the default
+# budget puts all 50 points of an n = 4 model in one chunk.
+_SMALL_CHUNK_ELEMENTS = 5 * 4**5
+
+
+def test_few_singular_points_are_skipped_with_warning(monkeypatch):
     times = _sampled_times()
     threshold = 0.5 * (times[1] + times[2])  # exactly 2 of 50 points below
     config = load_config_from_dict(_threshold_custom_config(threshold))
-    result = run(config)
-    # Under 5% of points failing: skipped with warnings, no model error.
-    assert result["errors"] == []
-    assert len(result["warnings"]) == 2
-    assert all("skipped point" in w for w in result["warnings"])
-    applicable = [r for r in result["reports"] if r["verdict"] != "not-applicable"]
-    assert applicable and all(r["points_tested"] == 48 for r in applicable)
+    outputs = []
+    for budget in (cli.CHUNK_ELEMENTS, _SMALL_CHUNK_ELEMENTS):
+        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", budget)
+        result = run(config)
+        # Under 5% of points failing: skipped with warnings, no model error.
+        assert result["errors"] == []
+        assert len(result["warnings"]) == 2
+        assert all("skipped point" in w for w in result["warnings"])
+        applicable = [r for r in result["reports"] if r["verdict"] != "not-applicable"]
+        assert applicable and all(r["points_tested"] == 48 for r in applicable)
+        outputs.append(serialize_structured(result))
+    # Which points share a chunk does not change the report.
+    assert outputs[0] == outputs[1]
 
 
-def test_many_singular_points_error_out():
+def test_many_singular_points_error_out(monkeypatch):
     times = _sampled_times()
     threshold = 0.5 * (times[24] + times[25])  # half the sample fails
     config = load_config_from_dict(_threshold_custom_config(threshold))
-    result = run(config)
-    assert result["exit_code"] == 1
-    assert result["errors"]
-    assert not result["reports"]
+    for budget in (cli.CHUNK_ELEMENTS, _SMALL_CHUNK_ELEMENTS):
+        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", budget)
+        result = run(config)
+        assert result["exit_code"] == 1
+        assert result["errors"]
+        assert not result["reports"]
+
+
+def test_nan_point_is_skipped_alone_in_its_chunk():
+    model = builtin_model("twisted_generic", 5)
+    size = cli.chunk_size(5)
+    points = sample_points(model, size + 5, 42)  # a full chunk, then one of 5
+    points[size + 2, 2] = np.nan
+    warnings = []
+    bundles = cli._collect_bundles(model, points, warnings)
+    # The first chunk is untouched; the failing one is rebuilt point by point.
+    assert [len(b.points) for b in bundles] == [size] + [1] * 4
+    assert len(warnings) == 1
+    assert "skipped point" in warnings[0] and "chart coordinate x2 = nan" in warnings[0]
+    kept = np.concatenate([b.points for b in bundles])
+    assert np.array_equal(kept, np.delete(points, size + 2, axis=0))
+
+
+def test_tensor_dump_rejects_non_finite_coordinate(capsys):
+    argv = ["tensor-dump", "phi", "--model", "twisted_generic", "--point", "nan,0.1,0.2,0.3,0.4"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "chart coordinate t = nan" in err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"models": [{"name": "twisted_generic", "parameters": [1, 2]}]}, "'parameters' must be an object"),
+        ({"models": "twisted_generic"}, "models must be a list"),
+        ({"models": ["twisted_generic"]}, "every model entry must be an object"),
+        ({"models": [{"name": "twisted_generic", "n": [5]}]}, "model dimension n must be an integer"),
+        ({"seed": -1}, "seed must be an integer >= 0"),
+        ({"points": 0}, "points must be an integer >= 1"),
+        ({"tolerances": {"torse_forming": -1e-9}}, "must be finite and positive"),
+        ({"tolerances": {"torse_forming": float("nan")}}, "must be finite and positive"),
+        ({"tolerances": {"torse_forming": "tight"}}, "must be a number"),
+        ({"tolerances": [1e-9]}, "tolerances must be an object"),
+    ],
+)
+def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, config, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--seed", "-1"], ["--tolerance", "torse_forming=nan"], ["--tolerance", "torse_forming=-1"]]
+)
+def test_malformed_flags_exit_two(capsys, flags):
+    assert main(["verify", "--points", "2", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def load_config_from_dict(data):

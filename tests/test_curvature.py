@@ -15,19 +15,33 @@ from weylgeom.curvature import (
     weyl,
 )
 from weylgeom.models import MetricModel, evaluate_metric_jets
-from weylgeom.tensors import DOWN, UP, generalized_curvature_check, max_abs, contract, raise_lower
+from weylgeom.tensors import (
+    DOWN,
+    UP,
+    TensorValue,
+    contract,
+    generalized_curvature_check,
+    max_abs,
+    raise_lower,
+)
+
+
+def _pointwise_below(residual, reference, rtol):
+    """Every point's max |residual| is below rtol * max(1, max |reference|)."""
+    limit = rtol * np.maximum(1.0, max_abs(reference, per_point=True))
+    return np.all(max_abs(residual, per_point=True) < limit)
 
 
 def test_minkowski_bundle_is_flat():
     m = builtin_model("minkowski", 4)
-    b = build_bundle(m, np.array([0.5, 0.1, -0.2, 0.9]))
+    b = build_bundle(m, np.array([[0.5, 0.1, -0.2, 0.9]]))
     assert max_abs(b.christoffel) == 0.0
     assert max_abs(b.d_christoffel) == 0.0
     assert max_abs(b.riemann) == 0.0
     assert max_abs(b.weyl) == 0.0
     assert max_abs(b.nabla_weyl) == 0.0
     assert max_abs(b.div_weyl) == 0.0
-    assert b.hubble_rate == 0.0
+    assert b.hubble_rate[0] == 0.0
     assert max_abs(b.electric) == 0.0
     assert max_abs(b.weyl_remainder) == 0.0
 
@@ -51,11 +65,11 @@ def test_rw_flat_christoffel_analytic():
 def test_rw_flat_expansion_and_scalar_curvature():
     h = 0.3
     m = builtin_model("rw_flat", 4, {"f": "exp", "H": h})
-    b = build_bundle(m, np.array([1.0, 0.2, -0.3, 0.5]))
-    assert abs(b.hubble_rate - h) < 1e-12
-    assert abs(b.scalar_curvature - 4 * 3 * h * h) < 1e-11
+    b = build_bundle(m, np.array([[1.0, 0.2, -0.3, 0.5]]))
+    assert abs(b.hubble_rate[0] - h) < 1e-12
+    assert abs(b.scalar_curvature[0] - 4 * 3 * h * h) < 1e-11
     # Einstein form of the Ricci tensor on the exponential scale factor.
-    assert max_abs(b.ricci.components - 3 * h * h * b.g.components) < 1e-11
+    assert max_abs(b.ricci - 3 * h * h * b.g) < 1e-11
 
 
 def test_unit_sphere_block_curvature():
@@ -79,7 +93,7 @@ def test_unit_sphere_block_curvature():
 def test_metric_compatibility(small_bundles):
     model, bundles = small_bundles["twisted_generic_n5"]
     for b in bundles:
-        mj = model.metric_jets(b.point)
+        mj = model.metric_jets(b.points)
         nabla_g = covariant_derivative(
             TensorField((DOWN, DOWN), mj.value, mj.d1), b.christoffel
         )
@@ -88,52 +102,54 @@ def test_metric_compatibility(small_bundles):
 
 def test_covariant_derivative_of_constant_scalar_is_zero():
     m = builtin_model("twisted_generic", 5)
-    b = build_bundle(m, sample_points(m, 1, 0)[0])
-    field = TensorField((), np.array(3.7), np.zeros(5))
+    b = build_bundle(m, sample_points(m, 1, 0))
+    field = TensorField((), np.full(1, 3.7), np.zeros((1, 5)))
     assert max_abs(covariant_derivative(field, b.christoffel)) == 0.0
 
 
 def test_covariant_derivative_requires_derivative_data():
     m = builtin_model("minkowski", 4)
-    b = build_bundle(m, np.array([0.1, 0.0, 0.0, 0.0]))
+    b = build_bundle(m, np.array([[0.1, 0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="missing coordinate-derivative data"):
-        covariant_derivative(TensorField((DOWN,), np.zeros(4), None), b.christoffel)
+        covariant_derivative(TensorField((DOWN,), np.zeros((1, 4)), None), b.christoffel)
 
 
 def test_second_bianchi_identity(small_bundles):
     model, bundles = small_bundles["twisted_generic_n5"]
     for b in bundles:
+        # The bundle keeps no ∂Riemann; the kernels give it.
+        mj = model.metric_jets(b.points)
+        curv = riemann_ricci_scalar(mj, christoffel_from_jets(mj))
         nr = covariant_derivative(
-            TensorField((DOWN,) * 4, b.riemann.components, b.d_riemann), b.christoffel
-        ).components
-        cyc = nr + np.einsum("cabde->eabcd", nr) + np.einsum("dabec->eabcd", nr)
-        assert max_abs(cyc) < 1e-9 * max(1.0, max_abs(nr))
+            TensorField((DOWN,) * 4, curv.riemann, curv.d_riemann), b.christoffel
+        )
+        cyc = nr + np.einsum("...cabde->...eabcd", nr) + np.einsum("...dabec->...eabcd", nr)
+        assert _pointwise_below(cyc, nr, 1e-9)
 
 
 def test_weyl_single_traces_vanish(small_bundles):
     for label, (model, bundles) in small_bundles.items():
         for b in bundles:
-            gi = b.g_inv.components
-            c = b.weyl.components
+            gi = b.g_inv
+            c = b.weyl
             letters = "iklm"
             for a in range(4):
                 for bb in range(a + 1, 4):
                     out = "".join(letters[s] for s in range(4) if s not in (a, bb))
-                    spec = f"{letters[a]}{letters[bb]},{letters}->{out}"
-                    assert max_abs(np.einsum(spec, gi, c)) < 1e-10 * max(1.0, max_abs(c)), label
+                    spec = f"...{letters[a]}{letters[bb]},...{letters}->...{out}"
+                    assert _pointwise_below(np.einsum(spec, gi, c), c, 1e-10), label
 
 
 def test_bundle_invariants(small_bundles):
     for label, (model, bundles) in small_bundles.items():
         for b in bundles:
             riemann_residuals = generalized_curvature_check(b.riemann)
-            assert max(riemann_residuals.values()) < 1e-10 * max(1.0, max_abs(b.riemann)), label
-            assert max_abs(b.ricci.components - b.ricci.components.T) < 1e-11 * max(
-                1.0, max_abs(b.ricci)
-            )
-            e = b.electric.components
-            assert max_abs(e - e.T) < 1e-11 * max(1.0, max_abs(e))
-            assert max_abs(e @ b.u_up.components) < 1e-11 * max(1.0, max_abs(e))
+            worst = np.max(list(riemann_residuals.values()), axis=0)
+            assert np.all(worst < 1e-10 * np.maximum(1.0, max_abs(b.riemann, per_point=True))), label
+            assert _pointwise_below(b.ricci - np.swapaxes(b.ricci, -1, -2), b.ricci, 1e-11)
+            e = b.electric
+            assert _pointwise_below(e - np.swapaxes(e, -1, -2), e, 1e-11)
+            assert _pointwise_below(np.einsum("...kl,...l->...k", e, b.u_up), e, 1e-11)
 
 
 def test_weyl_mixed_trace_via_contract_and_brute_force(small_bundles):
@@ -141,9 +157,10 @@ def test_weyl_mixed_trace_via_contract_and_brute_force(small_bundles):
     # must vanish, and the contraction op must agree with an explicit loop.
     model, bundles = small_bundles["twisted_generic_n5"]
     b = bundles[0]
-    mixed = raise_lower(b.weyl, 0, b.g_inv, UP)
+    weyl_c = TensorValue.of(b.weyl[0], (DOWN,) * 4)
+    mixed = raise_lower(weyl_c, 0, TensorValue.of(b.g_inv[0], (UP, UP)), UP)
     traced = contract(mixed, 0, 3)
-    assert max_abs(traced) < 1e-12 * max(1.0, max_abs(b.weyl))
+    assert max_abs(traced) < 1e-12 * max(1.0, max_abs(weyl_c))
     n = b.n
     brute = np.zeros((n, n))
     for k in range(n):
@@ -155,20 +172,24 @@ def test_weyl_mixed_trace_via_contract_and_brute_force(small_bundles):
 def test_electric_raise_lower_roundtrip_on_twisted_metric(small_bundles):
     model, bundles = small_bundles["twisted_generic_n5"]
     for b in bundles:
-        mixed = raise_lower(b.electric, 1, b.g_inv, UP)
-        back = raise_lower(mixed, 1, b.g, DOWN)
-        assert max_abs(back.components - b.electric.components) < 1e-12 * max(
-            1.0, max_abs(b.electric)
-        )
+        for k in range(len(b.points)):
+            electric = TensorValue.of(b.electric[k], (DOWN, DOWN))
+            mixed = raise_lower(electric, 1, TensorValue.of(b.g_inv[k], (UP, UP)), UP)
+            back = raise_lower(mixed, 1, TensorValue.of(b.g[k], (DOWN, DOWN)), DOWN)
+            assert max_abs(back.components - electric.components) < 1e-12 * max(
+                1.0, max_abs(electric)
+            )
 
 
 def test_divergence_two_contraction_routes_agree(small_bundles):
     model, bundles = small_bundles["twisted_generic_n5"]
     for b in bundles:
-        direct = b.div_weyl.components
-        raised = raise_lower(b.nabla_weyl, 4, b.g_inv, UP)
-        via_ops = contract(raised, 0, 4).components
-        assert max_abs(direct - via_ops) < 1e-11 * max(1.0, max_abs(direct))
+        for k in range(len(b.points)):
+            direct = b.div_weyl[k]
+            nabla_weyl = TensorValue.of(b.nabla_weyl[k], (DOWN,) * 5)
+            raised = raise_lower(nabla_weyl, 4, TensorValue.of(b.g_inv[k], (UP, UP)), UP)
+            via_ops = contract(raised, 0, 4).components
+            assert max_abs(direct - via_ops) < 1e-11 * max(1.0, max_abs(direct))
 
 
 def test_mixed_weyl_conformal_invariance():
@@ -196,24 +217,24 @@ def test_mixed_weyl_conformal_invariance():
         scaled_model(lambda xj: jets.constant(2.7, len(xj))),
         scaled_model(lambda xj: jets.exp(0.1 * xj[0] + 0.05 * xj[1])),
     ]
-    for p in sample_points(base, 3, 7):
-        b0 = build_bundle(base, p)
-        ref = np.einsum("ae,ebcd->abcd", b0.g_inv.components, b0.weyl.components)
-        for variant in variants:
-            b1 = build_bundle(variant, p)
-            mixed = np.einsum("ae,ebcd->abcd", b1.g_inv.components, b1.weyl.components)
-            assert max_abs(mixed - ref) < 1e-9 * max(1.0, max_abs(ref))
+    points = sample_points(base, 3, 7)
+    b0 = build_bundle(base, points)
+    ref = np.einsum("...ae,...ebcd->...abcd", b0.g_inv, b0.weyl)
+    for variant in variants:
+        b1 = build_bundle(variant, points)
+        mixed = np.einsum("...ae,...ebcd->...abcd", b1.g_inv, b1.weyl)
+        assert _pointwise_below(mixed - ref, ref, 1e-9)
 
 
 def test_bundle_construction_is_deterministic():
     m = builtin_model("twisted_generic", 5)
-    p = sample_points(m, 1, 5)[0]
+    p = sample_points(m, 1, 5)
     b1 = build_bundle(m, p)
     b2 = build_bundle(m, p)
-    assert np.array_equal(b1.weyl.components, b2.weyl.components)
-    assert np.array_equal(b1.nabla_weyl.components, b2.nabla_weyl.components)
-    assert b1.hubble_rate == b2.hubble_rate
-    assert b1.scalar_curvature == b2.scalar_curvature
+    assert np.array_equal(b1.weyl, b2.weyl)
+    assert np.array_equal(b1.nabla_weyl, b2.nabla_weyl)
+    assert np.array_equal(b1.hubble_rate, b2.hubble_rate)
+    assert np.array_equal(b1.scalar_curvature, b2.scalar_curvature)
 
 
 def test_singular_metric_raises():
@@ -256,10 +277,10 @@ def test_nabla_u_matches_finite_differences():
         return m.metric_jets(x).value @ u_up
 
     for p in sample_points(m, 3, 13):
-        b = build_bundle(m, p)
+        b = build_bundle(m, p[None])
         d_u_fd = fd_tensor_partials(u_down_at, p)
-        nabla_fd = d_u_fd - np.einsum("epa,e->pa", b.christoffel, b.u_down.components)
-        exact = b.nabla_u_down.components
+        nabla_fd = d_u_fd - np.einsum("epa,e->pa", b.christoffel[0], b.u_down[0])
+        exact = b.nabla_u_down[0]
         assert max_abs(nabla_fd - exact) < 1e-6 * max(1.0, max_abs(exact))
 
 
@@ -270,15 +291,15 @@ def test_weyl_divergence_matches_finite_differences():
         m = builtin_model(model_name, n)
 
         def weyl_at(x):
-            return build_bundle(m, x).weyl.components
+            return build_bundle(m, x[None]).weyl[0]
 
         for p in sample_points(m, 3, 17):
-            b = build_bundle(m, p)
+            b = build_bundle(m, p[None])
             d_weyl_fd = fd_tensor_partials(weyl_at, p)
             nabla_fd = covariant_derivative(
-                TensorField((DOWN,) * 4, b.weyl.components, d_weyl_fd), b.christoffel
-            ).components
-            div_fd = np.einsum("ps,pikms->ikm", b.g_inv.components, nabla_fd)
+                TensorField((DOWN,) * 4, b.weyl[0], d_weyl_fd), b.christoffel[0]
+            )
+            div_fd = np.einsum("ps,pikms->ikm", b.g_inv[0], nabla_fd)
             scale = max(1.0, max_abs(b.nabla_weyl))
-            assert max_abs(nabla_fd - b.nabla_weyl.components) < 2e-5 * scale
-            assert max_abs(div_fd - b.div_weyl.components) < 2e-5 * scale
+            assert max_abs(nabla_fd - b.nabla_weyl[0]) < 2e-5 * scale
+            assert max_abs(div_fd - b.div_weyl[0]) < 2e-5 * scale

@@ -11,23 +11,32 @@ from weylgeom.identities import (
     REGISTRY,
     GROUPS,
     IdentityReport,
-    bianchi_contraction_residual,
-    contraction_identity_residual,
-    divergence_formula_residual,
-    divergence_free_suite,
     evaluate_check,
     expected_verdict,
-    four_dim_identities,
-    master_recurrence_residual,
-    remainder_suite,
     report_ok,
     registry_ids,
-    ricci_decomposition_residual,
     run_model_suite,
-    torse_forming_residual,
-    weyl_compatibility_residual,
 )
 from weylgeom.tensors import max_abs
+
+_BY_ID = {check.identity_id: check for check in REGISTRY}
+
+
+def _report(identity_id, model, bundles):
+    return evaluate_check(_BY_ID[identity_id], model, bundles)
+
+
+def _reports(ids, model, bundles):
+    return [_report(i, model, bundles) for i in ids]
+
+
+def _group(group, model, bundles):
+    """Reports of every registry check in ``group``, keyed by identity id."""
+    return {
+        check.identity_id: evaluate_check(check, model, bundles)
+        for check in REGISTRY
+        if check.group == group
+    }
 
 # Static manifest: every identity the suite must cover, with its exact anchor.
 # A registry entry without a manifest row (or vice versa) is a defect.
@@ -118,14 +127,14 @@ def test_minkowski_everything_trivially_zero(small_bundles):
 
 def test_torse_forming_on_twisted(small_bundles):
     model, bundles = small_bundles["twisted_generic_n5"]
-    report = torse_forming_residual(bundles)
+    report = _report("torse_forming", model, bundles)
     assert report.verdict == PASS
     assert report.max_residual < 1e-9 * max(1.0, report.scale)
 
 
 def test_torse_forming_negative_control(small_bundles):
     model, bundles = small_bundles["non_twisted_perturbed_n4"]
-    report = torse_forming_residual(bundles)
+    report = _report("torse_forming", model, bundles)
     assert report.verdict == FAIL
     assert report.max_residual > 1e-3
     assert expected_verdict(model, report) == FAIL
@@ -133,23 +142,24 @@ def test_torse_forming_negative_control(small_bundles):
 
 
 def test_weyl_compatibility(small_bundles):
-    _, twisted = small_bundles["twisted_generic_n5"]
-    assert weyl_compatibility_residual(twisted).verdict == PASS
+    twisted_model, twisted = small_bundles["twisted_generic_n5"]
+    assert _report("weyl_compatibility", twisted_model, twisted).verdict == PASS
     model, control = small_bundles["non_twisted_perturbed_n4"]
-    bad = weyl_compatibility_residual(control)
+    bad = _report("weyl_compatibility", model, control)
     assert bad.verdict == FAIL
     assert report_ok(model, bad)
 
 
 def test_electric_contraction_and_iff(small_bundles):
-    _, twisted = small_bundles["twisted_generic_n5"]
-    eq, iff = contraction_identity_residual(twisted)
+    contraction = ("electric_contraction", "electric_contraction_iff")
+    twisted_model, twisted = small_bundles["twisted_generic_n5"]
+    eq, iff = _reports(contraction, twisted_model, twisted)
     assert eq.verdict == PASS and iff.verdict == PASS
     # Nontrivial on the twisted model: both sides of the contraction nonzero.
     assert iff.extras["max_weyl_u"] > 1e-4 and iff.extras["max_electric"] > 1e-4
 
-    _, grw = small_bundles["grw_product_spheres_n5"]
-    eq_g, iff_g = contraction_identity_residual(grw)
+    grw_model, grw = small_bundles["grw_product_spheres_n5"]
+    eq_g, iff_g = _reports(contraction, grw_model, grw)
     assert eq_g.verdict == PASS and iff_g.verdict == PASS
     # Both sides vanish while the Weyl tensor itself does not.
     assert iff_g.extras["max_weyl_u"] < 1e-9 and iff_g.extras["max_electric"] < 1e-10
@@ -159,7 +169,7 @@ def test_electric_contraction_and_iff(small_bundles):
 def test_ricci_decomposition(small_bundles):
     for label in ("twisted_n4", "twisted_generic_n5", "rw_flat_n4"):
         model, bundles = small_bundles[label]
-        form, spacelike = ricci_decomposition_residual(bundles)
+        form, spacelike = _reports(("ricci_form", "hubble_gradient_spacelike"), model, bundles)
         assert form.verdict == PASS, label
         assert spacelike.verdict == PASS, label
     # The expansion gradient separates twisted from warped-only models.
@@ -172,8 +182,8 @@ def test_ricci_decomposition(small_bundles):
 
 
 def test_four_dim_identities_on_twisted_n4(small_bundles):
-    _, bundles = small_bundles["twisted_n4"]
-    reports = {r.identity_id: r for r in four_dim_identities(bundles)}
+    model, bundles = small_bundles["twisted_n4"]
+    reports = _group("four-dimensional algebra", model, bundles)
     assert len(reports) == 6
     for r in reports.values():
         assert r.verdict == PASS, r.identity_id
@@ -181,7 +191,7 @@ def test_four_dim_identities_on_twisted_n4(small_bundles):
 
 def test_four_dim_identities_on_negative_control(small_bundles):
     model, bundles = small_bundles["non_twisted_perturbed_n4"]
-    reports = {r.identity_id: r for r in four_dim_identities(bundles)}
+    reports = _group("four-dimensional algebra", model, bundles)
     # Purely algebraic statements hold for any metric and any unit timelike u.
     assert reports["lovelock_n4"].verdict == PASS
     assert reports["quarter_trace_n4"].verdict == PASS
@@ -191,20 +201,25 @@ def test_four_dim_identities_on_negative_control(small_bundles):
 
 
 def test_four_dim_identities_not_applicable_elsewhere(small_bundles):
-    _, bundles = small_bundles["twisted_generic_n5"]
-    assert all(r.verdict == NOT_APPLICABLE for r in four_dim_identities(bundles))
+    model, bundles = small_bundles["twisted_generic_n5"]
+    reports = _group("four-dimensional algebra", model, bundles)
+    assert len(reports) == 6
+    assert all(r.verdict == NOT_APPLICABLE for r in reports.values())
 
 
 def test_remainder_suite_twisted_n5_nontrivial(small_bundles):
-    _, bundles = small_bundles["twisted_generic_n5"]
-    reports = remainder_suite(bundles)
-    assert all(r.verdict == PASS for r in reports)
+    model, bundles = small_bundles["twisted_generic_n5"]
+    reports = _group("weyl remainder", model, bundles)
+    # remainder_vanishes_n4 is the one n = 4 statement of the group.
+    assert reports.pop("remainder_vanishes_n4").verdict == NOT_APPLICABLE
+    assert len(reports) == 6
+    assert all(r.verdict == PASS for r in reports.values())
     assert max(max_abs(b.weyl_remainder) for b in bundles) > 1e-3
 
 
 def test_remainder_vanishes_on_twisted_n4(small_bundles):
-    _, bundles = small_bundles["twisted_n4"]
-    reports = {r.identity_id: r for r in remainder_suite(bundles)}
+    model, bundles = small_bundles["twisted_n4"]
+    reports = _group("weyl remainder", model, bundles)
     assert reports["remainder_vanishes_n4"].verdict == PASS
     assert reports["remainder_vanishes_n4"].max_residual < 1e-9
 
@@ -212,43 +227,43 @@ def test_remainder_vanishes_on_twisted_n4(small_bundles):
 def test_remainder_equals_weyl_on_grw(small_bundles):
     # Vanishing electric part collapses the remainder construction onto the
     # Weyl tensor itself, and the recurrence still holds.
-    _, bundles = small_bundles["grw_product_spheres_n5"]
+    model, bundles = small_bundles["grw_product_spheres_n5"]
     for b in bundles:
-        assert max_abs(b.weyl_remainder.components - b.weyl.components) < 1e-10
-    reports = {r.identity_id: r for r in remainder_suite(bundles)}
+        assert max_abs(b.weyl_remainder - b.weyl) < 1e-10
+    reports = _group("weyl remainder", model, bundles)
     assert reports["remainder_recurrence"].verdict == PASS
 
 
 def test_bianchi_contraction_unconditional(small_bundles):
     for label in ("twisted_generic_n5", "non_twisted_perturbed_n4", "grw_product_spheres_n5"):
-        _, bundles = small_bundles[label]
-        report = bianchi_contraction_residual(bundles)
+        model, bundles = small_bundles[label]
+        report = _report("weyl_bianchi_contraction", model, bundles)
         assert report.verdict == PASS, label
         assert report.max_residual < 1e-8 * max(1.0, report.scale)
 
 
 def test_divergence_formula(small_bundles):
     for label in ("twisted_n4", "twisted_generic_n5", "twisted_generic_n6"):
-        _, bundles = small_bundles[label]
-        assert divergence_formula_residual(bundles).verdict == PASS, label
+        model, bundles = small_bundles[label]
+        assert _report("weyl_divergence_formula", model, bundles).verdict == PASS, label
     model, control = small_bundles["non_twisted_perturbed_n4"]
-    bad = divergence_formula_residual(control)
+    bad = _report("weyl_divergence_formula", model, control)
     assert bad.verdict == FAIL
     assert report_ok(model, bad)
 
 
 def test_master_recurrence_and_consistency(small_bundles):
     for label in ("twisted_generic_n5", "twisted_generic_n6", "grw_product_spheres_n5"):
-        _, bundles = small_bundles[label]
-        master, consistency = master_recurrence_residual(bundles)
+        model, bundles = small_bundles[label]
+        master, consistency = _reports(("master_recurrence", "master_recurrence_consistency"), model, bundles)
         assert master.verdict == PASS, label
         assert consistency.verdict == PASS, label
         assert consistency.max_residual < 1e-9 * max(1.0, consistency.scale)
 
 
 def test_divergence_free_suite_on_witness(small_bundles):
-    _, bundles = small_bundles["grw_product_spheres_n5"]
-    reports = {r.identity_id: r for r in divergence_free_suite(bundles)}
+    model, bundles = small_bundles["grw_product_spheres_n5"]
+    reports = _group("divergence-free consequences", model, bundles)
     witness = reports["electric_zero_implies_divfree"]
     assert witness.verdict == PASS
     assert witness.extras["max_electric"] < 1e-10
@@ -258,8 +273,8 @@ def test_divergence_free_suite_on_witness(small_bundles):
 
 
 def test_divergence_free_suite_not_applicable_on_twisted(small_bundles):
-    _, bundles = small_bundles["twisted_generic_n5"]
-    reports = {r.identity_id: r for r in divergence_free_suite(bundles)}
+    model, bundles = small_bundles["twisted_generic_n5"]
+    reports = _group("divergence-free consequences", model, bundles)
     for name, report in reports.items():
         assert report.verdict == NOT_APPLICABLE, name
     # Hypotheses fail measurably, and the measurements are logged.

@@ -129,8 +129,8 @@ def test_raise_lower_variance_checks():
 
 
 def test_kulkarni_nomizu_zero_factor():
-    zero = TensorValue.of(np.zeros((4, 4)), (DOWN, DOWN))
-    e = TensorValue.of(np.diag([0.0, 1.0, 2.0, 3.0]), (DOWN, DOWN))
+    zero = np.zeros((4, 4))
+    e = np.diag([0.0, 1.0, 2.0, 3.0])
     assert max_abs(kulkarni_nomizu(zero, e)) == 0.0
 
 
@@ -140,12 +140,14 @@ def test_kulkarni_nomizu_sign_pattern_term_by_term():
     a = 0.5 * (a + a.T)
     b = rng.normal(size=(4, 4))
     b = 0.5 * (b + b.T)
-    prod = kulkarni_nomizu(
-        TensorValue.of(a, (DOWN, DOWN)), TensorValue.of(b, (DOWN, DOWN))
-    ).components
+    prod = kulkarni_nomizu(a, b)
     for i, k, l, m in itertools.product(range(4), repeat=4):
         expected = a[i, m] * b[k, l] - a[k, m] * b[i, l] - a[i, l] * b[k, m] + a[k, l] * b[i, m]
         assert abs(prod[i, k, l, m] - expected) < 1e-14
+    # A leading point axis gives each point its own product.
+    batched = kulkarni_nomizu(np.stack([a, b]), np.stack([b, a]))
+    assert np.array_equal(batched[0], prod)
+    assert np.array_equal(batched[1], kulkarni_nomizu(b, a))
 
 
 @settings(max_examples=20, deadline=None)
@@ -154,37 +156,35 @@ def test_kulkarni_nomizu_is_generalized_curvature(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(5, 5))
     b = rng.normal(size=(5, 5))
-    a_t = TensorValue.of(0.5 * (a + a.T), (DOWN, DOWN))
-    b_t = TensorValue.of(0.5 * (b + b.T), (DOWN, DOWN))
+    a_t = 0.5 * (a + a.T)
+    b_t = 0.5 * (b + b.T)
     residuals = generalized_curvature_check(kulkarni_nomizu(a_t, b_t))
     scale = max(1.0, max_abs(a_t) * max_abs(b_t))
     assert max(residuals.values()) < 1e-12 * scale
 
 
 def test_kulkarni_nomizu_rejects_asymmetric_factor():
-    a = TensorValue.of(np.array([[0.0, 1.0], [0.0, 0.0]]), (DOWN, DOWN), n=2)
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="asymmetric factor"):
         kulkarni_nomizu(a, a)
 
 
 def test_generalized_curvature_check_is_diagnostic():
     rng = np.random.default_rng(4)
-    t = TensorValue.of(rng.normal(size=(4,) * 4), (DOWN,) * 4)
-    residuals = generalized_curvature_check(t)
+    residuals = generalized_curvature_check(rng.normal(size=(4,) * 4))
     assert all(v > 0.1 for v in residuals.values())  # reported, not raised
 
 
 def test_norm_squared_zero_tensor():
-    g = TensorValue.of(MINKOWSKI, (DOWN, DOWN))
-    z = TensorValue.of(np.zeros((4, 4, 4)), (DOWN,) * 3)
-    assert norm_squared(z, g) == 0.0
+    z = np.zeros((4, 4, 4))
+    assert norm_squared(z, np.linalg.inv(MINKOWSKI)) == 0.0
 
 
 def test_norm_squared_of_metric_is_dimension():
     rng = np.random.default_rng(6)
     for n in (4, 5, 6):
-        g = _random_lorentzian_metric(rng, n)
-        assert abs(norm_squared(g, g) - n) < 1e-10
+        g = _random_lorentzian_metric(rng, n).components
+        assert abs(norm_squared(g, np.linalg.inv(g)) - n) < 1e-10
 
 
 def test_norm_squared_two_ways_agree():
@@ -192,7 +192,10 @@ def test_norm_squared_two_ways_agree():
     g = _random_lorentzian_metric(rng, 4)
     g_inv = TensorValue.of(np.linalg.inv(g.components), (UP, UP))
     t = _random_tensor(rng, 4, (DOWN, DOWN, DOWN))
-    fast = norm_squared(t, g)
+    fast = norm_squared(t.components, g_inv.components)
+    # A leading point axis gives one value per point.
+    pair = norm_squared(np.stack([t.components, 2.0 * t.components]), np.stack([g_inv.components] * 2))
+    assert pair[0] == fast and abs(pair[1] - 4.0 * fast) <= 1e-12 * max(1.0, abs(fast))
     # Slot-by-slot raising through the public op, then a full overlap sum.
     dual = t
     for slot in range(3):
