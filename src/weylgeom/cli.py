@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 
@@ -55,29 +55,10 @@ _CONFIG_KEYS = {"models", "points", "seed", "tolerances", "output_format", "outp
 _MODEL_KEYS = {"name", "n", "parameters", "label"}
 _FORMATS = ("text", "structured")
 
-# Bundle fields that tensor-dump may print, plus short aliases.
-_DUMP_FIELDS = (
-    "g",
-    "g_inv",
-    "christoffel",
-    "riemann",
-    "ricci",
-    "scalar_curvature",
-    "weyl",
-    "nabla_weyl",
-    "div_weyl",
-    "u_down",
-    "u_up",
-    "nabla_u_down",
-    "nabla_u_up",
-    "hubble_rate",
-    "d_hubble_rate",
-    "electric",
-    "nabla_electric",
-    "div_electric",
-    "weyl_remainder",
-    "raychaudhuri_scalar",
-    "hubble_gradient_up",
+# Bundle fields that tensor-dump may print (every field but the chart
+# points, the dimension and ∂Γ), plus short aliases.
+_DUMP_FIELDS = tuple(
+    f.name for f in fields(CurvatureBundle) if f.name not in ("points", "n", "d_christoffel")
 )
 _FIELD_ALIASES = {
     "phi": "hubble_rate",
@@ -132,16 +113,19 @@ def _validate_config(config: RunConfig) -> RunConfig:
     _check_int(config.seed, "seed", 0)
     if config.output_format not in _FORMATS:
         raise ValueError(f"output_format must be one of {_FORMATS}")
+    if config.output_path is not None and not isinstance(config.output_path, str):
+        raise ValueError(f"output_path must be a file path string, got {config.output_path!r}")
     if not isinstance(config.tolerances, dict):
         raise ValueError("tolerances must be an object mapping identity ids to numbers")
-    known = set(registry_ids())
-    unknown = set(config.tolerances) - known
+    unknown = set(config.tolerances) - set(registry_ids())
     if unknown:
         raise ValueError(f"unknown identity ids in tolerances: {sorted(unknown)}")
     for identity_id, value in config.tolerances.items():
         _check_tolerance(identity_id, value)
     if not isinstance(config.models, list):
         raise ValueError("models must be a list of model entries")
+    if not config.models:
+        raise ValueError("models must list at least one model entry")
     for entry in config.models:
         if not isinstance(entry, dict):
             raise ValueError(f"every model entry must be an object, got {entry!r}")
@@ -150,16 +134,16 @@ def _validate_config(config: RunConfig) -> RunConfig:
             raise ValueError(f"unknown model-entry fields: {sorted(extra)}")
         if "name" not in entry:
             raise ValueError("every model entry needs a 'name'")
+        if not isinstance(entry["name"], str):
+            raise ValueError(f"model-entry 'name' must be a string, got {entry['name']!r}")
         if entry.get("n") is not None:
             _check_int(entry["n"], "model dimension n", 4, 7)
+        label = entry.get("label")
+        if label is not None and not isinstance(label, str):
+            raise ValueError(f"model-entry 'label' must be a string, got {label!r}")
         parameters = entry.get("parameters") or {}
         if not isinstance(parameters, dict):
             raise ValueError(f"model-entry 'parameters' must be an object, got {parameters!r}")
-        declared = parameters.get("expected_failures")
-        if declared is not None:
-            bad = set(map(str, declared)) - known
-            if bad:
-                raise ValueError(f"unknown identity ids in expected_failures: {sorted(bad)}")
     return config
 
 
@@ -189,8 +173,24 @@ def load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _build_model(entry: dict) -> MetricModel:
-    return builtin_model(entry["name"], entry.get("n"), entry.get("parameters"))
+def _labelled_models(entries: list[dict]) -> list[tuple[str, MetricModel]]:
+    """Each model entry built, with its report label (the model's own label
+    unless the entry names one); labels must be unique."""
+    labelled = []
+    for entry in entries:
+        try:
+            model = builtin_model(entry["name"], entry.get("n"), entry.get("parameters"))
+        except ValueError as err:
+            raise ValueError(f"bad model entry {entry['name']!r}: {err}") from err
+        unknown = model.expected_failures - set(registry_ids())
+        if unknown:
+            raise ValueError(f"unknown identity ids in expected_failures: {sorted(unknown)}")
+        labelled.append((entry.get("label") or model.label, model))
+    labels = [label for label, _ in labelled]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"model labels must be unique; repeated: {repeated}")
+    return labelled
 
 
 def chunk_size(n: int) -> int:
@@ -240,15 +240,7 @@ def run(config: RunConfig) -> dict:
     rows: list[dict] = []
     warnings: list[str] = []
     errors: list[str] = []
-    entries = []
-    for entry in config.models:
-        try:
-            entries.append((entry.get("label"), _build_model(entry)))
-        except ValueError as err:
-            raise ValueError(f"bad model entry {entry.get('name')!r}: {err}") from err
-
-    for label, model in sorted(entries, key=lambda pair: pair[0] or pair[1].label):
-        label = label or model.label
+    for label, model in sorted(_labelled_models(config.models), key=lambda pair: pair[0]):
         try:
             points = sample_points(model, config.points, config.seed)
             bundles = _collect_bundles(model, points, warnings)
@@ -380,7 +372,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if missing:
             raise ValueError(f"--model filter does not match any configured model: {sorted(missing)}")
         config.models = [entry for entry in config.models if entry["name"] in wanted]
-    _validate_config(config)
 
     result = run(config)
     text = (

@@ -28,6 +28,7 @@ index notation below), so one call evaluates a whole chunk of points; see
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -38,11 +39,9 @@ __all__ = [
     "Connection",
     "Curvature",
     "WeylData",
-    "TensorField",
     "CurvatureBundle",
     "FIELD_VARIANCE",
     "christoffel_from_jets",
-    "christoffel",
     "riemann_ricci_scalar",
     "weyl",
     "covariant_derivative",
@@ -90,20 +89,6 @@ class WeylData:
     d_weyl: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class TensorField:
-    """Tensor components plus first coordinate derivatives.
-
-    ``d1`` has the derivative index first after the point axes:
-    ``d1[..., p, ...] = ∂_p T[..., ...]``.  This is exactly the data a
-    single covariant derivative needs.
-    """
-
-    variance: tuple[str, ...]
-    components: np.ndarray
-    d1: np.ndarray
-
-
 def christoffel_from_jets(mj: MetricJets) -> Connection:
     """Christoffel symbols with first and second coordinate derivatives."""
     try:
@@ -143,11 +128,6 @@ def christoffel_from_jets(mj: MetricJets) -> Connection:
     d2_gamma += np.einsum("...ad,...pqdbc->...pqabc", g_inv, d2k)
     d2_gamma *= 0.5
     return Connection(g_inv, d_g_inv, d2_g_inv, gamma, d_gamma, d2_gamma)
-
-
-def christoffel(model: MetricModel, point: ChartPoint) -> Connection:
-    """Connection data of a catalog model at one point or at points (P, n)."""
-    return christoffel_from_jets(model.metric_jets(point))
 
 
 def riemann_ricci_scalar(mj: MetricJets, conn: Connection) -> Curvature:
@@ -220,22 +200,26 @@ def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
     return WeylData(weyl_c, d_weyl_c)
 
 
-def covariant_derivative(field: TensorField, gamma: np.ndarray) -> np.ndarray:
-    """One covariant derivative; the new slot (first after the point axes)
-    is covariant.
+def covariant_derivative(
+    variance: Sequence[str], components: np.ndarray, d1: np.ndarray, gamma: np.ndarray
+) -> np.ndarray:
+    """One covariant derivative of a tensor with the given slot ``variance``;
+    the new slot (first after the point axes) is covariant.
 
+    ``d1`` holds the coordinate derivatives of ``components`` with the
+    derivative index first after the point axes: ``d1[..., p, ...] = ∂_p T``.
     Signs follow variance: ``+Γ`` corrections for up slots, ``-Γ`` for down
-    slots.  Requires the field's coordinate derivatives ``d1``.
+    slots.
     """
-    rank = len(field.variance)
-    if field.d1 is None:
+    rank = len(variance)
+    if d1 is None:
         raise ValueError("missing coordinate-derivative data for covariant derivative")
     if rank > len(_LETTERS):
         raise ValueError("rank too large for covariant derivative")
-    comp = np.asarray(field.components, dtype=float)
-    nabla = np.array(field.d1, dtype=float)
+    comp = np.asarray(components, dtype=float)
+    nabla = np.array(d1, dtype=float)
     idx = _LETTERS[:rank]
-    for slot, flag in enumerate(field.variance):
+    for slot, flag in enumerate(variance):
         src = idx[:slot] + "z" + idx[slot + 1 :]
         if flag == DOWN:
             nabla -= np.einsum(f"...zp{idx[slot]},...{src}->...p{idx}", gamma, comp)
@@ -356,19 +340,18 @@ def build_bundle(model: MetricModel, points: ChartPoint) -> CurvatureBundle:
     u = model.u_up
     u_up = np.broadcast_to(u, coords.shape)
     u_down = mj.value @ u
-    nabla_u_down = covariant_derivative(TensorField((DOWN,), u_down, mj.d1 @ u), gamma)
-    d_u_up = np.zeros(coords.shape + (n,))
-    nabla_u_up = covariant_derivative(TensorField((UP,), u_up, d_u_up), gamma)
+    nabla_u_down = covariant_derivative((DOWN,), u_down, mj.d1 @ u, gamma)
+    nabla_u_up = covariant_derivative((UP,), u_up, np.zeros(coords.shape + (n,)), gamma)
 
     hubble = np.trace(nabla_u_up, axis1=-2, axis2=-1) / (n - 1)
     d_hubble = np.einsum("...pkke,e->...p", conn.d_gamma, u) / (n - 1)
 
     electric = np.einsum("j,m,...jklm->...kl", u, u, wd.weyl)
     d_electric = np.einsum("j,m,...pjklm->...pkl", u, u, wd.d_weyl)
-    nabla_electric = covariant_derivative(TensorField((DOWN, DOWN), electric, d_electric), gamma)
+    nabla_electric = covariant_derivative((DOWN, DOWN), electric, d_electric, gamma)
     div_electric = np.einsum("...ps,...pis->...i", conn.g_inv, nabla_electric)
 
-    nabla_weyl = covariant_derivative(TensorField((DOWN,) * 4, wd.weyl, wd.d_weyl), gamma)
+    nabla_weyl = covariant_derivative((DOWN,) * 4, wd.weyl, wd.d_weyl, gamma)
     div_weyl = np.einsum("...ps,...pikms->...ikm", conn.g_inv, nabla_weyl)
 
     remainder = weyl_remainder_tensor(mj.value, u_down, wd.weyl, electric, n)

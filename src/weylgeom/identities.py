@@ -13,6 +13,12 @@ because their hypotheses are measured, not assumed: checks whose hypotheses
 fail on a model are reported ``not-applicable`` with the measured magnitudes
 attached, never asserted.
 
+The evaluators share a few building blocks, each computed at most once per
+chunk (``_Shared``): the Kulkarni-Nomizu blocks (u⊗u) ∧ E and g ∧ E of the
+Weyl decomposition, the antisymmetric pair u_i E_km - u_k E_im (``_wedge``),
+transports along u, and the squared norms.  One rule (``_is_zero``) judges
+every measured hypothesis.
+
 The negative-control model declares which identities it is expected to fail;
 the runner treats an expected failure as a success of the suite's
 discriminating power.
@@ -20,8 +26,9 @@ discriminating power.
 
 from __future__ import annotations
 
+import itertools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -36,7 +43,6 @@ __all__ = [
     "IdentityCheck",
     "REGISTRY",
     "registry_ids",
-    "default_tolerances",
     "evaluate_check",
     "run_model_suite",
     "expected_verdict",
@@ -67,16 +73,7 @@ class IdentityReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "identity_id": self.identity_id,
-            "paper_ref": self.paper_ref,
-            "points_tested": self.points_tested,
-            "max_residual": self.max_residual,
-            "scale": self.scale,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "extras": dict(self.extras),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "IdentityReport":
@@ -117,22 +114,32 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
 
-def _cyclic(t: np.ndarray) -> np.ndarray:
-    """``t`` with its first three slots shifted cyclically: out_ijk... = t_jki...
+def _wedge(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The antisymmetric pair ``wedge(v, t)_ikm = v_i t_km - v_k t_im``."""
+    vt = v[..., :, None, None] * t[..., None, :, :]
+    return vt - np.swapaxes(vt, -3, -2)
 
-    ``t`` has one point axis and at least three slots after it."""
-    return np.moveaxis(t, 3, 1)
+
+def _cyclic_sum(t: np.ndarray) -> np.ndarray:
+    """``t`` summed over the cyclic shifts of its first three slots after the
+    point axis: out_ijk... = t_ijk... + t_jki... + t_kij..."""
+    shifted = np.moveaxis(t, 3, 1)
+    return t + shifted + np.moveaxis(shifted, 3, 1)
 
 
 class _Shared:
     """Quantities several evaluators use, each computed at most once per chunk.
 
     Holds its bundle through a weak proxy, so the cache entry in ``_SHARED``
-    goes away with the bundle.
+    goes away with the bundle.  Bundle fields read through it too, so the
+    collection checks can name a shared quantity or a field alike.
     """
 
     def __init__(self, b: CurvatureBundle) -> None:
         self.b = weakref.proxy(b)
+
+    def __getattr__(self, name: str):
+        return getattr(self.b, name)
 
     @cached_property
     def acceleration(self) -> np.ndarray:
@@ -153,6 +160,16 @@ class _Shared:
     def weyl_along_u(self) -> np.ndarray:
         """u^p ∇_p C_jklm."""
         return np.einsum("...p,...pjklm->...jklm", self.b.u_up, self.b.nabla_weyl)
+
+    @cached_property
+    def kn_uu(self) -> np.ndarray:
+        """The Kulkarni-Nomizu block (u⊗u) ∧ E of the Weyl decomposition."""
+        return kulkarni_nomizu(_outer(self.b.u_down, self.b.u_down), self.b.electric)
+
+    @cached_property
+    def kn_g(self) -> np.ndarray:
+        """The Kulkarni-Nomizu block g ∧ E of the Weyl decomposition."""
+        return kulkarni_nomizu(self.b.g, self.b.electric)
 
     @cached_property
     def weyl_sq(self) -> np.ndarray:
@@ -187,9 +204,7 @@ class _Shared:
 
         two_phi = _slots(2.0 * b.hubble_rate, 4)
         lhs = (n - 3.0) * (self.weyl_along_u + two_phi * b.weyl)
-        rhs = (n - 2.0) * (d_kn_uu + two_phi * kulkarni_nomizu(uu, e)) + (
-            d_kn_g + two_phi * kulkarni_nomizu(b.g, e)
-        )
+        rhs = (n - 2.0) * (d_kn_uu + two_phi * self.kn_uu) + (d_kn_g + two_phi * self.kn_g)
         return transport, lhs, rhs
 
 
@@ -212,30 +227,20 @@ def _shared(b: CurvatureBundle) -> _Shared:
 
 
 def _torse_forming(b: CurvatureBundle) -> PointPairs:
-    u = b.u_down
-    lhs = b.nabla_u_down
-    rhs = _slots(b.hubble_rate, 2) * (b.g + _outer(u, u))
-    residual, scale = _pair(lhs, rhs)
-    u_norm = np.abs(np.einsum("...a,...a->...", u, b.u_up) + 1.0)
+    rhs = _slots(b.hubble_rate, 2) * (b.g + _outer(b.u_down, b.u_down))
+    residual, scale = _pair(b.nabla_u_down, rhs)
+    u_norm = np.abs(np.einsum("...a,...a->...", b.u_down, b.u_up) + 1.0)
     return np.maximum(residual, u_norm), scale
 
 
 def _weyl_compatibility(b: CurvatureBundle) -> PointPairs:
-    u = b.u_down
-    cu = _shared(b).weyl_u
-    cyc = (
-        np.einsum("...i,...jkl->...ijkl", u, cu)
-        + np.einsum("...j,...kil->...ijkl", u, cu)
-        + np.einsum("...k,...ijl->...ijkl", u, cu)
-    )
-    return _pmax(cyc), _pmax(b.weyl)
+    # The three terms are u_i C_jklm u^m and its cyclic shifts i -> j -> k.
+    pattern = np.einsum("...i,...jkl->...ijkl", b.u_down, _shared(b).weyl_u)
+    return _pmax(_cyclic_sum(pattern)), _pmax(b.weyl)
 
 
 def _electric_contraction(b: CurvatureBundle) -> PointPairs:
-    u = b.u_down
-    e = b.electric
-    rhs = np.einsum("...k,...jl->...jkl", u, e) - np.einsum("...j,...kl->...jkl", u, e)
-    return _pair(_shared(b).weyl_u, rhs)
+    return _pair(_shared(b).weyl_u, -_wedge(b.u_down, b.electric))
 
 
 def _ricci_form(b: CurvatureBundle) -> PointPairs:
@@ -266,58 +271,30 @@ def _lovelock_n4(b: CurvatureBundle) -> PointPairs:
         + np.einsum("...at,...bcrs->...abcrst", g, c)
         + np.einsum("...as,...bctr->...abcrst", g, c)
     )
-    total = pattern + _cyclic(pattern) + _cyclic(_cyclic(pattern))
-    return _pmax(total), _pmax(g) * _pmax(c)
+    return _pmax(_cyclic_sum(pattern)), _pmax(g) * _pmax(c)
 
 
 def _quarter_trace_n4(b: CurvatureBundle) -> PointPairs:
     c = b.weyl
-    c_up = raise_all(c, b.g_inv)
-    c2 = np.einsum("...abcd,...abcd->...", c, c_up)
-    t = np.einsum("...abcr,...abcs->...rs", c, c_up)
-    return _pair(t, _slots(0.25 * c2, 2) * np.eye(b.n))
+    t = np.einsum("...abcr,...abcs->...rs", c, raise_all(c, b.g_inv))
+    return _pair(t, _slots(0.25 * _shared(b).weyl_sq, 2) * np.eye(b.n))
 
 
 def _reconstruction_n4(b: CurvatureBundle) -> PointPairs:
-    u_up = b.u_up
-    u = b.u_down
-    g = b.g
     c = b.weyl
-    e = b.electric
-    q0 = np.einsum("...m,...mbcd->...bcd", u_up, c)
-    q1 = np.einsum("...m,...amcd->...acd", u_up, c)
-    q2 = np.einsum("...m,...abmd->...abd", u_up, c)
-    q3 = np.einsum("...m,...abcm->...abc", u_up, c)
-    recon = -(
-        np.einsum("...a,...bcd->...abcd", u, q0)
-        + np.einsum("...b,...acd->...abcd", u, q1)
-        + np.einsum("...c,...abd->...abcd", u, q2)
-        + np.einsum("...d,...abc->...abcd", u, q3)
-    ) + (
-        np.einsum("...ad,...bc->...abcd", g, e)
-        - np.einsum("...bd,...ac->...abcd", g, e)
-        - np.einsum("...ac,...bd->...abcd", g, e)
-        + np.einsum("...bc,...ad->...abcd", g, e)
-    )
-    return _pair(c, recon)
+    letters = "abcd"
+    # u^m contracted into each slot of C, times u carrying that slot's index.
+    u_terms = 0.0
+    for s in letters:
+        rest = letters.replace(s, "")
+        q = np.einsum(f"...m,...{letters.replace(s, 'm')}->...{rest}", b.u_up, c)
+        u_terms = u_terms + np.einsum(f"...{s},...{rest}->...{letters}", b.u_down, q)
+    return _pair(c, _shared(b).kn_g - u_terms)
 
 
 def _electric_rep_n4(b: CurvatureBundle) -> PointPairs:
-    u = b.u_down
-    g = b.g
-    e = b.electric
-    rep = 2.0 * (
-        np.einsum("...a,...d,...bc->...abcd", u, u, e)
-        - np.einsum("...a,...c,...bd->...abcd", u, u, e)
-        + np.einsum("...b,...c,...ad->...abcd", u, u, e)
-        - np.einsum("...b,...d,...ac->...abcd", u, u, e)
-    ) + (
-        np.einsum("...ad,...bc->...abcd", g, e)
-        - np.einsum("...ac,...bd->...abcd", g, e)
-        + np.einsum("...bc,...ad->...abcd", g, e)
-        - np.einsum("...bd,...ac->...abcd", g, e)
-    )
-    return _pair(b.weyl, rep)
+    shared = _shared(b)
+    return _pair(b.weyl, 2.0 * shared.kn_uu + shared.kn_g)
 
 
 def _weyl_sq_8_electric_sq(b: CurvatureBundle) -> PointPairs:
@@ -333,27 +310,20 @@ def _remainder_curvature_symmetries(b: CurvatureBundle) -> PointPairs:
 
 
 def _remainder_traceless(b: CurvatureBundle) -> PointPairs:
-    gi = b.g_inv
     t = b.weyl_remainder
-    letters = "iklm"
     worst = np.zeros(len(t))
-    for a in range(4):
-        for bb in range(a + 1, 4):
-            spec = f"...{letters[a]}{letters[bb]},...{letters}->..." + "".join(
-                letters[s] for s in range(4) if s not in (a, bb)
-            )
-            worst = np.maximum(worst, _pmax(np.einsum(spec, gi, t)))
+    for s, r in itertools.combinations("iklm", 2):
+        spec = f"...{s}{r},...iklm->..." + "iklm".replace(s, "").replace(r, "")
+        worst = np.maximum(worst, _pmax(np.einsum(spec, b.g_inv, t)))
     return worst, np.maximum(_pmax(b.weyl), _pmax(t))
 
 
 def _remainder_u_annihilation(b: CurvatureBundle) -> PointPairs:
-    u = b.u_up
     t = b.weyl_remainder
-    letters = "iklm"
     worst = np.zeros(len(t))
-    for slot in range(4):
-        spec = f"...{letters[slot]},...{letters}->..." + letters.replace(letters[slot], "")
-        worst = np.maximum(worst, _pmax(np.einsum(spec, u, t)))
+    for s in "iklm":
+        spec = f"...{s},...iklm->..." + "iklm".replace(s, "")
+        worst = np.maximum(worst, _pmax(np.einsum(spec, b.u_up, t)))
     return worst, np.maximum(_pmax(b.weyl), _pmax(t))
 
 
@@ -368,10 +338,9 @@ def _remainder_vanishes_n4(b: CurvatureBundle) -> PointPairs:
 
 
 def _remainder_scalar_relation(b: CurvatureBundle) -> PointPairs:
-    n = b.n
     shared = _shared(b)
     c2, e2, t2 = shared.weyl_sq, shared.electric_sq, shared.remainder_sq
-    coeff = 4.0 * (n - 2.0) / (n - 3.0)
+    coeff = 4.0 * (b.n - 2.0) / (b.n - 3.0)
     scale = np.maximum(np.maximum(np.abs(c2), np.abs(t2)), coeff * np.abs(e2))
     return np.abs(t2 - c2 + coeff * e2), scale
 
@@ -385,7 +354,6 @@ def _weyl_scalar_positivity(b: CurvatureBundle) -> PointPairs:
 
 
 def _bianchi_contraction(b: CurvatureBundle) -> PointPairs:
-    n = b.n
     nc = b.nabla_weyl
     g = b.g
     dv = b.div_weyl
@@ -393,37 +361,22 @@ def _bianchi_contraction(b: CurvatureBundle) -> PointPairs:
     # on the left, (g_jm D_kil + g_kl D_jim)/(n-3) on the right.
     pattern = nc - (
         np.einsum("...jm,...kil->...ijklm", g, dv) + np.einsum("...kl,...jim->...ijklm", g, dv)
-    ) / (n - 3.0)
-    residual = pattern + _cyclic(pattern) + _cyclic(_cyclic(pattern))
-    return _pmax(residual), _pmax(nc)
+    ) / (b.n - 3.0)
+    return _pmax(_cyclic_sum(pattern)), _pmax(nc)
 
 
 def _divergence_formula(b: CurvatureBundle) -> PointPairs:
     n = b.n
     shared = _shared(b)
-    phi = _slots(b.hubble_rate, 3)
     u = b.u_down
     e = b.electric
     ne = b.nabla_electric
-    de = shared.electric_along_u
-    acc = shared.acceleration
-    div_e = b.div_electric
-    g = b.g
 
-    antisym = np.einsum("...i,...km->...ikm", u, e) - np.einsum("...k,...im->...ikm", u, e)
-    d_antisym = (
-        np.einsum("...i,...km->...ikm", acc, e)
-        + np.einsum("...i,...km->...ikm", u, de)
-        - np.einsum("...k,...im->...ikm", acc, e)
-        - np.einsum("...k,...im->...ikm", u, de)
-    )
-    grad_term = (n - 3.0) * (ne - np.einsum("...kim->...ikm", ne))
-    transport_term = (n - 2.0) * (d_antisym + 2.0 * phi * antisym)
-    proj_term = np.einsum("...k,...m,...i->...ikm", u, u, div_e) * 2.0 + np.einsum(
-        "...km,...i->...ikm", g, div_e
-    ) - np.einsum("...i,...m,...k->...ikm", u, u, div_e) * 2.0 - np.einsum(
-        "...im,...k->...ikm", g, div_e
-    )
+    antisym = _wedge(u, e)
+    d_antisym = _wedge(shared.acceleration, e) + _wedge(u, shared.electric_along_u)
+    grad_term = (n - 3.0) * (ne - np.swapaxes(ne, -3, -2))
+    transport_term = (n - 2.0) * (d_antisym + 2.0 * _slots(b.hubble_rate, 3) * antisym)
+    proj_term = _wedge(b.div_electric, 2.0 * _outer(u, u) + b.g)
     rhs = grad_term + transport_term + proj_term
     lhs = b.div_weyl
     residual = _pmax(lhs - rhs)
@@ -438,42 +391,38 @@ def _master_recurrence(b: CurvatureBundle) -> PointPairs:
 
 def _master_recurrence_consistency(b: CurvatureBundle) -> PointPairs:
     transport, lhs, rhs = _shared(b).recurrences
-    master_residual = lhs - rhs
-    recurrence_residual = transport + _slots(2.0 * b.hubble_rate, 4) * b.weyl_remainder
-    regrouped = (b.n - 3.0) * recurrence_residual
-    return _pair(master_residual, regrouped)
+    decay = _slots(2.0 * b.hubble_rate, 4) * b.weyl_remainder
+    return _pair(lhs - rhs, (b.n - 3.0) * (transport + decay))
+
+
+def _divfree_point(b: CurvatureBundle) -> PointPairs:
+    return _pmax(b.div_weyl), _pmax(b.nabla_weyl)
 
 
 def _divfree_corollary_point(b: CurvatureBundle) -> PointPairs:
-    n = b.n
     de = _shared(b).electric_along_u
-    decay = _slots(b.hubble_rate * (n - 1.0), 2) * b.electric
+    decay = _slots(b.hubble_rate * (b.n - 1.0), 2) * b.electric
     residual = np.maximum(_pmax(b.div_electric), _pmax(de + decay))
     scale = np.maximum(_pmax(b.nabla_electric), _pmax(decay))
     return residual, scale
 
 
 def _electric_gradient_recurrence_point(b: CurvatureBundle) -> PointPairs:
-    n = b.n
     phi = _slots(b.hubble_rate, 3)
-    u = b.u_down
-    e = b.electric
     ne = b.nabla_electric
-    lhs = ne - np.einsum("...kim->...ikm", ne)
-    antisym = np.einsum("...i,...km->...ikm", u, e) - np.einsum("...k,...im->...ikm", u, e)
-    rhs = (n - 2.0) * phi * antisym
+    lhs = ne - np.swapaxes(ne, -3, -2)
+    rhs = (b.n - 2.0) * phi * _wedge(b.u_down, b.electric)
     return _pair(lhs, rhs)
 
 
 def _weyl_u_recurrence_point(b: CurvatureBundle) -> PointPairs:
-    n = b.n
     shared = _shared(b)
     # u^p ∇_p (C_jklm u^m) by the product rule: (u^p ∇_p C_jklm) u^m + C_jklm u^p ∇_p u^m.
     acc_up = np.einsum("...p,...pm->...m", b.u_up, b.nabla_u_up)
     transport = np.einsum("...jklm,...m->...jkl", shared.weyl_along_u, b.u_up) + np.einsum(
         "...jklm,...m->...jkl", b.weyl, acc_up
     )
-    decay = _slots(b.hubble_rate * (n - 1.0), 3) * shared.weyl_u
+    decay = _slots(b.hubble_rate * (b.n - 1.0), 3) * shared.weyl_u
     return _pmax(transport + decay), np.maximum(_pmax(transport), _pmax(decay))
 
 
@@ -499,78 +448,51 @@ def _worst_point(pairs: Sequence[PointPairs]) -> EvalResult:
     return EvalResult(True, float(residual[k]), float(scale[k]), len(residual))
 
 
-def _pointwise_result(fn, bundles: Sequence[CurvatureBundle]) -> EvalResult:
-    return _worst_point([fn(b) for b in bundles])
+def _largest(bundles: Sequence[CurvatureBundle], name: str) -> float:
+    """Largest absolute component of a bundle field or shared quantity over all points."""
+    return max(max_abs(getattr(_shared(b), name)) for b in bundles)
 
 
-def _largest(values) -> float:
-    return max(max_abs(v) for v in values)
+def _is_zero(value: float, scale: float) -> bool:
+    """The hypothesis rule: a maximum counts as zero below HYPOTHESIS_RTOL * max(1, scale)."""
+    return value < HYPOTHESIS_RTOL * max(1.0, scale)
 
 
-def _electric_contraction_iff(model, bundles) -> EvalResult:
-    max_cu = _largest(_shared(b).weyl_u for b in bundles)
-    max_e = _largest(b.electric for b in bundles)
-    max_c = _largest(b.weyl for b in bundles)
-    threshold = HYPOTHESIS_RTOL * max(1.0, max_c)
-    ok = (max_cu < threshold) == (max_e < threshold)
-    residual = 0.0 if ok else max(max_cu, max_e)
-    return EvalResult(
-        True,
-        residual,
-        max_c,
-        sum(len(b.points) for b in bundles),
-        extras={"max_weyl_u": max_cu, "max_electric": max_e},
-    )
+def _hypothesis(bundles, measured: str, reference: str) -> tuple[bool, dict]:
+    """Whether ``measured`` vanishes at every point relative to ``reference``,
+    with both maxima as extras (``max_<name>``)."""
+    value, scale = _largest(bundles, measured), _largest(bundles, reference)
+    return _is_zero(value, scale), {f"max_{measured}": value, f"max_{reference}": scale}
 
 
-def _electric_iff_n4(model, bundles) -> EvalResult:
-    max_c = _largest(b.weyl for b in bundles)
-    max_e = _largest(b.electric for b in bundles)
-    threshold = HYPOTHESIS_RTOL * max(1.0, max_c, max_e)
-    ok = (max_c < threshold) == (max_e < threshold)
-    residual = 0.0 if ok else max(max_c, max_e)
-    return EvalResult(
-        True,
-        residual,
-        max(max_c, max_e),
-        sum(len(b.points) for b in bundles),
-        extras={"max_weyl": max_c, "max_electric": max_e},
-    )
+def _conditional(point_fn, measured: str, reference: str, unmet_extras: tuple[str, ...] = ()):
+    """A pointwise check that runs only where its hypothesis, ``measured``
+    vanishing relative to ``reference``, holds; otherwise it is not applicable
+    and the maxima of ``unmet_extras`` join the measured extras."""
 
-
-def _electric_hypothesis_holds(bundles) -> tuple[bool, dict]:
-    max_e = _largest(b.electric for b in bundles)
-    max_c = _largest(b.weyl for b in bundles)
-    holds = max_e < HYPOTHESIS_RTOL * max(1.0, max_c)
-    return holds, {"max_electric": max_e, "max_weyl": max_c}
-
-
-def _divfree_hypothesis_holds(bundles) -> tuple[bool, dict]:
-    max_div = _largest(b.div_weyl for b in bundles)
-    max_nc = _largest(b.nabla_weyl for b in bundles)
-    holds = max_div < HYPOTHESIS_RTOL * max(1.0, max_nc)
-    return holds, {"max_div_weyl": max_div, "max_nabla_weyl": max_nc}
-
-
-def _electric_zero_implies_divfree(model, bundles) -> EvalResult:
-    holds, extras = _electric_hypothesis_holds(bundles)
-    if not holds:
-        ev = EvalResult(False, extras=extras)
-        ev.extras["max_div_weyl"] = _largest(b.div_weyl for b in bundles)
-        return ev
-    result = _worst_point([(_pmax(b.div_weyl), _pmax(b.nabla_weyl)) for b in bundles])
-    result.extras = extras
-    return result
-
-
-def _conditional_on_divfree(point_fn):
-    def run(model, bundles) -> EvalResult:
-        holds, extras = _divfree_hypothesis_holds(bundles)
+    def run(bundles: Sequence[CurvatureBundle]) -> EvalResult:
+        holds, extras = _hypothesis(bundles, measured, reference)
         if not holds:
+            extras.update((f"max_{name}", _largest(bundles, name)) for name in unmet_extras)
             return EvalResult(False, extras=extras)
-        result = _pointwise_result(point_fn, bundles)
-        result.extras.update(extras)
+        result = _worst_point([point_fn(b) for b in bundles])
+        result.extras = extras
         return result
+
+    return run
+
+
+def _iff(sides: tuple[str, str], scale_by: tuple[str, ...]):
+    """Both ``sides`` vanish together or neither does, each judged by the
+    hypothesis rule against the largest of the ``scale_by`` maxima."""
+
+    def run(bundles: Sequence[CurvatureBundle]) -> EvalResult:
+        largest = {name: _largest(bundles, name) for name in dict.fromkeys(sides + scale_by)}
+        scale = max(largest[name] for name in scale_by)
+        lhs_zero, rhs_zero = (_is_zero(largest[name], scale) for name in sides)
+        residual = 0.0 if lhs_zero == rhs_zero else max(largest[name] for name in sides)
+        points = sum(len(b.points) for b in bundles)
+        return EvalResult(True, residual, scale, points, {f"max_{s}": largest[s] for s in sides})
 
     return run
 
@@ -602,9 +524,9 @@ class IdentityCheck:
     paper_ref: str
     group: str
     tolerance: float
-    applies: Callable[[MetricModel], bool]
+    applies: Callable[[MetricModel], bool] = _always
     point_fn: Callable[[CurvatureBundle], PointPairs] | None = None
-    collection_fn: Callable[[MetricModel, Sequence[CurvatureBundle]], EvalResult] | None = None
+    collection_fn: Callable[[Sequence[CurvatureBundle]], EvalResult] | None = None
 
 
 REGISTRY: tuple[IdentityCheck, ...] = (
@@ -613,7 +535,6 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "∇_i u_j = φ (g_ij + u_i u_j), u_k u^k = -1",
         "kinematics",
         1e-9,
-        _always,
         point_fn=_torse_forming,
     ),
     IdentityCheck(
@@ -621,7 +542,6 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "(u_i C_jklm + u_j C_kilm + u_k C_ijlm) u^m = 0",
         "weyl-electric structure",
         1e-9,
-        _always,
         point_fn=_weyl_compatibility,
     ),
     IdentityCheck(
@@ -638,7 +558,7 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "weyl-electric structure",
         1e-9,
         _torse_class,
-        collection_fn=_electric_contraction_iff,
+        collection_fn=_iff(("weyl_u", "electric"), scale_by=("weyl",)),
     ),
     IdentityCheck(
         "ricci_form",
@@ -705,7 +625,7 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "four-dimensional algebra",
         1e-9,
         _torse_class_n4,
-        collection_fn=_electric_iff_n4,
+        collection_fn=_iff(("weyl", "electric"), scale_by=("weyl", "electric")),
     ),
     IdentityCheck(
         "remainder_curvature_symmetries",
@@ -770,7 +690,6 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "+ g_kl D_jim + g_il D_kjm + g_jl D_ikm)/(n-3)  with  D_abc = ∇_p C_abc^p",
         "derivative identities",
         1e-8,
-        _always,
         point_fn=_bianchi_contraction,
     ),
     IdentityCheck(
@@ -779,7 +698,6 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "+ 2φ (u_i E_km - u_k E_im)] + (2u_k u_m + g_km) ∇_p E_i^p - (2u_i u_m + g_im) ∇_p E_k^p",
         "derivative identities",
         1e-8,
-        _always,
         point_fn=_divergence_formula,
     ),
     IdentityCheck(
@@ -806,7 +724,7 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "divergence-free consequences",
         1e-8,
         _torse_class,
-        collection_fn=_electric_zero_implies_divfree,
+        collection_fn=_conditional(_divfree_point, "electric", "weyl", unmet_extras=("div_weyl",)),
     ),
     IdentityCheck(
         "divfree_corollary",
@@ -814,7 +732,7 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "divergence-free consequences",
         1e-8,
         _torse_class,
-        collection_fn=_conditional_on_divfree(_divfree_corollary_point),
+        collection_fn=_conditional(_divfree_corollary_point, "div_weyl", "nabla_weyl"),
     ),
     IdentityCheck(
         "electric_gradient_recurrence",
@@ -822,7 +740,7 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "divergence-free consequences",
         1e-8,
         _torse_class,
-        collection_fn=_conditional_on_divfree(_electric_gradient_recurrence_point),
+        collection_fn=_conditional(_electric_gradient_recurrence_point, "div_weyl", "nabla_weyl"),
     ),
     IdentityCheck(
         "weyl_u_recurrence",
@@ -830,21 +748,12 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "divergence-free consequences",
         1e-8,
         _torse_class,
-        collection_fn=_conditional_on_divfree(_weyl_u_recurrence_point),
+        collection_fn=_conditional(_weyl_u_recurrence_point, "div_weyl", "nabla_weyl"),
     ),
 )
 
-GROUPS = (
-    "kinematics",
-    "weyl-electric structure",
-    "ricci structure",
-    "four-dimensional algebra",
-    "weyl remainder",
-    "derivative identities",
-    "divergence-free consequences",
-)
-
-_BY_ID = {check.identity_id: check for check in REGISTRY}
+# Report groups, in the order the registry first lists them.
+GROUPS = tuple(dict.fromkeys(check.group for check in REGISTRY))
 
 # Pointwise evaluators exposed for tests that need per-point residuals.
 POINT_EVALUATORS: dict[str, Callable[[CurvatureBundle], PointPairs]] = {
@@ -854,10 +763,6 @@ POINT_EVALUATORS: dict[str, Callable[[CurvatureBundle], PointPairs]] = {
 
 def registry_ids() -> tuple[str, ...]:
     return tuple(check.identity_id for check in REGISTRY)
-
-
-def default_tolerances() -> dict[str, float]:
-    return {check.identity_id: check.tolerance for check in REGISTRY}
 
 
 def evaluate_check(
@@ -872,23 +777,17 @@ def evaluate_check(
         raise ValueError("at least one curvature bundle is required")
     tol = check.tolerance if tolerance is None else float(tolerance)
     if not check.applies(model):
-        return IdentityReport(check.identity_id, check.paper_ref, 0, 0.0, 0.0, tol, NOT_APPLICABLE)
-    if check.collection_fn is not None:
-        result = check.collection_fn(model, bundles)
+        result = EvalResult(False)
+    elif check.collection_fn is not None:
+        result = check.collection_fn(bundles)
     else:
-        result = _pointwise_result(check.point_fn, bundles)
+        result = _worst_point([check.point_fn(b) for b in bundles])
     if not result.applicable:
-        return IdentityReport(
-            check.identity_id,
-            check.paper_ref,
-            0,
-            0.0,
-            0.0,
-            tol,
-            NOT_APPLICABLE,
-            extras=result.extras,
-        )
-    verdict = PASS if result.residual <= tol * max(1.0, result.scale) else FAIL
+        verdict = NOT_APPLICABLE
+    elif result.residual <= tol * max(1.0, result.scale):
+        verdict = PASS
+    else:
+        verdict = FAIL
     return IdentityReport(
         check.identity_id,
         check.paper_ref,
@@ -908,7 +807,7 @@ def run_model_suite(
 ) -> list[IdentityReport]:
     """All registry identities for one model, sorted by identity_id."""
     overrides = tolerances or {}
-    unknown = set(overrides) - set(_BY_ID)
+    unknown = set(overrides) - set(registry_ids())
     if unknown:
         raise ValueError(f"unknown identity ids in tolerance overrides: {sorted(unknown)}")
     reports = [

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -296,6 +297,17 @@ _SPATIAL_BOUNDS = (-1.2, 1.2)
 _ANGLE_BOUNDS = (0.3, math.pi - 0.3)
 
 
+def _number(params: dict, key: str, default: float) -> float:
+    """The finite real parameter ``key``, or ``default`` when it is absent.
+
+    Booleans, strings and non-finite values are rejected, not converted.
+    """
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"parameter {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _check_n(n: int) -> int:
     n = int(n)
     if not 4 <= n <= 7:
@@ -339,11 +351,11 @@ def _rw_flat(n: int | None, params: dict) -> MetricModel:
         raise ValueError(f"rw_flat scale choice must be one of {_RW_SCALE_CHOICES}")
     used: dict = {"f": choice}
     if choice == "exp":
-        h = float(params.get("H", 0.3))
+        h = _number(params, "H", 0.3)
         used["H"] = h
         scale_sq: EntryFn = lambda xj: jets.exp((2.0 * h) * xj[0])
     elif choice == "power":
-        k = float(params.get("k", 2.0))
+        k = _number(params, "k", 2.0)
         used["k"] = k
         scale_sq = lambda xj: jets.power(xj[0], 2.0 * k)
     else:
@@ -366,9 +378,9 @@ def _grw_product_spheres(n: int | None, params: dict) -> MetricModel:
     n = 5 if n is None else int(n)
     if n != 5:
         raise ValueError("grw_product_spheres is a five-dimensional model (n=5)")
-    r1 = float(params.get("r1", 1.0))
-    r2 = float(params.get("r2", 1.0))
-    h = float(params.get("H", 0.3))
+    r1 = _number(params, "r1", 1.0)
+    r2 = _number(params, "r2", 1.0)
+    h = _number(params, "H", 0.3)
     if r1 <= 0 or r2 <= 0:
         raise ValueError("sphere radii must be positive")
 
@@ -416,9 +428,9 @@ def _twisted_entries(n: int, alpha: float, beta: float, eps: float) -> dict:
 
 def _twisted_generic(n: int | None, params: dict) -> MetricModel:
     n = _check_n(5 if n is None else n)
-    alpha = float(params.get("alpha", 0.2))
-    beta = float(params.get("beta", 0.1))
-    eps = float(params.get("eps", 0.05))
+    alpha = _number(params, "alpha", 0.2)
+    beta = _number(params, "beta", 0.1)
+    eps = _number(params, "eps", 0.05)
     if not -0.9 < eps < 0.9:
         raise ValueError("fiber perturbation eps must keep the metric Riemannian (|eps| < 0.9)")
     return MetricModel(
@@ -453,10 +465,10 @@ def _twisted_n4(n: int | None, params: dict) -> MetricModel:
 
 def _non_twisted_perturbed(n: int | None, params: dict) -> MetricModel:
     n = _check_n(4 if n is None else n)
-    delta = float(params.get("delta", 0.1))
-    alpha = float(params.get("alpha", 0.2))
-    beta = float(params.get("beta", 0.1))
-    eps = float(params.get("eps", 0.05))
+    delta = _number(params, "delta", 0.1)
+    alpha = _number(params, "alpha", 0.2)
+    beta = _number(params, "beta", 0.1)
+    eps = _number(params, "eps", 0.05)
     entries = _twisted_entries(n, alpha, beta, eps)
     # The off-block perturbation must depend on a coordinate other than x1:
     # delta*sin(x1) dt dx1 is an exact form, absorbable into a time
@@ -490,18 +502,21 @@ def _custom_diagonal(n: int | None, params: dict) -> MetricModel:
     entries = {
         (i, i): compile_expression(str(src), n) for i, src in enumerate(exprs)
     }
-    declared = params.get("expected_failures")
-    if declared is None:
+    used = {"g_diag": list(map(str, exprs)), "expected_class": expected_class}
+    if "expected_failures" in params:
+        declared = params["expected_failures"]
+        if not isinstance(declared, (list, tuple)) or not all(isinstance(i, str) for i in declared):
+            raise ValueError(
+                f"'expected_failures' must be a list of identity ids, got {declared!r}"
+            )
+        expected_failures = frozenset(declared)
+        used["expected_failures"] = sorted(expected_failures)
+    else:
         # Failing the torse-forming check is what "non_twisted" means; any
         # further expected failures are model knowledge the user declares.
         expected_failures = (
             frozenset({"torse_forming"}) if expected_class == "non_twisted" else frozenset()
         )
-    else:
-        expected_failures = frozenset(map(str, declared))
-    used = {"g_diag": list(map(str, exprs)), "expected_class": expected_class}
-    if declared is not None:
-        used["expected_failures"] = sorted(expected_failures)
     return MetricModel(
         name="custom_diagonal",
         n=n,
@@ -530,11 +545,20 @@ CATALOG_NAMES = tuple(_BUILDERS)
 def builtin_model(name: str, n: int | None = None, parameters: dict | None = None) -> MetricModel:
     """Instantiate a catalog model by name.
 
-    Raises ``ValueError`` for unknown names or invalid parameters.
+    Raises ``ValueError`` for unknown names, invalid parameters, or parameter
+    keys the model does not read (each builder records the keys it reads in
+    the model's ``parameters``).
     """
     if name not in _BUILDERS:
         raise ValueError(f"unknown model {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
-    return _BUILDERS[name](n, dict(parameters or {}))
+    params = dict(parameters or {})
+    model = _BUILDERS[name](n, params)
+    unread = sorted(set(params) - set(model.parameters))
+    if unread:
+        raise ValueError(
+            f"unknown parameters {unread} for {name}; it reads {sorted(model.parameters)}"
+        )
+    return model
 
 
 def default_model_specs() -> list[tuple[str, int, dict]]:

@@ -322,6 +322,39 @@ def test_tensor_dump_rejects_non_finite_coordinate(capsys):
         ({"tolerances": {"torse_forming": float("nan")}}, "must be finite and positive"),
         ({"tolerances": {"torse_forming": "tight"}}, "must be a number"),
         ({"tolerances": [1e-9]}, "tolerances must be an object"),
+        ({"models": []}, "models must list at least one model entry"),
+        ({"models": [{"name": ["twisted_generic"]}]}, "model-entry 'name' must be a string"),
+        ({"output_path": 1}, "output_path must be a file path string, got 1"),
+        (
+            {"models": [{"name": "minkowski", "label": "a"}, {"name": "rw_flat", "label": 5}]},
+            "model-entry 'label' must be a string, got 5",
+        ),
+        (
+            {"models": [{"name": "minkowski", "label": "a"}, {"name": "rw_flat", "label": "a"}]},
+            "model labels must be unique; repeated: ['a']",
+        ),
+        (
+            {"models": [{"name": "twisted_generic", "n": 5}, {"name": "minkowski", "label": "twisted_generic_n5"}]},
+            "model labels must be unique; repeated: ['twisted_generic_n5']",
+        ),
+        ({"models": [{"name": "twisted_generic", "parameters": {"alhpa": 0.5}}]}, "unknown parameters ['alhpa']"),
+        ({"models": [{"name": "rw_flat", "parameters": {"f": "power", "H": 0.3}}]}, "unknown parameters ['H']"),
+        ({"models": [{"name": "twisted_generic", "parameters": {"alpha": float("nan")}}]}, "'alpha' must be a finite number"),
+        ({"models": [{"name": "grw_product_spheres", "parameters": {"H": float("inf")}}]}, "'H' must be a finite number"),
+        ({"models": [{"name": "non_twisted_perturbed", "parameters": {"delta": True}}]}, "'delta' must be a finite number"),
+        ({"models": [{"name": "twisted_generic", "parameters": {"eps": "0.05"}}]}, "'eps' must be a finite number"),
+        (
+            {
+                "models": [
+                    {
+                        "name": "custom_diagonal",
+                        "n": 4,
+                        "parameters": {"g_diag": ["-1", "1", "1", "1"], "expected_failures": "torse_forming"},
+                    }
+                ]
+            },
+            "'expected_failures' must be a list of identity ids, got 'torse_forming'",
+        ),
     ],
 )
 def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, config, message):
@@ -339,6 +372,17 @@ def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, config, mess
 def test_malformed_flags_exit_two(capsys, flags):
     assert main(["verify", "--points", "2", *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "param, message",
+    [("alhpa=3", "unknown parameters ['alhpa']"), ("alpha=nan", "'alpha' must be a finite number")],
+)
+def test_tensor_dump_rejects_bad_parameter(capsys, param, message):
+    argv = ["tensor-dump", "phi", "--model", "twisted_generic", "--param", param, "--point", "0.5,0.1,0.2,0.3,0.4"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
 
 
 def load_config_from_dict(data):

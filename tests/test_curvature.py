@@ -7,8 +7,6 @@ from conftest import fd_tensor_partials
 from weylgeom import build_bundle, builtin_model, sample_points
 from weylgeom import jets
 from weylgeom.curvature import (
-    TensorField,
-    christoffel,
     christoffel_from_jets,
     covariant_derivative,
     riemann_ricci_scalar,
@@ -50,7 +48,7 @@ def test_rw_flat_christoffel_analytic():
     h = 0.3
     m = builtin_model("rw_flat", 4, {"f": "exp", "H": h})
     t = 0.9
-    conn = christoffel(m, np.array([t, 0.4, -0.2, 0.7]))
+    conn = christoffel_from_jets(m.metric_jets(np.array([t, 0.4, -0.2, 0.7])))
     f = np.exp(h * t)
     df = h * f
     for mu in range(1, 4):
@@ -94,24 +92,22 @@ def test_metric_compatibility(small_bundles):
     model, bundles = small_bundles["twisted_generic_n5"]
     for b in bundles:
         mj = model.metric_jets(b.points)
-        nabla_g = covariant_derivative(
-            TensorField((DOWN, DOWN), mj.value, mj.d1), b.christoffel
-        )
+        nabla_g = covariant_derivative((DOWN, DOWN), mj.value, mj.d1, b.christoffel)
         assert max_abs(nabla_g) < 1e-11
 
 
 def test_covariant_derivative_of_constant_scalar_is_zero():
     m = builtin_model("twisted_generic", 5)
     b = build_bundle(m, sample_points(m, 1, 0))
-    field = TensorField((), np.full(1, 3.7), np.zeros((1, 5)))
-    assert max_abs(covariant_derivative(field, b.christoffel)) == 0.0
+    nabla = covariant_derivative((), np.full(1, 3.7), np.zeros((1, 5)), b.christoffel)
+    assert max_abs(nabla) == 0.0
 
 
 def test_covariant_derivative_requires_derivative_data():
     m = builtin_model("minkowski", 4)
     b = build_bundle(m, np.array([[0.1, 0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="missing coordinate-derivative data"):
-        covariant_derivative(TensorField((DOWN,), np.zeros((1, 4)), None), b.christoffel)
+        covariant_derivative((DOWN,), np.zeros((1, 4)), None, b.christoffel)
 
 
 def test_second_bianchi_identity(small_bundles):
@@ -120,9 +116,7 @@ def test_second_bianchi_identity(small_bundles):
         # The bundle keeps no ∂Riemann; the kernels give it.
         mj = model.metric_jets(b.points)
         curv = riemann_ricci_scalar(mj, christoffel_from_jets(mj))
-        nr = covariant_derivative(
-            TensorField((DOWN,) * 4, curv.riemann, curv.d_riemann), b.christoffel
-        )
+        nr = covariant_derivative((DOWN,) * 4, curv.riemann, curv.d_riemann, b.christoffel)
         cyc = nr + np.einsum("...cabde->...eabcd", nr) + np.einsum("...dabec->...eabcd", nr)
         assert _pointwise_below(cyc, nr, 1e-9)
 
@@ -296,9 +290,7 @@ def test_weyl_divergence_matches_finite_differences():
         for p in sample_points(m, 3, 17):
             b = build_bundle(m, p[None])
             d_weyl_fd = fd_tensor_partials(weyl_at, p)
-            nabla_fd = covariant_derivative(
-                TensorField((DOWN,) * 4, b.weyl[0], d_weyl_fd), b.christoffel[0]
-            )
+            nabla_fd = covariant_derivative((DOWN,) * 4, b.weyl[0], d_weyl_fd, b.christoffel[0])
             div_fd = np.einsum("ps,pikms->ikm", b.g_inv[0], nabla_fd)
             scale = max(1.0, max_abs(b.nabla_weyl))
             assert max_abs(nabla_fd - b.nabla_weyl[0]) < 2e-5 * scale

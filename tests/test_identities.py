@@ -1,5 +1,7 @@
 """Identity evaluators: positive models, the negative control, and reports."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,9 @@ from weylgeom.identities import (
     report_ok,
     registry_ids,
     run_model_suite,
+    _wedge,
 )
-from weylgeom.tensors import max_abs
+from weylgeom.tensors import kulkarni_nomizu, max_abs
 
 _BY_ID = {check.identity_id: check for check in REGISTRY}
 
@@ -280,6 +283,92 @@ def test_divergence_free_suite_not_applicable_on_twisted(small_bundles):
     # Hypotheses fail measurably, and the measurements are logged.
     assert reports["electric_zero_implies_divfree"].extras["max_electric"] > 1e-4
     assert reports["divfree_corollary"].extras["max_div_weyl"] > 1e-3
+
+
+# Verdict and extras keys of every collection check on a model where it runs
+# and on one where it does not (by model class, or by a measured hypothesis).
+COLLECTION_REPORTS = {
+    "electric_contraction_iff": (
+        ("twisted_generic_n5", PASS, {"max_electric", "max_weyl_u"}),
+        ("non_twisted_perturbed_n4", NOT_APPLICABLE, set()),
+    ),
+    "electric_iff_n4": (
+        ("twisted_n4", PASS, {"max_electric", "max_weyl"}),
+        ("twisted_generic_n5", NOT_APPLICABLE, set()),
+    ),
+    "electric_zero_implies_divfree": (
+        ("grw_product_spheres_n5", PASS, {"max_electric", "max_weyl"}),
+        ("twisted_generic_n5", NOT_APPLICABLE, {"max_div_weyl", "max_electric", "max_weyl"}),
+    ),
+    "divfree_corollary": (
+        ("grw_product_spheres_n5", PASS, {"max_div_weyl", "max_nabla_weyl"}),
+        ("twisted_generic_n5", NOT_APPLICABLE, {"max_div_weyl", "max_nabla_weyl"}),
+    ),
+    "electric_gradient_recurrence": (
+        ("rw_flat_n5", PASS, {"max_div_weyl", "max_nabla_weyl"}),
+        ("twisted_n4", NOT_APPLICABLE, {"max_div_weyl", "max_nabla_weyl"}),
+    ),
+    "weyl_u_recurrence": (
+        ("grw_product_spheres_n5", PASS, {"max_div_weyl", "max_nabla_weyl"}),
+        ("twisted_generic_n6", NOT_APPLICABLE, {"max_div_weyl", "max_nabla_weyl"}),
+    ),
+}
+
+
+def test_collection_checks_verdicts_and_extras(small_bundles):
+    assert set(COLLECTION_REPORTS) == {c.identity_id for c in REGISTRY if c.collection_fn}
+    for identity_id, cases in COLLECTION_REPORTS.items():
+        for label, verdict, extras in cases:
+            model, bundles = small_bundles[label]
+            report = _report(identity_id, model, bundles)
+            assert report.verdict == verdict, (identity_id, label)
+            assert set(report.extras) == extras, (identity_id, label)
+            points = 0 if verdict == NOT_APPLICABLE else 6
+            assert report.points_tested == points, (identity_id, label)
+            assert all(np.isfinite(v) and v >= 0.0 for v in report.extras.values())
+
+
+def test_kulkarni_nomizu_matches_n4_paper_patterns():
+    # The paper_refs of electric_rep_n4 and reconstruction_n4 spell out
+    # 2 (u⊗u)∧E + g∧E and g∧E index by index; the evaluators use the product.
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=4)
+    g = rng.normal(size=(4, 4))
+    g = g + g.T
+    e = rng.normal(size=(4, 4))
+    e = e + e.T
+    kn_uu = kulkarni_nomizu(np.outer(u, u), e)
+    kn_g = kulkarni_nomizu(g, e)
+    rep = 2.0 * kn_uu + kn_g
+    for a, b, c, d in itertools.product(range(4), repeat=4):
+        uu_part = (
+            u[a] * u[d] * e[b, c]
+            - u[a] * u[c] * e[b, d]
+            + u[b] * u[c] * e[a, d]
+            - u[b] * u[d] * e[a, c]
+        )
+        g_rep = g[a, d] * e[b, c] - g[a, c] * e[b, d] + g[b, c] * e[a, d] - g[b, d] * e[a, c]
+        g_recon = g[a, d] * e[b, c] - g[b, d] * e[a, c] - g[a, c] * e[b, d] + g[b, c] * e[a, d]
+        assert abs(rep[a, b, c, d] - (2.0 * uu_part + g_rep)) < 1e-13
+        assert abs(kn_g[a, b, c, d] - g_recon) < 1e-13
+
+
+def test_wedge_matches_divergence_formula_patterns():
+    # weyl_divergence_formula's paper_ref writes u_i E_km - u_k E_im and
+    # (2u_k u_m + g_km) ∇_p E_i^p - (2u_i u_m + g_im) ∇_p E_k^p index by index.
+    rng = np.random.default_rng(12)
+    u = rng.normal(size=(2, 5))
+    d = rng.normal(size=(2, 5))
+    g = rng.normal(size=(2, 5, 5))
+    e = rng.normal(size=(2, 5, 5))
+    antisym = _wedge(u, e)
+    proj = _wedge(d, 2.0 * np.einsum("...k,...m->...km", u, u) + g)
+    for p, i, k, m in itertools.product(range(2), range(5), range(5), range(5)):
+        assert antisym[p, i, k, m] == u[p, i] * e[p, k, m] - u[p, k] * e[p, i, m]
+        expected = (2.0 * u[p, k] * u[p, m] + g[p, k, m]) * d[p, i] - (
+            2.0 * u[p, i] * u[p, m] + g[p, i, m]
+        ) * d[p, k]
+        assert abs(proj[p, i, k, m] - expected) < 1e-13
 
 
 def test_report_roundtrip():
