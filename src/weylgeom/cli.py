@@ -141,6 +141,8 @@ def _validate_config(config: RunConfig) -> RunConfig:
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise ValueError(f"model-entry 'label' must be a string, got {label!r}")
+        if label == "":
+            raise ValueError("model-entry 'label' must not be empty")
         parameters = entry.get("parameters") or {}
         if not isinstance(parameters, dict):
             raise ValueError(f"model-entry 'parameters' must be an object, got {parameters!r}")

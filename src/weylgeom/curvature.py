@@ -23,6 +23,13 @@ of them at every sampled point.
 Every kernel works on arrays with leading point axes (written ``...`` in the
 index notation below), so one call evaluates a whole chunk of points; see
 :class:`CurvatureBundle` for the layout.
+
+Contraction layout: every sum over an index is a matrix product (``@``) on
+reshaped views, with the summed index as the inner dimension and the other
+slots flattened into rows or columns.  The point axes and the derivative
+slots (p, q) are batch axes of ``@``, or join the rows when they belong to
+the factor that is not broadcast.  Index permutations and outer products,
+which sum nothing, stay ``np.einsum`` views and broadcasts.
 """
 
 from __future__ import annotations
@@ -48,9 +55,6 @@ __all__ = [
     "weyl_remainder_tensor",
     "build_bundle",
 ]
-
-_LETTERS = "abcde"
-
 
 @dataclass(frozen=True, eq=False)
 class Connection:
@@ -112,20 +116,25 @@ def christoffel_from_jets(mj: MetricJets) -> Connection:
     dk = np.einsum("...pbdc->...pdbc", d2g) + np.einsum("...pcdb->...pdbc", d2g) - d2g
     d2k = np.einsum("...pqbdc->...pqdbc", d3g) + np.einsum("...pqcdb->...pqdbc", d3g) - d3g
 
-    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", g_inv, k)
-    d_gamma = 0.5 * (
-        np.einsum("...pad,...dbc->...pabc", d_g_inv, k)
-        + np.einsum("...ad,...pdbc->...pabc", g_inv, dk)
-    )
-    # ∂_p g⁻¹ ∂_q k + ∂_q g⁻¹ ∂_p k is one product plus its (p, q) exchange.
-    # The sum accumulates in place, like the other n**5-per-point sums, to
-    # bound the temporaries a chunk holds.
-    mixed = np.einsum("...pad,...qdbc->...pqabc", d_g_inv, dk)
-    d2_gamma = np.einsum("...pqad,...dbc->...pqabc", d2_g_inv, k)
-    d2_gamma += mixed
-    d2_gamma += mixed.swapaxes(-5, -4)
-    del mixed
-    d2_gamma += np.einsum("...ad,...pqdbc->...pqabc", g_inv, d2k)
+    # Γ = g⁻¹ k / 2 and its derivatives by the product rule, each term one
+    # matrix product over d: (b, c) flatten into the columns, derivative
+    # slots either join the rows of g⁻¹'s derivative or stay batch axes.
+    lead, n = g_inv.shape[:-2], mj.n
+    k_cols = k.reshape(lead + (n, n * n))
+    dk_cols = dk.reshape(lead + (n, n, n * n))
+    gamma = 0.5 * (g_inv @ k_cols).reshape(k.shape)
+    d_gamma = (d_g_inv.reshape(lead + (n * n, n)) @ k_cols).reshape(dk.shape)
+    d_gamma += (g_inv[..., None, :, :] @ dk_cols).reshape(dk.shape)
+    d_gamma *= 0.5
+    # swapped[q, p] = ∂_p g⁻¹ ∂_q k; with its (p, q) exchange it gives the
+    # symmetric cross term.  The sum accumulates in place, like the other
+    # n**5-per-point sums, to bound the temporaries a chunk holds.
+    swapped = (d_g_inv.reshape(lead + (1, n * n, n)) @ dk_cols).reshape(d2k.shape)
+    d2_gamma = (d2_g_inv.reshape(lead + (n**3, n)) @ k_cols).reshape(d2k.shape)
+    d2_gamma += swapped.swapaxes(-5, -4)
+    d2_gamma += swapped
+    del swapped
+    d2_gamma += (g_inv[..., None, :, :] @ d2k.reshape(lead + (n * n, n, n * n))).reshape(d2k.shape)
     d2_gamma *= 0.5
     return Connection(g_inv, d_g_inv, d2_g_inv, gamma, d_gamma, d2_gamma)
 
@@ -133,28 +142,42 @@ def christoffel_from_jets(mj: MetricJets) -> Connection:
 def riemann_ricci_scalar(mj: MetricJets, conn: Connection) -> Curvature:
     """Covariant Riemann tensor, Ricci tensor, curvature scalar and their ∂'s."""
     gamma, d_gamma, d2_gamma = conn.gamma, conn.d_gamma, conn.d2_gamma
+    lead, n = gamma.shape[:-3], mj.n
+    # gg[a, c, d, b] = Γ^a_ce Γ^e_db is one product over e; the Riemann
+    # tensor takes it minus its (c, d) exchange.
+    gamma_rows = gamma.reshape(lead + (n * n, n))
+    gamma_cols = gamma.reshape(lead + (n, n * n))
+    gg = (gamma_rows @ gamma_cols).reshape(lead + (n,) * 4)
     r_up = (
         np.einsum("...cadb->...abcd", d_gamma)
         - np.einsum("...dacb->...abcd", d_gamma)
-        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
-        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
+        + np.einsum("...acdb->...abcd", gg)
+        - np.einsum("...adcb->...abcd", gg)
     )
-    # Sums of n**5-per-point terms accumulate in place, so a chunk holds one
-    # temporary of that size at a time.
+    # Sums of n**5-per-point terms accumulate in place, so a chunk holds two
+    # temporaries of that size at a time.
     d_r_up = np.einsum("...pcadb->...pabcd", d2_gamma) - np.einsum("...pdacb->...pabcd", d2_gamma)
-    d_r_up += np.einsum("...pace,...edb->...pabcd", d_gamma, gamma)
-    d_r_up += np.einsum("...ace,...pedb->...pabcd", gamma, d_gamma)
-    d_r_up -= np.einsum("...pade,...ecb->...pabcd", d_gamma, gamma)
-    d_r_up -= np.einsum("...ade,...pecb->...pabcd", gamma, d_gamma)
-    riemann = np.einsum("...ae,...ebcd->...abcd", mj.value, r_up)
-    d_riemann = np.einsum("...pae,...ebcd->...pabcd", mj.d1, r_up)
-    d_riemann += np.einsum("...ae,...pebcd->...pabcd", mj.value, d_r_up)
-    ricci = np.einsum("...abad->...bd", r_up)
-    d_ricci = np.einsum("...pabad->...pbd", d_r_up)
-    scalar = np.einsum("...bd,...bd->...", conn.g_inv, ricci)
-    d_scalar = np.einsum("...pbd,...bd->...p", conn.d_g_inv, ricci) + np.einsum(
-        "...bd,...pbd->...p", conn.g_inv, d_ricci
+    d_gg = (d_gamma.reshape(lead + (n**3, n)) @ gamma_cols).reshape(d2_gamma.shape)
+    d_gg += (gamma_rows[..., None, :, :] @ d_gamma.reshape(lead + (n, n, n * n))).reshape(d_gg.shape)
+    d_r_up += np.einsum("...pacdb->...pabcd", d_gg)
+    d_r_up -= np.einsum("...padcb->...pabcd", d_gg)
+    del d_gg
+    # Lowering a = g_ae R^e_bcd: one product over e, (b, c, d) in the columns.
+    r_up_cols = r_up.reshape(lead + (n, n**3))
+    riemann = (mj.value @ r_up_cols).reshape(r_up.shape)
+    d_riemann = (mj.d1.reshape(lead + (n * n, n)) @ r_up_cols).reshape(d_r_up.shape)
+    d_riemann += (mj.value[..., None, :, :] @ d_r_up.reshape(lead + (n, n, n**3))).reshape(
+        d_r_up.shape
     )
+    ricci = np.trace(r_up, axis1=-4, axis2=-2)
+    d_ricci = np.trace(d_r_up, axis1=-4, axis2=-2)
+    ricci_col = ricci.reshape(lead + (n * n, 1))
+    g_inv_col = conn.g_inv.reshape(lead + (n * n, 1))
+    scalar = (np.swapaxes(g_inv_col, -1, -2) @ ricci_col)[..., 0, 0]
+    d_scalar = (
+        conn.d_g_inv.reshape(lead + (n, n * n)) @ ricci_col
+        + d_ricci.reshape(lead + (n, n * n)) @ g_inv_col
+    )[..., 0]
     return Curvature(riemann, d_riemann, ricci, d_ricci, scalar, d_scalar)
 
 
@@ -164,39 +187,25 @@ def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
     if n < 4:
         raise ValueError("Weyl undefined for n < 4")
     g, dg = mj.value, mj.d1
-    ric, d_ric = curv.ricci, curv.d_ricci
-
-    # s_jklm = g_jl R_km - g_jm R_kl + g_km R_jl - g_kl R_jm and
-    # w2_jklm = g_jl g_km - g_jm g_kl are a product A_jklm = a_jl b_km with
-    # l, m and then j, k exchanged; so are their derivatives (slot p first).
-    def exchange_lm(a):
-        return a - a.swapaxes(-1, -2)
+    # C_jklm = R_jklm - A_jklm, where A is g_jl S_km with l, m and then j, k
+    # exchanged, S the Schouten tensor (R_km - R g_km / (2(n-1))) / (n-2).
+    # This is the docstring's formula with its two metric terms folded into
+    # one, so ∂C is ∂Riemann less one product-rule pair (slot p first).
+    c = 0.5 / (n - 1)
+    scalar = curv.scalar[..., None, None]
+    schouten = (curv.ricci - c * scalar * g) / (n - 2)
+    d_scalar = curv.d_scalar[..., None, None]
+    d_schouten = curv.d_ricci - c * (d_scalar * g[..., None, :, :] + scalar[..., None] * dg)
+    d_schouten /= n - 2
 
     def exchange_lm_jk(a):
-        b = exchange_lm(a)
+        b = a - a.swapaxes(-1, -2)
         return b - b.swapaxes(-4, -3)
 
-    s = exchange_lm_jk(np.einsum("...jl,...km->...jklm", g, ric))
-    d_s = np.einsum("...pjl,...km->...pjklm", dg, ric)
-    d_s += np.einsum("...jl,...pkm->...pjklm", g, d_ric)
-    d_s = exchange_lm_jk(d_s)
-    w2 = exchange_lm(np.einsum("...jl,...km->...jklm", g, g))
-    d_w2 = np.einsum("...pjl,...km->...pjklm", dg, g)
-    d_w2 += np.einsum("...jl,...pkm->...pjklm", g, dg)
-    d_w2 = exchange_lm(d_w2)
-    c1 = 1.0 / (n - 2)
-    c2 = 1.0 / ((n - 1) * (n - 2))
-    scalar = curv.scalar[..., None, None, None, None]
-    weyl_c = curv.riemann - c1 * s + c2 * scalar * w2
-    # d_weyl = ∂Riemann - c1 ∂s + c2 (∂R w2 + R ∂w2), accumulated in place.
-    d_s *= c1
-    d_weyl_c = curv.d_riemann - d_s
-    del d_s
-    d_w2 *= scalar[..., None]
-    scalar_term = np.einsum("...p,...jklm->...pjklm", curv.d_scalar, w2)
-    scalar_term += d_w2
-    scalar_term *= c2
-    d_weyl_c += scalar_term
+    weyl_c = curv.riemann - exchange_lm_jk(np.einsum("...jl,...km->...jklm", g, schouten))
+    d_product = np.einsum("...pjl,...km->...pjklm", dg, schouten)
+    d_product += np.einsum("...jl,...pkm->...pjklm", g, d_schouten)
+    d_weyl_c = curv.d_riemann - exchange_lm_jk(d_product)
     return WeylData(weyl_c, d_weyl_c)
 
 
@@ -211,20 +220,25 @@ def covariant_derivative(
     Signs follow variance: ``+Γ`` corrections for up slots, ``-Γ`` for down
     slots.
     """
-    rank = len(variance)
     if d1 is None:
         raise ValueError("missing coordinate-derivative data for covariant derivative")
-    if rank > len(_LETTERS):
-        raise ValueError("rank too large for covariant derivative")
     comp = np.asarray(components, dtype=float)
     nabla = np.array(d1, dtype=float)
-    idx = _LETTERS[:rank]
+    lead, n = gamma.shape[:-3], gamma.shape[-1]
+    first = len(lead)  # axis of the first tensor slot
+    # Γ as a matrix whose columns contract the slot: rows (p, a) from Γ^z_pa
+    # for a down slot, rows (a, p) from Γ^a_pz for an up slot.
+    down = np.swapaxes(gamma.reshape(lead + (n, n * n)), -1, -2)
+    up = gamma.reshape(lead + (n * n, n))
     for slot, flag in enumerate(variance):
-        src = idx[:slot] + "z" + idx[slot + 1 :]
+        moved = np.moveaxis(comp, first + slot, first)
+        rest = moved.shape[first + 1 :]
+        cols = moved.reshape(lead + (n, -1))
+        term = ((down if flag == DOWN else up) @ cols).reshape(lead + (n, n) + rest)
         if flag == DOWN:
-            nabla -= np.einsum(f"...zp{idx[slot]},...{src}->...p{idx}", gamma, comp)
+            nabla -= np.moveaxis(term, first + 1, first + 1 + slot)
         else:
-            nabla += np.einsum(f"...{idx[slot]}pz,...{src}->...p{idx}", gamma, comp)
+            nabla += np.moveaxis(term.swapaxes(first, first + 1), first + 1, first + 1 + slot)
     return nabla
 
 
@@ -344,21 +358,29 @@ def build_bundle(model: MetricModel, points: ChartPoint) -> CurvatureBundle:
     nabla_u_up = covariant_derivative((UP,), u_up, np.zeros(coords.shape + (n,)), gamma)
 
     hubble = np.trace(nabla_u_up, axis1=-2, axis2=-1) / (n - 1)
-    d_hubble = np.einsum("...pkke,e->...p", conn.d_gamma, u) / (n - 1)
+    d_hubble = np.trace(conn.d_gamma, axis1=-3, axis2=-2) @ u / (n - 1)
 
-    electric = np.einsum("j,m,...jklm->...kl", u, u, wd.weyl)
-    d_electric = np.einsum("j,m,...pjklm->...pkl", u, u, wd.d_weyl)
+    # E_kl = u^j C_jklm u^m: u contracted into the last slot, then the first.
+    lead = coords.shape[:1]
+    electric = u @ (wd.weyl.reshape(lead + (n**3, n)) @ u).reshape(lead + (n, n * n))
+    electric = electric.reshape(lead + (n, n))
+    d_electric = u @ (wd.d_weyl.reshape(lead + (n**4, n)) @ u).reshape(lead + (n, n, n * n))
+    d_electric = d_electric.reshape(lead + (n,) * 3)
     nabla_electric = covariant_derivative((DOWN, DOWN), electric, d_electric, gamma)
-    div_electric = np.einsum("...ps,...pis->...i", conn.g_inv, nabla_electric)
+    # Divergences g^ps ∇_p T_...s: for each p, T's last slot times row p of g⁻¹,
+    # then the sum over p.
+    g_inv_rows = conn.g_inv[..., None]
+    div_electric = (nabla_electric @ g_inv_rows).sum(axis=-3)[..., 0]
 
     nabla_weyl = covariant_derivative((DOWN,) * 4, wd.weyl, wd.d_weyl, gamma)
-    div_weyl = np.einsum("...ps,...pikms->...ikm", conn.g_inv, nabla_weyl)
+    div_weyl = (nabla_weyl.reshape(lead + (n, n**3, n)) @ g_inv_rows).sum(axis=-3)
+    div_weyl = div_weyl.reshape(lead + (n,) * 3)
 
     remainder = weyl_remainder_tensor(mj.value, u_down, wd.weyl, electric, n)
 
     raychaudhuri = (n - 1) * (d_hubble @ u + hubble * hubble)
     proj = conn.g_inv + np.multiply.outer(u, u)
-    hubble_grad_up = np.einsum("...ab,...b->...a", proj, d_hubble)
+    hubble_grad_up = (proj @ d_hubble[..., None])[..., 0]
 
     bundle = CurvatureBundle(
         points=coords,

@@ -14,10 +14,13 @@ fail on a model are reported ``not-applicable`` with the measured magnitudes
 attached, never asserted.
 
 The evaluators share a few building blocks, each computed at most once per
-chunk (``_Shared``): the Kulkarni-Nomizu blocks (u⊗u) ∧ E and g ∧ E of the
-Weyl decomposition, the antisymmetric pair u_i E_km - u_k E_im (``_wedge``),
-transports along u, and the squared norms.  One rule (``_is_zero``) judges
-every measured hypothesis.
+chunk while the pointwise checks run on it (``_Shared``): the
+Kulkarni-Nomizu blocks (u⊗u) ∧ E and g ∧ E of the Weyl decomposition, the
+antisymmetric pair u_i E_km - u_k E_im (``_wedge``), transports along u,
+and the squared norms.  The suite runs every pointwise check on one chunk
+before the next and then drops that chunk's blocks, so collection checks
+recompute the few they name.  One rule (``_is_zero``) judges every measured
+hypothesis.
 
 The negative-control model declares which identities it is expected to fail;
 the runner treats an expected failure as a success of the suite's
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -114,6 +117,19 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
 
+def _into_first(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``v^p t_p...``: the vectors ``v`` (P, n) contracted into the first slot
+    of ``t`` after the point axis, as one product per point."""
+    points, n = v.shape
+    return (v[:, None, :] @ t.reshape(points, n, -1)).reshape(t.shape[:1] + t.shape[2:])
+
+
+def _into_last(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``t_...m v^m``: the vectors ``v`` (P, n) contracted into the last slot of ``t``."""
+    points, n = v.shape
+    return (t.reshape(points, -1, n) @ v[:, :, None]).reshape(t.shape[:-1])
+
+
 def _wedge(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The antisymmetric pair ``wedge(v, t)_ikm = v_i t_km - v_k t_im``."""
     vt = v[..., :, None, None] * t[..., None, :, :]
@@ -131,7 +147,7 @@ class _Shared:
     """Quantities several evaluators use, each computed at most once per chunk.
 
     Holds its bundle through a weak proxy, so the cache entry in ``_SHARED``
-    goes away with the bundle.  Bundle fields read through it too, so the
+    goes away with the bundle, or earlier when ``_chunkwise`` moves past it.  Bundle fields read through it too, so the
     collection checks can name a shared quantity or a field alike.
     """
 
@@ -144,22 +160,22 @@ class _Shared:
     @cached_property
     def acceleration(self) -> np.ndarray:
         """u^p ∇_p u_a (zero exactly when u is torse-forming)."""
-        return np.einsum("...p,...pa->...a", self.b.u_up, self.b.nabla_u_down)
+        return _into_first(self.b.u_up, self.b.nabla_u_down)
 
     @cached_property
     def electric_along_u(self) -> np.ndarray:
         """u^p ∇_p E_kl."""
-        return np.einsum("...p,...pkl->...kl", self.b.u_up, self.b.nabla_electric)
+        return _into_first(self.b.u_up, self.b.nabla_electric)
 
     @cached_property
     def weyl_u(self) -> np.ndarray:
         """C_jklm u^m."""
-        return np.einsum("...jklm,...m->...jkl", self.b.weyl, self.b.u_up)
+        return _into_last(self.b.weyl, self.b.u_up)
 
     @cached_property
     def weyl_along_u(self) -> np.ndarray:
         """u^p ∇_p C_jklm."""
-        return np.einsum("...p,...pjklm->...jklm", self.b.u_up, self.b.nabla_weyl)
+        return _into_first(self.b.u_up, self.b.nabla_weyl)
 
     @cached_property
     def kn_uu(self) -> np.ndarray:
@@ -221,6 +237,14 @@ def _shared(b: CurvatureBundle) -> _Shared:
     return shared
 
 
+def _chunkwise(bundles: Sequence[CurvatureBundle]):
+    """The chunks in order, each one's shared quantities dropped when the
+    caller moves on to the next, so one chunk's at most stay alive."""
+    for b in bundles:
+        yield b
+        _SHARED.pop(b, None)
+
+
 # ---------------------------------------------------------------------------
 # Pointwise evaluators: bundle (P points) -> (residual, scale), each (P,)
 # ---------------------------------------------------------------------------
@@ -229,7 +253,7 @@ def _shared(b: CurvatureBundle) -> _Shared:
 def _torse_forming(b: CurvatureBundle) -> PointPairs:
     rhs = _slots(b.hubble_rate, 2) * (b.g + _outer(b.u_down, b.u_down))
     residual, scale = _pair(b.nabla_u_down, rhs)
-    u_norm = np.abs(np.einsum("...a,...a->...", b.u_down, b.u_up) + 1.0)
+    u_norm = np.abs(_into_last(b.u_down, b.u_up) + 1.0)
     return np.maximum(residual, u_norm), scale
 
 
@@ -248,7 +272,7 @@ def _ricci_form(b: CurvatureBundle) -> PointPairs:
     u = b.u_down
     xi = b.raychaudhuri_scalar
     r = b.scalar_curvature
-    v_down = np.einsum("...ab,...b->...a", b.g, b.hubble_gradient_up)
+    v_down = _into_last(b.g, b.hubble_gradient_up)
     rhs = (
         _slots((r - n * xi) / (n - 1), 2) * _outer(u, u)
         + _slots((r - xi) / (n - 1), 2) * b.g
@@ -259,7 +283,7 @@ def _ricci_form(b: CurvatureBundle) -> PointPairs:
 
 def _hubble_gradient_spacelike(b: CurvatureBundle) -> PointPairs:
     v = b.hubble_gradient_up
-    return np.abs(np.einsum("...a,...a->...", v, b.u_down)), _pmax(v)
+    return np.abs(_into_last(v, b.u_down)), _pmax(v)
 
 
 def _lovelock_n4(b: CurvatureBundle) -> PointPairs:
@@ -276,7 +300,8 @@ def _lovelock_n4(b: CurvatureBundle) -> PointPairs:
 
 def _quarter_trace_n4(b: CurvatureBundle) -> PointPairs:
     c = b.weyl
-    t = np.einsum("...abcr,...abcs->...rs", c, raise_all(c, b.g_inv))
+    rows = (len(c), -1, b.n)  # (abc, r) per point
+    t = np.swapaxes(c.reshape(rows), -1, -2) @ raise_all(c, b.g_inv).reshape(rows)
     return _pair(t, _slots(0.25 * _shared(b).weyl_sq, 2) * np.eye(b.n))
 
 
@@ -285,9 +310,9 @@ def _reconstruction_n4(b: CurvatureBundle) -> PointPairs:
     letters = "abcd"
     # u^m contracted into each slot of C, times u carrying that slot's index.
     u_terms = 0.0
-    for s in letters:
+    for slot, s in enumerate(letters):
         rest = letters.replace(s, "")
-        q = np.einsum(f"...m,...{letters.replace(s, 'm')}->...{rest}", b.u_up, c)
+        q = _into_last(np.moveaxis(c, 1 + slot, -1), b.u_up)
         u_terms = u_terms + np.einsum(f"...{s},...{rest}->...{letters}", b.u_down, q)
     return _pair(c, _shared(b).kn_g - u_terms)
 
@@ -311,19 +336,21 @@ def _remainder_curvature_symmetries(b: CurvatureBundle) -> PointPairs:
 
 def _remainder_traceless(b: CurvatureBundle) -> PointPairs:
     t = b.weyl_remainder
+    n = b.n
+    g_inv = b.g_inv.reshape(len(t), n * n)
     worst = np.zeros(len(t))
-    for s, r in itertools.combinations("iklm", 2):
-        spec = f"...{s}{r},...iklm->..." + "iklm".replace(s, "").replace(r, "")
-        worst = np.maximum(worst, _pmax(np.einsum(spec, b.g_inv, t)))
+    for pair in itertools.combinations((1, 2, 3, 4), 2):
+        # g^sr contracted into the slot pair (s, r), both moved to the end.
+        traced = _into_last(np.moveaxis(t, pair, (-2, -1)).reshape(len(t), n, n, n * n), g_inv)
+        worst = np.maximum(worst, _pmax(traced))
     return worst, np.maximum(_pmax(b.weyl), _pmax(t))
 
 
 def _remainder_u_annihilation(b: CurvatureBundle) -> PointPairs:
     t = b.weyl_remainder
     worst = np.zeros(len(t))
-    for s in "iklm":
-        spec = f"...{s},...iklm->..." + "iklm".replace(s, "")
-        worst = np.maximum(worst, _pmax(np.einsum(spec, b.u_up, t)))
+    for slot in (1, 2, 3, 4):
+        worst = np.maximum(worst, _pmax(_into_last(np.moveaxis(t, slot, -1), b.u_up)))
     return worst, np.maximum(_pmax(b.weyl), _pmax(t))
 
 
@@ -418,10 +445,8 @@ def _electric_gradient_recurrence_point(b: CurvatureBundle) -> PointPairs:
 def _weyl_u_recurrence_point(b: CurvatureBundle) -> PointPairs:
     shared = _shared(b)
     # u^p ∇_p (C_jklm u^m) by the product rule: (u^p ∇_p C_jklm) u^m + C_jklm u^p ∇_p u^m.
-    acc_up = np.einsum("...p,...pm->...m", b.u_up, b.nabla_u_up)
-    transport = np.einsum("...jklm,...m->...jkl", shared.weyl_along_u, b.u_up) + np.einsum(
-        "...jklm,...m->...jkl", b.weyl, acc_up
-    )
+    acc_up = _into_first(b.u_up, b.nabla_u_up)
+    transport = _into_last(shared.weyl_along_u, b.u_up) + _into_last(b.weyl, acc_up)
     decay = _slots(b.hubble_rate * (b.n - 1.0), 3) * shared.weyl_u
     return _pmax(transport + decay), np.maximum(_pmax(transport), _pmax(decay))
 
@@ -450,7 +475,7 @@ def _worst_point(pairs: Sequence[PointPairs]) -> EvalResult:
 
 def _largest(bundles: Sequence[CurvatureBundle], name: str) -> float:
     """Largest absolute component of a bundle field or shared quantity over all points."""
-    return max(max_abs(getattr(_shared(b), name)) for b in bundles)
+    return max(max_abs(getattr(_shared(b), name)) for b in _chunkwise(bundles))
 
 
 def _is_zero(value: float, scale: float) -> bool:
@@ -475,7 +500,7 @@ def _conditional(point_fn, measured: str, reference: str, unmet_extras: tuple[st
         if not holds:
             extras.update((f"max_{name}", _largest(bundles, name)) for name in unmet_extras)
             return EvalResult(False, extras=extras)
-        result = _worst_point([point_fn(b) for b in bundles])
+        result = _worst_point([point_fn(b) for b in _chunkwise(bundles)])
         result.extras = extras
         return result
 
@@ -810,11 +835,30 @@ def run_model_suite(
     unknown = set(overrides) - set(registry_ids())
     if unknown:
         raise ValueError(f"unknown identity ids in tolerance overrides: {sorted(unknown)}")
+    # Pointwise checks that apply run a chunk at a time, all of them on one
+    # chunk before the next, so only one chunk's shared quantities are alive
+    # at once; every other check sees all the chunks in one call.
+    chunked = [check for check in REGISTRY if check.point_fn is not None and check.applies(model)]
+    per_chunk: dict[str, list[IdentityReport]] = {check.identity_id: [] for check in chunked}
+    for b in _chunkwise(bundles):
+        for check in chunked:
+            report = evaluate_check(check, model, [b], overrides.get(check.identity_id))
+            per_chunk[check.identity_id].append(report)
     reports = [
-        evaluate_check(check, model, bundles, overrides.get(check.identity_id))
+        _merged(per_chunk[check.identity_id])
+        if check.identity_id in per_chunk
+        else evaluate_check(check, model, bundles, overrides.get(check.identity_id))
         for check in REGISTRY
     ]
     return sorted(reports, key=lambda r: r.identity_id)
+
+
+def _merged(reports: Sequence[IdentityReport]) -> IdentityReport:
+    """One pointwise check's report from its per-chunk reports: the chunk
+    holding the worst point (the first on ties, as in ``_worst_point``),
+    with every chunk's points counted.  Its verdict is that point's."""
+    worst = max(reports, key=lambda r: r.max_residual / max(1.0, r.scale))
+    return replace(worst, points_tested=sum(r.points_tested for r in reports))
 
 
 def expected_verdict(model: MetricModel, report: IdentityReport) -> str:

@@ -179,13 +179,17 @@ def evaluate_metric_jets(
     d1 = np.zeros(lead + (n, n, n))
     d2 = np.zeros(lead + (n, n, n, n))
     d3 = np.zeros(lead + (n, n, n, n, n))
-    for (a, b), fn in entries.items():
-        j = fn(xj)
-        for aa, bb in {(a, b), (b, a)}:
-            value[..., aa, bb] = j.value
-            d1[..., aa, bb] = j.d1
-            d2[..., aa, bb] = j.d2
-            d3[..., aa, bb] = j.d3
+    # An entry that overflows or leaves its domain gives non-finite jets,
+    # which metric_jets rejects point by point; numpy's warnings would only
+    # repeat that on stderr.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for (a, b), fn in entries.items():
+            j = fn(xj)
+            for aa, bb in {(a, b), (b, a)}:
+                value[..., aa, bb] = j.value
+                d1[..., aa, bb] = j.d1
+                d2[..., aa, bb] = j.d2
+                d3[..., aa, bb] = j.d3
     return MetricJets(n=n, value=value, d1=d1, d2=d2, d3=d3)
 
 

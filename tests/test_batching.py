@@ -3,7 +3,8 @@
 Every array of a bundle built for a chunk of points, and every pointwise
 ``(residual, scale)``, must equal what the same point gives alone, within 64
 units of float64 roundoff: room for a contraction that sums in another
-order (einsum's accumulation order depends on the shape it iterates over).
+order (the accumulation order of einsum and of the BLAS matrix products
+behind ``@`` depends on the shapes they iterate over).
 
 Bundle components are compared relative to ``max(1, |x|)``.  A residual, and
 the scale of an identity whose sides vanish analytically (the master

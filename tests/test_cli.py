@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism, dumps, config handling."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,7 @@ def test_tensor_dump_rejects_non_finite_coordinate(capsys):
             },
             "'expected_failures' must be a list of identity ids, got 'torse_forming'",
         ),
+        ({"models": [{"name": "minkowski", "label": ""}]}, "model-entry 'label' must not be empty"),
     ],
 )
 def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, config, message):
@@ -364,6 +366,30 @@ def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, config, mess
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_overflowing_entry_is_one_model_error_without_warnings(tmp_path, capsys):
+    # Every point overflows in the entry jets; the non-finite check rejects
+    # them, so numpy must not also warn (a warning raises here).
+    config = {
+        "models": [
+            {
+                "name": "custom_diagonal",
+                "n": 4,
+                "parameters": {"g_diag": ["-1", "x1**1000000", "1", "1"], "expected_class": "minkowski"},
+            }
+        ],
+        "points": 3,
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--config", str(path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "error: custom_diagonal_n4: 3/3 sampled points failed to evaluate" in out
+    assert out.count("error: ") == 1
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from weylgeom.curvature import (
     riemann_ricci_scalar,
     weyl,
 )
-from weylgeom.models import MetricModel, evaluate_metric_jets
+from weylgeom.models import MetricModel, default_model_specs, evaluate_metric_jets
 from weylgeom.tensors import (
     DOWN,
     UP,
@@ -295,3 +295,150 @@ def test_weyl_divergence_matches_finite_differences():
             scale = max(1.0, max_abs(b.nabla_weyl))
             assert max_abs(nabla_fd - b.nabla_weyl[0]) < 2e-5 * scale
             assert max_abs(div_fd - b.div_weyl[0]) < 2e-5 * scale
+
+
+# ---------------------------------------------------------------------------
+# The matrix-product kernels against the einsum formulas they replaced
+# ---------------------------------------------------------------------------
+
+ORACLE_RTOL = 64 * np.finfo(np.float64).eps
+
+# Covariant-derivative variances: ranks 1-4, up and down slots mixed.
+ORACLE_VARIANCES = ["u", "d", "ud", "du", "dud", "uud", "dddd", "udud", "duuu"]
+
+
+def _einsum_connection(mj, g_inv, d_g_inv, d2_g_inv):
+    """Γ, ∂Γ, ∂∂Γ from the metric jets and the kernel's g⁻¹ and its derivatives."""
+    dg, d2g, d3g = mj.d1, mj.d2, mj.d3
+    k = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
+    dk = np.einsum("...pbdc->...pdbc", d2g) + np.einsum("...pcdb->...pdbc", d2g) - d2g
+    d2k = np.einsum("...pqbdc->...pqdbc", d3g) + np.einsum("...pqcdb->...pqdbc", d3g) - d3g
+    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", g_inv, k)
+    d_gamma = 0.5 * (
+        np.einsum("...pad,...dbc->...pabc", d_g_inv, k) + np.einsum("...ad,...pdbc->...pabc", g_inv, dk)
+    )
+    mixed = np.einsum("...pad,...qdbc->...pqabc", d_g_inv, dk)
+    d2_gamma = 0.5 * (
+        np.einsum("...pqad,...dbc->...pqabc", d2_g_inv, k)
+        + mixed
+        + mixed.swapaxes(-5, -4)
+        + np.einsum("...ad,...pqdbc->...pqabc", g_inv, d2k)
+    )
+    return gamma, d_gamma, d2_gamma
+
+
+def _einsum_curvature(mj, conn):
+    """Riemann, Ricci, scalar curvature and their ∂'s from the kernel's connection."""
+    gamma, d_gamma, d2_gamma = conn.gamma, conn.d_gamma, conn.d2_gamma
+    r_up = (
+        np.einsum("...cadb->...abcd", d_gamma)
+        - np.einsum("...dacb->...abcd", d_gamma)
+        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
+        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
+    )
+    d_r_up = (
+        np.einsum("...pcadb->...pabcd", d2_gamma)
+        - np.einsum("...pdacb->...pabcd", d2_gamma)
+        + np.einsum("...pace,...edb->...pabcd", d_gamma, gamma)
+        + np.einsum("...ace,...pedb->...pabcd", gamma, d_gamma)
+        - np.einsum("...pade,...ecb->...pabcd", d_gamma, gamma)
+        - np.einsum("...ade,...pecb->...pabcd", gamma, d_gamma)
+    )
+    riemann = np.einsum("...ae,...ebcd->...abcd", mj.value, r_up)
+    d_riemann = np.einsum("...pae,...ebcd->...pabcd", mj.d1, r_up) + np.einsum(
+        "...ae,...pebcd->...pabcd", mj.value, d_r_up
+    )
+    ricci = np.einsum("...abad->...bd", r_up)
+    d_ricci = np.einsum("...pabad->...pbd", d_r_up)
+    scalar = np.einsum("...bd,...bd->...", conn.g_inv, ricci)
+    d_scalar = np.einsum("...pbd,...bd->...p", conn.d_g_inv, ricci) + np.einsum(
+        "...bd,...pbd->...p", conn.g_inv, d_ricci
+    )
+    return riemann, d_riemann, ricci, d_ricci, scalar, d_scalar
+
+
+def _einsum_weyl(mj, curv):
+    """C = Riemann - s/(n-2) + R w2/((n-1)(n-2)) and ∂C by the product rule, with
+    s_jklm = g_jl R_km - g_jm R_kl + g_km R_jl - g_kl R_jm, w2_jklm = g_jl g_km - g_jm g_kl."""
+    n = mj.n
+    g, dg, ric, d_ric = mj.value, mj.d1, curv.ricci, curv.d_ricci
+
+    def exchange_lm(t):
+        return t - t.swapaxes(-1, -2)
+
+    def exchange_lm_jk(t):
+        t = exchange_lm(t)
+        return t - t.swapaxes(-4, -3)
+
+    s = exchange_lm_jk(np.einsum("...jl,...km->...jklm", g, ric))
+    d_s = exchange_lm_jk(
+        np.einsum("...pjl,...km->...pjklm", dg, ric) + np.einsum("...jl,...pkm->...pjklm", g, d_ric)
+    )
+    w2 = exchange_lm(np.einsum("...jl,...km->...jklm", g, g))
+    d_w2 = exchange_lm(
+        np.einsum("...pjl,...km->...pjklm", dg, g) + np.einsum("...jl,...pkm->...pjklm", g, dg)
+    )
+    c1, c2 = 1.0 / (n - 2), 1.0 / ((n - 1) * (n - 2))
+    r = curv.scalar[..., None, None, None, None]
+    weyl_c = curv.riemann - c1 * s + c2 * r * w2
+    d_weyl_c = (
+        curv.d_riemann
+        - c1 * d_s
+        + c2 * (np.einsum("...p,...jklm->...pjklm", curv.d_scalar, w2) + r[..., None] * d_w2)
+    )
+    return weyl_c, d_weyl_c
+
+
+def _einsum_covariant_derivative(variance, comp, d1, gamma):
+    letters = "abcd"[: len(variance)]
+    nabla = np.array(d1, dtype=float)
+    for slot, flag in enumerate(variance):
+        src = letters[:slot] + "z" + letters[slot + 1 :]
+        if flag == DOWN:
+            nabla -= np.einsum(f"...zp{letters[slot]},...{src}->...p{letters}", gamma, comp)
+        else:
+            nabla += np.einsum(f"...{letters[slot]}pz,...{src}->...p{letters}", gamma, comp)
+    return nabla
+
+
+def _oracle_close(got, want, magnitude=1.0):
+    assert got.shape == want.shape
+    return np.all(np.abs(got - want) <= ORACLE_RTOL * np.maximum(magnitude, np.abs(want)))
+
+
+@pytest.mark.parametrize("spec", default_model_specs(), ids=lambda spec: f"{spec[0]}_n{spec[1]}")
+def test_kernels_match_einsum_oracle(spec):
+    name, n, params = spec
+    model = builtin_model(name, n, params)
+    points = sample_points(model, 4, 3)
+    mj = model.metric_jets(points)
+    conn = christoffel_from_jets(mj)
+    want = _einsum_connection(mj, conn.g_inv, conn.d_g_inv, conn.d2_g_inv)
+    for field, expected in zip(("gamma", "d_gamma", "d2_gamma"), want):
+        assert _oracle_close(getattr(conn, field), expected), field
+
+    curv = riemann_ricci_scalar(mj, conn)
+    want = _einsum_curvature(mj, conn)
+    names = ("riemann", "d_riemann", "ricci", "d_ricci", "scalar", "d_scalar")
+    for field, expected in zip(names, want):
+        assert _oracle_close(getattr(curv, field), expected), field
+
+    # weyl() folds the two metric terms into one product with the Schouten
+    # tensor, another grouping of the sum.  Where C vanishes analytically
+    # (rw_flat is conformally flat) both sides are rounding noise of the
+    # Riemann terms, so the bound also scales with M, the point's largest
+    # component of Riemann or ∂Riemann.
+    wd = weyl(mj, curv)
+    want = _einsum_weyl(mj, curv)
+    m = np.maximum(max_abs(curv.riemann, per_point=True), max_abs(curv.d_riemann, per_point=True))
+    assert _oracle_close(wd.weyl, want[0], np.maximum(1.0, m)[:, None, None, None, None])
+    assert _oracle_close(wd.d_weyl, want[1], np.maximum(1.0, m)[:, None, None, None, None, None])
+
+    rng = np.random.default_rng(n)
+    for variance in ORACLE_VARIANCES:
+        shape = (len(points),) + (n,) * len(variance)
+        comp = rng.uniform(-1.0, 1.0, shape)
+        d1 = rng.uniform(-1.0, 1.0, shape[:1] + (n,) + shape[1:])
+        got = covariant_derivative(variance, comp, d1, conn.gamma)
+        want = _einsum_covariant_derivative(variance, comp, d1, conn.gamma)
+        assert _oracle_close(got, want), variance

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from weylgeom import build_bundle, builtin_model, identities, sample_points
+from weylgeom.models import default_model_specs
 from weylgeom.identities import (
     FAIL,
     NOT_APPLICABLE,
@@ -421,3 +423,30 @@ def test_suite_reports_are_sorted(small_bundles):
     ids = [r.identity_id for r in reports]
     assert ids == sorted(ids)
     assert len(ids) == len(REGISTRY)
+
+
+@pytest.mark.parametrize("spec", default_model_specs(), ids=lambda spec: f"{spec[0]}_n{spec[1]}")
+def test_suite_keeps_one_chunks_shared_blocks_and_the_same_reports(monkeypatch, spec):
+    # Six chunks of a few points each; the suite must hold the shared blocks
+    # of at most one chunk at a time and report exactly what evaluating each
+    # check over all chunks at once reports.
+    model = builtin_model(*spec)
+    points = sample_points(model, 17, 5)
+    bundles = [build_bundle(model, points[i : i + 3]) for i in range(0, len(points), 3)]
+    expected = sorted(
+        (evaluate_check(check, model, bundles) for check in REGISTRY), key=lambda r: r.identity_id
+    )
+    identities._SHARED.clear()
+
+    alive = []
+    shared = identities._shared
+
+    def counting(b):
+        out = shared(b)
+        alive.append(sum(chunk in identities._SHARED for chunk in bundles))
+        return out
+
+    monkeypatch.setattr(identities, "_shared", counting)
+    assert run_model_suite(model, bundles) == expected
+    assert alive and max(alive) == 1
+    assert not any(chunk in identities._SHARED for chunk in bundles)
