@@ -355,6 +355,17 @@ def _parse_param_flags(pairs: list[str]) -> dict:
     return out
 
 
+def _entry_selectors(entry: dict) -> set[str]:
+    """The values of ``verify --model`` that select a model entry: its name,
+    its explicit label and the label of the model it builds."""
+    selectors = {entry["name"], entry.get("label")} - {None}
+    try:
+        selectors.add(builtin_model(entry["name"], entry.get("n"), entry.get("parameters")).label)
+    except ValueError:
+        pass  # run() reports the broken entry if the filter keeps it
+    return selectors
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else default_config()
     if args.points is not None:
@@ -369,11 +380,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         config.tolerances.update(_parse_tolerance_flags(args.tolerance))
     if args.model:
         wanted = set(args.model)
-        known = {entry["name"] for entry in config.models}
-        missing = wanted - known
+        selectors = [_entry_selectors(entry) for entry in config.models]
+        missing = wanted.difference(*selectors)
         if missing:
             raise ValueError(f"--model filter does not match any configured model: {sorted(missing)}")
-        config.models = [entry for entry in config.models if entry["name"] in wanted]
+        config.models = [
+            entry for entry, names in zip(config.models, selectors) if wanted & names
+        ]
 
     result = run(config)
     text = (
@@ -454,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=_FORMATS, help="output format")
     verify.add_argument("--output", help="write the report to a file instead of stdout")
     verify.add_argument(
-        "--model", action="append", help="restrict to this catalog model (repeatable)"
+        "--model",
+        action="append",
+        help="restrict to the model entries with this name or label, e.g. rw_flat or rw_flat_n6 (repeatable)",
     )
     verify.add_argument(
         "--tolerance",
@@ -493,3 +508,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -8,17 +8,32 @@ consume third metric derivatives at machine precision.  No numerical
 differentiation happens anywhere in the library; finite differences exist
 only in the test suite, as an independent oracle.
 
-Derivative layout: ``d1[..., i] = ∂_i f``, ``d2[..., i, j] = ∂_i ∂_j f``,
-``d3[..., i, j, k] = ∂_i ∂_j ∂_k f`` (raw partials, not Taylor coefficients).
-The leading axes ``...`` are the shape of ``value``: empty for a jet at one
-point, ``(P,)`` for a jet evaluated at P chart points at once.  A constant
-jet has no leading axes and broadcasts against a batched one.  ``d2`` and
-``d3`` are exactly symmetric: every rule below is written as a manifestly
-symmetric combination, so symmetry survives to the last bit.
+Storage: ``coeffs[..., m]`` is the Taylor coefficient of the m-th monomial
+of degree <= 3 in the n chart variables, ``f(x + h) = sum_m coeffs[m] h^m``.
+Monomials are index-sorted tuples ordered by degree, then lexically:
+``()``, ``(0,)``, ..., ``(n-1,)``, ``(0, 0)``, ``(0, 1)``, ..., ``(n-1, n-1)``,
+``(0, 0, 0)``, ..., ``(n-1, n-1, n-1)`` -- C(n+3, 3) of them (35, 56, 84 and
+120 at n = 4, 5, 6, 7).  A sum is one array add; a product gathers the
+coefficient pairs whose degrees sum to at most 3 and folds them onto their
+target monomial with ``np.add.reduceat``; a function of a jet is its Taylor
+polynomial in ``u - u(x)``.
+
+The raw partials are read-only accessors in the layout ``d1[..., i] = ∂_i f``,
+``d2[..., i, j] = ∂_i ∂_j f``, ``d3[..., i, j, k] = ∂_i ∂_j ∂_k f``: each entry
+is the coefficient of its index-sorted monomial α times α! (the product of
+the factorials of the index multiplicities; 1, 2 or 6).  ``d2`` and ``d3`` are
+therefore exactly symmetric: every permutation of an index reads the same
+stored number.  The leading axes ``...`` are empty for a jet at one point and
+``(P,)`` for a jet evaluated at P chart points at once.  A constant jet has
+no leading axes and broadcasts against a batched one.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,100 +41,166 @@ import numpy as np
 __all__ = ["Jet3", "variables", "constant", "exp", "log", "sin", "cos", "power"]
 
 
-_SYM_INDEX_CACHE: dict[int, tuple[np.ndarray, ...]] = {}
+@dataclass(frozen=True)
+class Basis:
+    """Index tables of the degree <= 3 monomials in n variables.
+
+    ``partials[k]`` and ``weights[k]`` map the raw order-k partials, flattened
+    over their n**k index tuples in lexical order, to the position of the
+    index-sorted monomial and its α!.  ``left``, ``right`` and ``starts`` list
+    every ordered pair of monomials whose product has degree <= 3, grouped by
+    product monomial, for ``np.add.reduceat``.
+    """
+
+    size: int
+    partials: tuple[np.ndarray, ...]
+    weights: tuple[np.ndarray, ...]
+    left: np.ndarray
+    right: np.ndarray
+    starts: np.ndarray
 
 
-def _sym_indices(n: int) -> tuple[np.ndarray, ...]:
-    """Sorted index grids used to canonicalize d2/d3 storage per entry."""
-    if n not in _SYM_INDEX_CACHE:
-        i2 = np.sort(np.indices((n, n)), axis=0)
-        i3 = np.sort(np.indices((n, n, n)), axis=0)
-        _SYM_INDEX_CACHE[n] = (i2[0], i2[1], i3[0], i3[1], i3[2])
-    return _SYM_INDEX_CACHE[n]
+def _readonly(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+@functools.cache
+def basis(n: int) -> Basis:
+    """The monomial tables for n variables, built on first use."""
+    monomials = [m for k in range(4) for m in itertools.combinations_with_replacement(range(n), k)]
+    position = {m: i for i, m in enumerate(monomials)}
+    factorials = np.array([math.prod(map(math.factorial, Counter(m).values())) for m in monomials])
+    partials, weights = [], []
+    for k in range(4):
+        grid = [position[tuple(sorted(idx))] for idx in itertools.product(range(n), repeat=k)]
+        partials.append(_readonly(grid, np.intp))
+        weights.append(_readonly(factorials[grid], float))
+    left, right, starts = [], [], []
+    for target in monomials:
+        starts.append(len(left))
+        divisors = {sub for r in range(len(target) + 1) for sub in itertools.combinations(target, r)}
+        for alpha in sorted(divisors, key=lambda m: (len(m), m)):
+            beta = tuple(sorted((Counter(target) - Counter(alpha)).elements()))
+            left.append(position[alpha])
+            right.append(position[beta])
+    return Basis(
+        size=len(monomials),
+        partials=tuple(partials),
+        weights=tuple(weights),
+        left=_readonly(left, np.intp),
+        right=_readonly(right, np.intp),
+        starts=_readonly(starts, np.intp),
+    )
+
+
+def _times(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients of the truncated product of two coefficient arrays."""
+    t = basis(n)
+    return np.add.reduceat(a[..., t.left] * b[..., t.right], t.starts, axis=-1)
+
+
+def _constant_coeffs(value: float, n: int) -> np.ndarray:
+    coeffs = np.zeros(basis(n).size)
+    coeffs[0] = value
+    return coeffs
 
 
 @dataclass(frozen=True, eq=False)
 class Jet3:
-    """Value and all partial derivatives through order 3 of a scalar function.
+    """Taylor coefficients through order 3 of a scalar function of n variables.
 
-    Symmetry of d2 and d3 is exact: every entry is stored from its
-    index-sorted representative on write, so reordering floating-point sums
-    in the arithmetic rules can never break it.
+    ``coeffs`` has shape ``(..., C(n+3, 3))``, one coefficient per monomial in
+    the order of :func:`basis`.
     """
 
-    value: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
+    coeffs: np.ndarray
+    n: int
 
     def __post_init__(self) -> None:
-        value = np.asarray(self.value, dtype=float)
-        d1 = np.asarray(self.d1, dtype=float)
-        d2 = np.asarray(self.d2, dtype=float)
-        d3 = np.asarray(self.d3, dtype=float)
-        n = d1.shape[-1] if d1.ndim else -1
-        lead = value.shape
-        if d1.shape != lead + (n,) or d2.shape != lead + (n, n) or d3.shape != lead + (n, n, n):
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        if coeffs.ndim == 0 or coeffs.shape[-1] != basis(self.n).size:
+            raise ValueError(
+                f"jet coefficients must have shape (..., {basis(self.n).size}) for n = {self.n}, "
+                f"got {coeffs.shape}"
+            )
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def from_partials(cls, value, d1, d2, d3) -> "Jet3":
+        """The jet with these raw partials, read from the index-sorted entries."""
+        parts = [np.asarray(part, dtype=float) for part in (value, d1, d2, d3)]
+        lead = parts[0].shape
+        n = parts[1].shape[-1] if parts[1].ndim else 0
+        if any(part.shape != lead + (n,) * k for k, part in enumerate(parts)):
             raise ValueError(
                 "jet derivative arrays must have shapes (..., n), (..., n,n), (..., n,n,n)"
             )
-        a2, b2, a3, b3, c3 = _sym_indices(n)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2[..., a2, b2])
-        object.__setattr__(self, "d3", d3[..., a3, b3, c3])
+        t = basis(n)
+        coeffs = []
+        for k, part in enumerate(parts):
+            # In lexical order an index-sorted tuple comes first among its permutations.
+            _, first = np.unique(t.partials[k], return_index=True)
+            coeffs.append(part.reshape(lead + (-1,))[..., first] / t.weights[k][first])
+        return cls(np.concatenate(coeffs, axis=-1), n)
+
+    # -- raw partials ------------------------------------------------------
+
+    def _partials(self, k: int) -> np.ndarray:
+        t = basis(self.n)
+        flat = self.coeffs[..., t.partials[k]] * t.weights[k]
+        return flat.reshape(self.coeffs.shape[:-1] + (self.n,) * k)
 
     @property
-    def n(self) -> int:
-        """Number of chart variables."""
-        return self.d1.shape[-1]
+    def value(self) -> np.ndarray:
+        return self.coeffs[..., 0]
+
+    @property
+    def d1(self) -> np.ndarray:
+        return self.coeffs[..., 1 : self.n + 1]
+
+    @property
+    def d2(self) -> np.ndarray:
+        return self._partials(2)
+
+    @property
+    def d3(self) -> np.ndarray:
+        return self._partials(3)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _lift(self, other) -> "Jet3":
+    def _lift(self, other) -> np.ndarray:
         if isinstance(other, Jet3):
             if other.n != self.n:
                 raise ValueError("jets have different numbers of variables")
-            return other
-        return constant(float(other), self.n)
+            return other.coeffs
+        return _constant_coeffs(float(other), self.n)
 
     def __add__(self, other) -> "Jet3":
-        o = self._lift(other)
-        return Jet3(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
+        return Jet3(self.coeffs + self._lift(other), self.n)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet3":
-        return Jet3(-self.value, -self.d1, -self.d2, -self.d3)
+        return Jet3(-self.coeffs, self.n)
 
     def __sub__(self, other) -> "Jet3":
-        return self + (-self._lift(other))
+        return Jet3(self.coeffs - self._lift(other), self.n)
 
     def __rsub__(self, other) -> "Jet3":
-        return (-self) + other
+        return Jet3(self._lift(other) - self.coeffs, self.n)
 
     def __mul__(self, other) -> "Jet3":
         if not isinstance(other, Jet3):
-            c = float(other)
-            return Jet3(c * self.value, c * self.d1, c * self.d2, c * self.d3)
-        o = self._lift(other)
-        a1, b1 = self.value[..., None], o.value[..., None]
-        a2, b2 = a1[..., None], b1[..., None]
-        cross = self.d1[..., :, None] * o.d1[..., None, :]
-        d2 = self.d2 * b2 + o.d2 * a2 + cross + cross.swapaxes(-1, -2)
-        d3 = (
-            self.d3 * b2[..., None]
-            + o.d3 * a2[..., None]
-            + _sym_2_1(self.d2, o.d1)
-            + _sym_2_1(o.d2, self.d1)
-        )
-        return Jet3(self.value * o.value, self.d1 * b1 + o.d1 * a1, d2, d3)
+            return Jet3(float(other) * self.coeffs, self.n)
+        return Jet3(_times(self.coeffs, self._lift(other), self.n), self.n)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet3":
-        o = self._lift(other)
-        return self * _reciprocal(o)
+        divisor = other if isinstance(other, Jet3) else constant(float(other), self.n)
+        return self * _reciprocal(divisor)
 
     def __rtruediv__(self, other) -> "Jet3":
         return _reciprocal(self) * other
@@ -128,26 +209,16 @@ class Jet3:
         return power(self, exponent)
 
 
-def _sym_2_1(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Symmetric rank-3 combination m_ij v_k + m_ik v_j + m_jk v_i."""
-    t = m[..., :, :, None] * v[..., None, None, :]
-    t_ikj = t.swapaxes(-1, -2)
-    return t + t_ikj + t_ikj.swapaxes(-2, -3)
-
-
 def _compose(u: Jet3, f0, f1, f2, f3) -> Jet3:
-    """Chain rule through order 3 for F(u) given F, F', F'', F''' at u.value."""
-    outer2 = u.d1[..., :, None] * u.d1[..., None, :]
-    outer3 = outer2[..., None] * u.d1[..., None, None, :]
-    g1, g2, g3 = (np.asarray(f)[..., None] for f in (f1, f2, f3))
-    return Jet3(
-        f0,
-        g1 * u.d1,
-        g2[..., None] * outer2 + g1[..., None] * u.d2,
-        g3[..., None, None] * outer3
-        + g2[..., None, None] * _sym_2_1(u.d2, u.d1)
-        + g1[..., None, None] * u.d3,
-    )
+    """F(u) from F, F', F'', F''' at u.value: f0 + f1 h + f2/2 h² + f3/6 h³, h = u - u(x)."""
+    h = u.coeffs.copy()
+    h[..., 0] = 0.0
+    h2 = _times(h, h, u.n)
+    h3 = _times(h2, h, u.n)
+    g1, g2, g3 = (np.asarray(f)[..., None] for f in (f1, 0.5 * f2, f3 / 6.0))
+    coeffs = g1 * h + g2 * h2 + g3 * h3
+    coeffs[..., 0] = f0
+    return Jet3(coeffs, u.n)
 
 
 def _reciprocal(u: Jet3) -> Jet3:
@@ -162,7 +233,7 @@ def _reciprocal(u: Jet3) -> Jet3:
 
 def constant(value: float, n: int) -> Jet3:
     """Jet of a constant: all derivatives vanish (no leading point axes)."""
-    return Jet3(float(value), np.zeros(n), np.zeros((n, n)), np.zeros((n, n, n)))
+    return Jet3(_constant_coeffs(value, n), n)
 
 
 def variables(coords) -> list[Jet3]:
@@ -173,12 +244,12 @@ def variables(coords) -> list[Jet3]:
     """
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[-1]
-    lead = coords.shape[:-1]
     out = []
     for i in range(n):
-        d1 = np.zeros(lead + (n,))
-        d1[..., i] = 1.0
-        out.append(Jet3(coords[..., i], d1, np.zeros(lead + (n, n)), np.zeros(lead + (n, n, n))))
+        coeffs = np.zeros(coords.shape[:-1] + (basis(n).size,))
+        coeffs[..., 0] = coords[..., i]
+        coeffs[..., 1 + i] = 1.0
+        out.append(Jet3(coeffs, n))
     return out
 
 

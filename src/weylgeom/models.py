@@ -5,6 +5,8 @@ data (:class:`~weylgeom.jets.Jet3`) for each metric component at a chart
 point, together with a declared comoving velocity field ``u^a = (1, 0, ..., 0)``
 and an ``expected_class`` tag that the identity suite uses to decide which
 checks are assertions, which are expected failures, and which do not apply.
+An entry is a closure of the coordinate jets, or a :class:`Product` of
+closures, some of which (a scale factor f²) several entries share.
 
 The chart convention is ``x^0 = t`` first, signature (-, +, ..., +).  Block
 models take the form ``ds^2 = -dt^2 + f(t, x)^2 g*_{mu nu}(x) dx^mu dx^nu``;
@@ -20,8 +22,10 @@ execution).
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -35,6 +39,7 @@ __all__ = [
     "ChartPoint",
     "MetricJets",
     "MetricModel",
+    "Product",
     "builtin_model",
     "sample_points",
     "evaluate_metric_jets",
@@ -68,6 +73,27 @@ NEGATIVE_CONTROL_EXPECTED_FAILURES = frozenset(
 )
 
 EntryFn = Callable[[Sequence[Jet3]], Jet3]
+
+
+class Product:
+    """A metric entry that is the product of its factors, taken left to right.
+
+    A factor is an entry closure or a number.  :func:`evaluate_metric_jets`
+    evaluates each distinct closure once per call, so a factor that several
+    entries share (a scale factor f²) is computed once.
+    """
+
+    def __init__(self, *factors: EntryFn | float) -> None:
+        self.factors = factors
+
+    def combine(self, evaluate: Callable[[EntryFn], Jet3]) -> Jet3:
+        """The product, with ``evaluate`` giving the jet of each closure factor."""
+        return functools.reduce(
+            operator.mul, (evaluate(f) if callable(f) else f for f in self.factors)
+        )
+
+    def __call__(self, xj: Sequence[Jet3]) -> Jet3:
+        return self.combine(lambda fn: fn(xj))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,9 +185,12 @@ def evaluate_metric_jets(
 ) -> MetricJets:
     """Evaluate entry jets at one point ``(n,)`` or at points ``(P, n)``.
 
-    Each entry closure runs once for all points; a constant entry broadcasts.
-    (a, b) is mirrored to (b, a) exactly.  Non-finite coordinates are
-    rejected before any entry runs, naming the coordinate.
+    Each distinct closure, whether an entry or a :class:`Product` factor, runs
+    once per call for all points; the cache of its jets lives only as long as
+    the call.  A constant entry broadcasts.  Each order of partials is one
+    gather from the entries' Taylor coefficients, written to (a, b) and
+    exactly mirrored to (b, a).  Non-finite coordinates are rejected before
+    any entry runs, naming the coordinate.
     """
     coords = np.asarray(points, dtype=float)
     if coords.ndim not in (1, 2) or coords.shape[-1] != n:
@@ -175,22 +204,31 @@ def evaluate_metric_jets(
         )
     lead = coords.shape[:-1]
     xj = jets.variables(coords)
-    value = np.zeros(lead + (n, n))
-    d1 = np.zeros(lead + (n, n, n))
-    d2 = np.zeros(lead + (n, n, n, n))
-    d3 = np.zeros(lead + (n, n, n, n, n))
+    cache: dict[EntryFn, Jet3] = {}
+
+    def evaluate(fn: EntryFn) -> Jet3:
+        if fn not in cache:
+            cache[fn] = fn(xj)
+        return cache[fn]
+
+    # Column k of `stack` holds the Taylor coefficients of the k-th entry.
+    table = jets.basis(n)
+    stack = np.empty(lead + (table.size, len(entries)))
     # An entry that overflows or leaves its domain gives non-finite jets,
     # which metric_jets rejects point by point; numpy's warnings would only
     # repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for (a, b), fn in entries.items():
-            j = fn(xj)
-            for aa, bb in {(a, b), (b, a)}:
-                value[..., aa, bb] = j.value
-                d1[..., aa, bb] = j.d1
-                d2[..., aa, bb] = j.d2
-                d3[..., aa, bb] = j.d3
-    return MetricJets(n=n, value=value, d1=d1, d2=d2, d3=d3)
+        for k, fn in enumerate(entries.values()):
+            stack[..., k] = (fn.combine(evaluate) if isinstance(fn, Product) else evaluate(fn)).coeffs
+    # Each entry is written at (a, b) and, off the diagonal, at (b, a).
+    placed = {(*ab, k) for k, key in enumerate(entries) for ab in (key, key[::-1])}
+    rows, cols, source = np.array(sorted(placed), dtype=np.intp).reshape(-1, 3).T
+    orders = []
+    for order, (monomials, weights) in enumerate(zip(table.partials, table.weights)):
+        partials = np.zeros(lead + (len(monomials), n, n))
+        partials[..., rows, cols] = (stack[..., monomials, :] * weights[:, None])[..., source]
+        orders.append(partials.reshape(lead + (n,) * (order + 2)))
+    return MetricJets(n, *orders)
 
 
 def sample_points(model: MetricModel, count: int, seed: int) -> np.ndarray:
@@ -329,11 +367,19 @@ def _scale_factor_squared(alpha: float, beta: float) -> EntryFn:
     return fn
 
 
+def _minus_one(xj: Sequence[Jet3]) -> Jet3:
+    return jets.constant(-1.0, len(xj))
+
+
+def _one(xj: Sequence[Jet3]) -> Jet3:
+    return jets.constant(1.0, len(xj))
+
+
 def _minkowski(n: int | None, params: dict) -> MetricModel:
     n = _check_n(4 if n is None else n)
-    entries: dict[tuple[int, int], EntryFn] = {(0, 0): lambda xj: jets.constant(-1.0, len(xj))}
+    entries: dict[tuple[int, int], EntryFn] = {(0, 0): _minus_one}
     for mu in range(1, n):
-        entries[(mu, mu)] = lambda xj: jets.constant(1.0, len(xj))
+        entries[(mu, mu)] = _one
     return MetricModel(
         name="minkowski",
         n=n,
@@ -364,7 +410,7 @@ def _rw_flat(n: int | None, params: dict) -> MetricModel:
         scale_sq = lambda xj: jets.power(xj[0], 2.0 * k)
     else:
         scale_sq = lambda xj: jets.power(1.0 + xj[0] * xj[0], 2)
-    entries: dict[tuple[int, int], EntryFn] = {(0, 0): lambda xj: jets.constant(-1.0, len(xj))}
+    entries: dict[tuple[int, int], EntryFn] = {(0, 0): _minus_one}
     for mu in range(1, n):
         entries[(mu, mu)] = scale_sq
     return MetricModel(
@@ -392,11 +438,11 @@ def _grw_product_spheres(n: int | None, params: dict) -> MetricModel:
         return jets.exp((2.0 * h) * xj[0])
 
     entries: dict[tuple[int, int], EntryFn] = {
-        (0, 0): lambda xj: jets.constant(-1.0, len(xj)),
-        (1, 1): lambda xj: (r1 * r1) * scale_sq(xj),
-        (2, 2): lambda xj: (r1 * r1) * scale_sq(xj) * jets.power(jets.sin(xj[1]), 2),
-        (3, 3): lambda xj: (r2 * r2) * scale_sq(xj),
-        (4, 4): lambda xj: (r2 * r2) * scale_sq(xj) * jets.power(jets.sin(xj[3]), 2),
+        (0, 0): _minus_one,
+        (1, 1): Product(r1 * r1, scale_sq),
+        (2, 2): Product(r1 * r1, scale_sq, lambda xj: jets.power(jets.sin(xj[1]), 2)),
+        (3, 3): Product(r2 * r2, scale_sq),
+        (4, 4): Product(r2 * r2, scale_sq, lambda xj: jets.power(jets.sin(xj[3]), 2)),
     }
     return MetricModel(
         name="grw_product_spheres",
@@ -420,10 +466,10 @@ def _twisted_entries(n: int, alpha: float, beta: float, eps: float) -> dict:
     # fiber conformally flat and the Weyl-remainder checks vacuous; the
     # shifted dependence keeps the fiber genuinely curved.
     f_sq = _scale_factor_squared(alpha, beta)
-    entries: dict[tuple[int, int], EntryFn] = {(0, 0): lambda xj: jets.constant(-1.0, len(xj))}
+    entries: dict[tuple[int, int], EntryFn] = {(0, 0): _minus_one}
 
     def diag_entry(dep: int) -> EntryFn:
-        return lambda xj: f_sq(xj) * (1.0 + eps * jets.cos(xj[dep]))
+        return Product(f_sq, lambda xj: 1.0 + eps * jets.cos(xj[dep]))
 
     for mu in range(1, n):
         entries[(mu, mu)] = diag_entry(1 + (mu % (n - 1)))

@@ -1,7 +1,11 @@
 """Command-line behavior: exit codes, determinism, dumps, config handling."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,30 @@ def test_models_list_contains_catalog(capsys):
         "non_twisted_perturbed",
     ):
         assert name in out
+
+
+def _run_module(module, *argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_package_runs_as_a_module():
+    listed = _run_module("weylgeom", "models-list")
+    assert listed.returncode == 0, listed.stderr
+    assert "twisted_generic" in listed.stdout
+    verified = _run_module("weylgeom", "verify", "--points", "2", "--model", "twisted_n4")
+    assert verified.returncode == 0, verified.stderr
+    assert "twisted_n4" in verified.stdout
+
+
+def test_cli_module_runs_the_command_line():
+    verified = _run_module("weylgeom.cli", "verify", "--points", "2", "--model", "minkowski")
+    assert verified.returncode == 0, verified.stderr
+    assert "minkowski_n4" in verified.stdout
+    assert _run_module("weylgeom.cli", "verify", "--model", "no_such_model").returncode == 2
 
 
 def test_verify_small_run_exits_zero(capsys):
@@ -123,6 +151,35 @@ def test_unknown_tolerance_id_exits_two(capsys):
 def test_unknown_model_filter_exits_two(capsys):
     code = main(_verify_args("--model", "no_such_model"))
     assert code == 2
+
+
+def _verified_models(capsys, *argv):
+    assert main(["verify", "--points", "2", "--format", "structured", *argv]) == 0
+    return sorted({row["model"] for row in parse_structured(capsys.readouterr().out)["reports"]})
+
+
+def test_model_filter_accepts_the_model_label(capsys):
+    # The default config has three rw_flat entries; the model label picks one.
+    assert _verified_models(capsys, "--model", "rw_flat_n6") == ["rw_flat_n6"]
+    assert _verified_models(capsys, "--model", "rw_flat") == ["rw_flat_n4", "rw_flat_n5", "rw_flat_n6"]
+
+
+def test_model_filter_accepts_an_entry_label(tmp_path, capsys):
+    config = {
+        "models": [
+            {"name": "twisted_generic", "label": "a", "parameters": {"eps": 0.05}},
+            {"name": "twisted_generic", "label": "b", "parameters": {"eps": 0.1}},
+        ]
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert _verified_models(capsys, "--config", str(path), "--model", "b") == ["b"]
+
+
+def test_model_filter_matching_nothing_is_one_line(capsys):
+    assert main(_verify_args("--model", "rw_flat_n7")) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "rw_flat_n7" in err
 
 
 def test_config_file_run(tmp_path, capsys):

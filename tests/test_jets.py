@@ -11,7 +11,7 @@ from weylgeom import jets
 
 
 def _random_jet(rng, n):
-    return jets.Jet3(
+    return jets.Jet3.from_partials(
         rng.uniform(0.5, 2.0),
         rng.normal(size=n),
         _sym2(rng.normal(size=(n, n))),
@@ -28,6 +28,36 @@ def _sym3(a):
     for perm in itertools.permutations(range(3)):
         out += np.transpose(a, perm)
     return out / 6.0
+
+
+def test_from_partials_round_trips():
+    rng = np.random.default_rng(9)
+    n = 4
+    # Exactly symmetric partials at three points: each entry copied from
+    # its index-sorted representative.
+    i2, i3 = np.sort(np.indices((n, n)), axis=0), np.sort(np.indices((n, n, n)), axis=0)
+    parts = [
+        rng.normal(size=(3,)),
+        rng.normal(size=(3, n)),
+        rng.normal(size=(3, n, n))[:, i2[0], i2[1]],
+        rng.normal(size=(3, n, n, n))[:, i3[0], i3[1], i3[2]],
+    ]
+    jet = jets.Jet3.from_partials(*parts)
+    assert np.array_equal(jet.value, parts[0])
+    assert np.array_equal(jet.d1, parts[1])
+    # Coefficients are partials / α!; α! = 2 divides exactly, α! = 6 may round.
+    assert np.array_equal(jet.d2, parts[2])
+    assert np.allclose(jet.d3, parts[3], rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_from_partials_reads_the_index_sorted_entries():
+    d2 = np.arange(9.0).reshape(3, 3)
+    d3 = np.arange(27.0).reshape(3, 3, 3)
+    jet = jets.Jet3.from_partials(1.0, np.zeros(3), d2, d3)
+    for idx in itertools.product(range(3), repeat=2):
+        assert jet.d2[idx] == d2[tuple(sorted(idx))]
+    for idx in itertools.product(range(3), repeat=3):
+        assert jet.d3[idx] == pytest.approx(d3[tuple(sorted(idx))], rel=1e-15)
 
 
 def test_square_of_coordinate():

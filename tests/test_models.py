@@ -128,6 +128,40 @@ def test_grw_fiber_is_einstein_for_equal_radii():
         assert np.max(np.abs(curv.ricci - mj.value)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "name, n, params",
+    [
+        ("twisted_generic", 6, {}),
+        ("non_twisted_perturbed", 4, {}),
+        ("grw_product_spheres", 5, {}),
+        ("rw_flat", 6, {"f": "exp"}),
+    ],
+)
+def test_shared_scale_factor_runs_once_per_call(monkeypatch, name, n, params):
+    # Each of these models has one exp, in the scale factor f^2 that its
+    # spatial entries share.
+    model = builtin_model(name, n, params)
+    points = sample_points(model, 3, 11)
+    calls = []
+    exp = jets.exp
+    monkeypatch.setattr(jets, "exp", lambda u: calls.append(u) or exp(u))
+    evaluate_metric_jets(model.entries, n, points)
+    assert len(calls) == 1
+    evaluate_metric_jets(model.entries, n, points)
+    assert len(calls) == 2
+
+
+def test_factor_cache_does_not_outlive_a_call():
+    model = builtin_model("twisted_generic", 6)
+    points = sample_points(model, 8, 3)
+    chunk_a, chunk_b = points[:4], points[4:]
+    model.metric_jets(chunk_a)
+    after_a = model.metric_jets(chunk_b)
+    fresh = builtin_model("twisted_generic", 6).metric_jets(chunk_b)
+    for order in ("value", "d1", "d2", "d3"):
+        assert np.array_equal(getattr(after_a, order), getattr(fresh, order))
+
+
 def test_grw_requires_five_dimensions():
     with pytest.raises(ValueError, match="five-dimensional"):
         builtin_model("grw_product_spheres", 6)
