@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field as dataclass_field, fields
 
@@ -281,8 +282,18 @@ def serialize_structured(result: dict) -> str:
     return json.dumps(result, indent=2, sort_keys=True) + "\n"
 
 
-def parse_structured(text: str) -> dict:
-    return json.loads(text)
+def _emit(text: str) -> None:
+    """Write ``text`` to stdout and flush it.  A reader that closed the pipe
+    early (``weylgeom models-list | head -1``) ends the output quietly: stdout
+    is pointed at the null device, so neither the rest of this command's
+    output nor the flush at exit reports the closed pipe."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def render_text(result: dict) -> str:
@@ -338,7 +349,10 @@ def _parse_tolerance_flags(pairs: list[str]) -> dict:
         if "=" not in item:
             raise ValueError(f"--tolerance expects ID=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        out[key.strip()] = float(value)
+        try:
+            out[key.strip()] = float(value)
+        except ValueError:
+            raise ValueError(f"--tolerance ID=VALUE needs a number for VALUE, got {item!r}") from None
     return out
 
 
@@ -398,7 +412,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         with open(config.output_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text)
+        _emit(text)
     return int(result["exit_code"])
 
 
@@ -410,7 +424,10 @@ def cmd_tensor_dump(args: argparse.Namespace) -> int:
             f"or aliases {', '.join(_FIELD_ALIASES)}"
         )
     model = builtin_model(args.model, args.n, _parse_param_flags(args.param))
-    point = np.array([float(x) for x in args.point.split(",")])
+    try:
+        point = np.array([float(x) for x in args.point.split(",")])
+    except ValueError:
+        raise ValueError(f"--point expects comma-separated numbers, got {args.point!r}") from None
     if point.size != model.n:
         raise ValueError(f"--point needs {model.n} coordinates for {model.label}, got {point.size}")
     value = getattr(build_bundle(model, point[None]), field_name)[0]
@@ -426,17 +443,18 @@ def cmd_tensor_dump(args: argparse.Namespace) -> int:
     else:
         record["variance"] = None if variance is None else list(variance)
         record["components"] = value.tolist()
-    sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _emit(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_models_list(args: argparse.Namespace) -> int:
+    lines = []
     for name in CATALOG_NAMES:
         if name == "custom_diagonal":
-            sys.stdout.write(f"{name}  [class declared by config]  n=4..7\n")
-            sys.stdout.write(
+            lines.append(f"{name}  [class declared by config]  n=4..7")
+            lines.append(
                 "    user-defined diagonal metric from the expression grammar "
-                "(config-only; entries over t, x1.., exp/log/sin/cos/pow)\n"
+                "(config-only; entries over t, x1.., exp/log/sin/cos/pow)"
             )
             continue
         model = builtin_model(name)
@@ -445,11 +463,12 @@ def cmd_models_list(args: argparse.Namespace) -> int:
             if name == "grw_product_spheres"
             else ("n=4" if name == "twisted_n4" else "n=4..7")
         )
-        sys.stdout.write(f"{name}  [{model.expected_class}]  {dims}\n")
-        sys.stdout.write(f"    {model.description}\n")
+        lines.append(f"{name}  [{model.expected_class}]  {dims}")
+        lines.append(f"    {model.description}")
         if model.parameters:
             defaults = ", ".join(f"{k}={v}" for k, v in sorted(model.parameters.items()))
-            sys.stdout.write(f"    defaults: {defaults}\n")
+            lines.append(f"    defaults: {defaults}")
+    _emit("".join(line + "\n" for line in lines))
     return 0
 
 

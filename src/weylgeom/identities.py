@@ -13,14 +13,17 @@ because their hypotheses are measured, not assumed: checks whose hypotheses
 fail on a model are reported ``not-applicable`` with the measured magnitudes
 attached, never asserted.
 
-The evaluators share a few building blocks, each computed at most once per
-chunk while the pointwise checks run on it (``_Shared``): the
-Kulkarni-Nomizu blocks (u⊗u) ∧ E and g ∧ E of the Weyl decomposition, the
-antisymmetric pair u_i E_km - u_k E_im (``_wedge``), transports along u,
-and the squared norms.  The suite runs every pointwise check on one chunk
-before the next and then drops that chunk's blocks, so collection checks
-recompute the few they name.  One rule (``_is_zero``) judges every measured
-hypothesis.
+The evaluators share a few building blocks: the Kulkarni-Nomizu blocks
+(u⊗u) ∧ E and g ∧ E of the Weyl decomposition, the antisymmetric pair
+u_i E_km - u_k E_im (``_wedge``), transports along u, and the squared norms.
+Each is computed at most once per chunk view (``_Chunk``), which forwards its
+bundle's fields, so an evaluator reads a field or a shared block alike.  The
+code that evaluates a chunk owns its view: ``run_model_suite`` builds one per
+chunk, runs every pointwise check on it and drops it before the next, so one
+chunk's blocks at most are alive; ``evaluate_check``, ``_largest`` and
+``_conditional`` wrap a bare bundle only for the one expression that uses
+it, so the collection checks recompute the few blocks they name.  One rule
+(``_is_zero``) judges every measured hypothesis.
 
 The negative-control model declares which identities it is expected to fail;
 the runner treats an expected failure as a success of the suite's
@@ -30,7 +33,6 @@ discriminating power.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -77,19 +79,6 @@ class IdentityReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IdentityReport":
-        return cls(
-            identity_id=data["identity_id"],
-            paper_ref=data["paper_ref"],
-            points_tested=int(data["points_tested"]),
-            max_residual=float(data["max_residual"]),
-            scale=float(data["scale"]),
-            tolerance=float(data["tolerance"]),
-            verdict=data["verdict"],
-            extras=dict(data.get("extras", {})),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +132,12 @@ def _cyclic_sum(t: np.ndarray) -> np.ndarray:
     return t + shifted + np.moveaxis(shifted, 3, 1)
 
 
-class _Shared:
-    """Quantities several evaluators use, each computed at most once per chunk.
-
-    Holds its bundle through a weak proxy, so the cache entry in ``_SHARED``
-    goes away with the bundle, or earlier when ``_chunkwise`` moves past it.  Bundle fields read through it too, so the
-    collection checks can name a shared quantity or a field alike.
-    """
+class _Chunk:
+    """One chunk's bundle fields, forwarded, and the quantities several
+    evaluators use, each computed at most once while the view lives."""
 
     def __init__(self, b: CurvatureBundle) -> None:
-        self.b = weakref.proxy(b)
+        self.b = b
 
     def __getattr__(self, name: str):
         return getattr(self.b, name)
@@ -224,50 +209,39 @@ class _Shared:
         return transport, lhs, rhs
 
 
-# Keyed weakly by bundle: every evaluate_check call on one chunk finds the same
-# entry without callers passing it along, and it is dropped with the chunk.
-_SHARED: "weakref.WeakKeyDictionary[CurvatureBundle, _Shared]" = weakref.WeakKeyDictionary()
+def _view(b: CurvatureBundle | _Chunk) -> _Chunk:
+    """``b`` itself if it is a chunk view, else a new view of the bundle."""
+    return b if isinstance(b, _Chunk) else _Chunk(b)
 
 
-def _shared(b: CurvatureBundle) -> _Shared:
-    """The shared quantities of one chunk, created on first use."""
-    shared = _SHARED.get(b)
-    if shared is None:
-        shared = _SHARED[b] = _Shared(b)
-    return shared
-
-
-def _chunkwise(bundles: Sequence[CurvatureBundle]):
-    """The chunks in order, each one's shared quantities dropped when the
-    caller moves on to the next, so one chunk's at most stay alive."""
-    for b in bundles:
-        yield b
-        _SHARED.pop(b, None)
+def _on_bundle(point_fn: Callable[[_Chunk], PointPairs]) -> Callable[[CurvatureBundle], PointPairs]:
+    """``point_fn`` for a bare bundle, through a view of its own."""
+    return lambda b: point_fn(_view(b))
 
 
 # ---------------------------------------------------------------------------
-# Pointwise evaluators: bundle (P points) -> (residual, scale), each (P,)
+# Pointwise evaluators: chunk view (P points) -> (residual, scale), each (P,)
 # ---------------------------------------------------------------------------
 
 
-def _torse_forming(b: CurvatureBundle) -> PointPairs:
+def _torse_forming(b: _Chunk) -> PointPairs:
     rhs = _slots(b.hubble_rate, 2) * (b.g + _outer(b.u_down, b.u_down))
     residual, scale = _pair(b.nabla_u_down, rhs)
     u_norm = np.abs(_into_last(b.u_down, b.u_up) + 1.0)
     return np.maximum(residual, u_norm), scale
 
 
-def _weyl_compatibility(b: CurvatureBundle) -> PointPairs:
+def _weyl_compatibility(b: _Chunk) -> PointPairs:
     # The three terms are u_i C_jklm u^m and its cyclic shifts i -> j -> k.
-    pattern = np.einsum("...i,...jkl->...ijkl", b.u_down, _shared(b).weyl_u)
+    pattern = np.einsum("...i,...jkl->...ijkl", b.u_down, b.weyl_u)
     return _pmax(_cyclic_sum(pattern)), _pmax(b.weyl)
 
 
-def _electric_contraction(b: CurvatureBundle) -> PointPairs:
-    return _pair(_shared(b).weyl_u, -_wedge(b.u_down, b.electric))
+def _electric_contraction(b: _Chunk) -> PointPairs:
+    return _pair(b.weyl_u, -_wedge(b.u_down, b.electric))
 
 
-def _ricci_form(b: CurvatureBundle) -> PointPairs:
+def _ricci_form(b: _Chunk) -> PointPairs:
     n = b.n
     u = b.u_down
     xi = b.raychaudhuri_scalar
@@ -281,12 +255,12 @@ def _ricci_form(b: CurvatureBundle) -> PointPairs:
     return _pair(b.ricci, rhs)
 
 
-def _hubble_gradient_spacelike(b: CurvatureBundle) -> PointPairs:
+def _hubble_gradient_spacelike(b: _Chunk) -> PointPairs:
     v = b.hubble_gradient_up
     return np.abs(_into_last(v, b.u_down)), _pmax(v)
 
 
-def _lovelock_n4(b: CurvatureBundle) -> PointPairs:
+def _lovelock_n4(b: _Chunk) -> PointPairs:
     g = b.g
     c = b.weyl
     # The nine terms are the three below and their cyclic shifts a -> b -> c.
@@ -298,14 +272,14 @@ def _lovelock_n4(b: CurvatureBundle) -> PointPairs:
     return _pmax(_cyclic_sum(pattern)), _pmax(g) * _pmax(c)
 
 
-def _quarter_trace_n4(b: CurvatureBundle) -> PointPairs:
+def _quarter_trace_n4(b: _Chunk) -> PointPairs:
     c = b.weyl
     rows = (len(c), -1, b.n)  # (abc, r) per point
     t = np.swapaxes(c.reshape(rows), -1, -2) @ raise_all(c, b.g_inv).reshape(rows)
-    return _pair(t, _slots(0.25 * _shared(b).weyl_sq, 2) * np.eye(b.n))
+    return _pair(t, _slots(0.25 * b.weyl_sq, 2) * np.eye(b.n))
 
 
-def _reconstruction_n4(b: CurvatureBundle) -> PointPairs:
+def _reconstruction_n4(b: _Chunk) -> PointPairs:
     c = b.weyl
     letters = "abcd"
     # u^m contracted into each slot of C, times u carrying that slot's index.
@@ -314,27 +288,25 @@ def _reconstruction_n4(b: CurvatureBundle) -> PointPairs:
         rest = letters.replace(s, "")
         q = _into_last(np.moveaxis(c, 1 + slot, -1), b.u_up)
         u_terms = u_terms + np.einsum(f"...{s},...{rest}->...{letters}", b.u_down, q)
-    return _pair(c, _shared(b).kn_g - u_terms)
+    return _pair(c, b.kn_g - u_terms)
 
 
-def _electric_rep_n4(b: CurvatureBundle) -> PointPairs:
-    shared = _shared(b)
-    return _pair(b.weyl, 2.0 * shared.kn_uu + shared.kn_g)
+def _electric_rep_n4(b: _Chunk) -> PointPairs:
+    return _pair(b.weyl, 2.0 * b.kn_uu + b.kn_g)
 
 
-def _weyl_sq_8_electric_sq(b: CurvatureBundle) -> PointPairs:
-    shared = _shared(b)
-    c2, e2 = shared.weyl_sq, shared.electric_sq
+def _weyl_sq_8_electric_sq(b: _Chunk) -> PointPairs:
+    c2, e2 = b.weyl_sq, b.electric_sq
     return np.abs(c2 - 8.0 * e2), np.abs(c2)
 
 
-def _remainder_curvature_symmetries(b: CurvatureBundle) -> PointPairs:
+def _remainder_curvature_symmetries(b: _Chunk) -> PointPairs:
     residuals = generalized_curvature_check(b.weyl_remainder)
     scale = np.maximum(_pmax(b.weyl), _pmax(b.weyl_remainder))
     return np.max(list(residuals.values()), axis=0), scale
 
 
-def _remainder_traceless(b: CurvatureBundle) -> PointPairs:
+def _remainder_traceless(b: _Chunk) -> PointPairs:
     t = b.weyl_remainder
     n = b.n
     g_inv = b.g_inv.reshape(len(t), n * n)
@@ -346,7 +318,7 @@ def _remainder_traceless(b: CurvatureBundle) -> PointPairs:
     return worst, np.maximum(_pmax(b.weyl), _pmax(t))
 
 
-def _remainder_u_annihilation(b: CurvatureBundle) -> PointPairs:
+def _remainder_u_annihilation(b: _Chunk) -> PointPairs:
     t = b.weyl_remainder
     worst = np.zeros(len(t))
     for slot in (1, 2, 3, 4):
@@ -354,33 +326,31 @@ def _remainder_u_annihilation(b: CurvatureBundle) -> PointPairs:
     return worst, np.maximum(_pmax(b.weyl), _pmax(t))
 
 
-def _remainder_recurrence(b: CurvatureBundle) -> PointPairs:
-    transport = _shared(b).recurrences[0]
+def _remainder_recurrence(b: _Chunk) -> PointPairs:
+    transport = b.recurrences[0]
     decay = _slots(2.0 * b.hubble_rate, 4) * b.weyl_remainder
     return _pmax(transport + decay), np.maximum(_pmax(transport), _pmax(decay))
 
 
-def _remainder_vanishes_n4(b: CurvatureBundle) -> PointPairs:
+def _remainder_vanishes_n4(b: _Chunk) -> PointPairs:
     return _pmax(b.weyl_remainder), _pmax(b.weyl)
 
 
-def _remainder_scalar_relation(b: CurvatureBundle) -> PointPairs:
-    shared = _shared(b)
-    c2, e2, t2 = shared.weyl_sq, shared.electric_sq, shared.remainder_sq
+def _remainder_scalar_relation(b: _Chunk) -> PointPairs:
+    c2, e2, t2 = b.weyl_sq, b.electric_sq, b.remainder_sq
     coeff = 4.0 * (b.n - 2.0) / (b.n - 3.0)
     scale = np.maximum(np.maximum(np.abs(c2), np.abs(t2)), coeff * np.abs(e2))
     return np.abs(t2 - c2 + coeff * e2), scale
 
 
-def _weyl_scalar_positivity(b: CurvatureBundle) -> PointPairs:
-    shared = _shared(b)
-    c2, e2, t2 = shared.weyl_sq, shared.electric_sq, shared.remainder_sq
+def _weyl_scalar_positivity(b: _Chunk) -> PointPairs:
+    c2, e2, t2 = b.weyl_sq, b.electric_sq, b.remainder_sq
     residual = np.maximum(np.maximum(0.0, -c2), np.maximum(-e2, -t2))
     scale = np.maximum(np.maximum(np.abs(c2), np.abs(e2)), np.abs(t2))
     return residual, scale
 
 
-def _bianchi_contraction(b: CurvatureBundle) -> PointPairs:
+def _bianchi_contraction(b: _Chunk) -> PointPairs:
     nc = b.nabla_weyl
     g = b.g
     dv = b.div_weyl
@@ -392,15 +362,14 @@ def _bianchi_contraction(b: CurvatureBundle) -> PointPairs:
     return _pmax(_cyclic_sum(pattern)), _pmax(nc)
 
 
-def _divergence_formula(b: CurvatureBundle) -> PointPairs:
+def _divergence_formula(b: _Chunk) -> PointPairs:
     n = b.n
-    shared = _shared(b)
     u = b.u_down
     e = b.electric
     ne = b.nabla_electric
 
     antisym = _wedge(u, e)
-    d_antisym = _wedge(shared.acceleration, e) + _wedge(u, shared.electric_along_u)
+    d_antisym = _wedge(b.acceleration, e) + _wedge(u, b.electric_along_u)
     grad_term = (n - 3.0) * (ne - np.swapaxes(ne, -3, -2))
     transport_term = (n - 2.0) * (d_antisym + 2.0 * _slots(b.hubble_rate, 3) * antisym)
     proj_term = _wedge(b.div_electric, 2.0 * _outer(u, u) + b.g)
@@ -411,30 +380,30 @@ def _divergence_formula(b: CurvatureBundle) -> PointPairs:
     return residual, scale
 
 
-def _master_recurrence(b: CurvatureBundle) -> PointPairs:
-    _, lhs, rhs = _shared(b).recurrences
+def _master_recurrence(b: _Chunk) -> PointPairs:
+    _, lhs, rhs = b.recurrences
     return _pair(lhs, rhs)
 
 
-def _master_recurrence_consistency(b: CurvatureBundle) -> PointPairs:
-    transport, lhs, rhs = _shared(b).recurrences
+def _master_recurrence_consistency(b: _Chunk) -> PointPairs:
+    transport, lhs, rhs = b.recurrences
     decay = _slots(2.0 * b.hubble_rate, 4) * b.weyl_remainder
     return _pair(lhs - rhs, (b.n - 3.0) * (transport + decay))
 
 
-def _divfree_point(b: CurvatureBundle) -> PointPairs:
+def _divfree_point(b: _Chunk) -> PointPairs:
     return _pmax(b.div_weyl), _pmax(b.nabla_weyl)
 
 
-def _divfree_corollary_point(b: CurvatureBundle) -> PointPairs:
-    de = _shared(b).electric_along_u
+def _divfree_corollary_point(b: _Chunk) -> PointPairs:
+    de = b.electric_along_u
     decay = _slots(b.hubble_rate * (b.n - 1.0), 2) * b.electric
     residual = np.maximum(_pmax(b.div_electric), _pmax(de + decay))
     scale = np.maximum(_pmax(b.nabla_electric), _pmax(decay))
     return residual, scale
 
 
-def _electric_gradient_recurrence_point(b: CurvatureBundle) -> PointPairs:
+def _electric_gradient_recurrence_point(b: _Chunk) -> PointPairs:
     phi = _slots(b.hubble_rate, 3)
     ne = b.nabla_electric
     lhs = ne - np.swapaxes(ne, -3, -2)
@@ -442,12 +411,11 @@ def _electric_gradient_recurrence_point(b: CurvatureBundle) -> PointPairs:
     return _pair(lhs, rhs)
 
 
-def _weyl_u_recurrence_point(b: CurvatureBundle) -> PointPairs:
-    shared = _shared(b)
+def _weyl_u_recurrence_point(b: _Chunk) -> PointPairs:
     # u^p ∇_p (C_jklm u^m) by the product rule: (u^p ∇_p C_jklm) u^m + C_jklm u^p ∇_p u^m.
     acc_up = _into_first(b.u_up, b.nabla_u_up)
-    transport = _into_last(shared.weyl_along_u, b.u_up) + _into_last(b.weyl, acc_up)
-    decay = _slots(b.hubble_rate * (b.n - 1.0), 3) * shared.weyl_u
+    transport = _into_last(b.weyl_along_u, b.u_up) + _into_last(b.weyl, acc_up)
+    decay = _slots(b.hubble_rate * (b.n - 1.0), 3) * b.weyl_u
     return _pmax(transport + decay), np.maximum(_pmax(transport), _pmax(decay))
 
 
@@ -475,7 +443,7 @@ def _worst_point(pairs: Sequence[PointPairs]) -> EvalResult:
 
 def _largest(bundles: Sequence[CurvatureBundle], name: str) -> float:
     """Largest absolute component of a bundle field or shared quantity over all points."""
-    return max(max_abs(getattr(_shared(b), name)) for b in _chunkwise(bundles))
+    return max(max_abs(getattr(_view(b), name)) for b in bundles)
 
 
 def _is_zero(value: float, scale: float) -> bool:
@@ -500,7 +468,7 @@ def _conditional(point_fn, measured: str, reference: str, unmet_extras: tuple[st
         if not holds:
             extras.update((f"max_{name}", _largest(bundles, name)) for name in unmet_extras)
             return EvalResult(False, extras=extras)
-        result = _worst_point([point_fn(b) for b in _chunkwise(bundles)])
+        result = _worst_point([point_fn(_view(b)) for b in bundles])
         result.extras = extras
         return result
 
@@ -550,7 +518,7 @@ class IdentityCheck:
     group: str
     tolerance: float
     applies: Callable[[MetricModel], bool] = _always
-    point_fn: Callable[[CurvatureBundle], PointPairs] | None = None
+    point_fn: Callable[[_Chunk], PointPairs] | None = None
     collection_fn: Callable[[Sequence[CurvatureBundle]], EvalResult] | None = None
 
 
@@ -780,9 +748,10 @@ REGISTRY: tuple[IdentityCheck, ...] = (
 # Report groups, in the order the registry first lists them.
 GROUPS = tuple(dict.fromkeys(check.group for check in REGISTRY))
 
-# Pointwise evaluators exposed for tests that need per-point residuals.
+# Pointwise evaluators exposed for tests that need per-point residuals; each
+# takes a bundle.
 POINT_EVALUATORS: dict[str, Callable[[CurvatureBundle], PointPairs]] = {
-    check.identity_id: check.point_fn for check in REGISTRY if check.point_fn is not None
+    check.identity_id: _on_bundle(check.point_fn) for check in REGISTRY if check.point_fn is not None
 }
 
 
@@ -796,8 +765,9 @@ def evaluate_check(
     bundles: Sequence[CurvatureBundle],
     tolerance: float | None = None,
 ) -> IdentityReport:
-    """Evaluate one identity over a model's bundles (chunks of sampled points)
-    and build its report; the verdict rule lives here and nowhere else."""
+    """Evaluate one identity over a model's bundles (chunks of sampled points,
+    or their views) and build its report; the verdict rule lives here and
+    nowhere else."""
     if not bundles:
         raise ValueError("at least one curvature bundle is required")
     tol = check.tolerance if tolerance is None else float(tolerance)
@@ -806,7 +776,7 @@ def evaluate_check(
     elif check.collection_fn is not None:
         result = check.collection_fn(bundles)
     else:
-        result = _worst_point([check.point_fn(b) for b in bundles])
+        result = _worst_point([check.point_fn(_view(b)) for b in bundles])
     if not result.applicable:
         verdict = NOT_APPLICABLE
     elif result.residual <= tol * max(1.0, result.scale):
@@ -836,14 +806,17 @@ def run_model_suite(
     if unknown:
         raise ValueError(f"unknown identity ids in tolerance overrides: {sorted(unknown)}")
     # Pointwise checks that apply run a chunk at a time, all of them on one
-    # chunk before the next, so only one chunk's shared quantities are alive
-    # at once; every other check sees all the chunks in one call.
+    # chunk's view, which is dropped before the next is built, so only one
+    # chunk's shared quantities are alive at once; every other check sees all
+    # the chunks in one call.
     chunked = [check for check in REGISTRY if check.point_fn is not None and check.applies(model)]
     per_chunk: dict[str, list[IdentityReport]] = {check.identity_id: [] for check in chunked}
-    for b in _chunkwise(bundles):
+    for b in bundles:
+        chunk = _Chunk(b)
         for check in chunked:
-            report = evaluate_check(check, model, [b], overrides.get(check.identity_id))
+            report = evaluate_check(check, model, [chunk], overrides.get(check.identity_id))
             per_chunk[check.identity_id].append(report)
+        del chunk  # the last one too: the collection checks build their own
     reports = [
         _merged(per_chunk[check.identity_id])
         if check.identity_id in per_chunk

@@ -95,13 +95,13 @@ class TensorValue:
         return cls(n=int(n), variance=flags, components=comp)
 
 
-def max_abs(t: TensorValue | np.ndarray, per_point: bool = False) -> float | np.ndarray:
+def max_abs(t: np.ndarray, per_point: bool = False) -> float | np.ndarray:
     """Largest absolute component; 0 for an empty array.
 
     With ``per_point``, ``t`` has one leading point axis and the result holds
     one maximum per point (shape ``(P,)``).
     """
-    comp = t.components if isinstance(t, TensorValue) else np.asarray(t)
+    comp = np.asarray(t)
     if per_point:
         return np.abs(comp).reshape(len(comp), -1).max(axis=1)
     return float(np.max(np.abs(comp))) if comp.size else 0.0

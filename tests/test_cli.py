@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from weylgeom import builtin_model, cli, sample_points
-from weylgeom.cli import default_config, load_config, main, parse_structured, run, serialize_structured
+from weylgeom.cli import default_config, load_config, main, run, serialize_structured
 from weylgeom.identities import IdentityReport
 
 
@@ -33,11 +33,14 @@ def test_models_list_contains_catalog(capsys):
         assert name in out
 
 
-def _run_module(module, *argv):
+def _module_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _run_module(module, *argv):
     return subprocess.run(
-        [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-m", module, *argv], env=_module_env(), capture_output=True, text=True, timeout=120
     )
 
 
@@ -48,6 +51,47 @@ def test_package_runs_as_a_module():
     verified = _run_module("weylgeom", "verify", "--points", "2", "--model", "twisted_n4")
     assert verified.returncode == 0, verified.stderr
     assert "twisted_n4" in verified.stdout
+
+
+_BIG_DUMP = ["tensor-dump", "nablaC", "--model", "twisted_generic", "--n", "6", "--point", "0.5,0.1,0.2,0.3,0.4,0.2"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    # The reader closes before any output, or after the first line of a dump
+    # (about 230 kB) far larger than a pipe holds, so the pipe always breaks.
+    [(["models-list"], 0), (_BIG_DUMP, 1)],
+    ids=["models-list", "tensor-dump"],
+)
+def test_closed_pipe_ends_quietly(argv, lines_read, unbuffered):
+    env = _module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylgeom", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--tolerance", "weyl_divergence_formula=abc"], "--tolerance ID=VALUE"),
+        (["tensor-dump", "phi", "--model", "rw_flat", "--point", "1,0,x,0"], "--point"),
+        (["tensor-dump", "phi", "--model", "rw_flat", "--point", ","], "--point"),
+    ],
+    ids=["tolerance", "point", "empty-point"],
+)
+def test_unparsable_flag_value_names_the_flag(capsys, argv, flag):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
 
 
 def test_cli_module_runs_the_command_line():
@@ -78,7 +122,7 @@ def test_structured_output_roundtrip(tmp_path):
         _verify_args("--model", "twisted_n4", "--format", "structured", "--output", str(out_path))
     )
     assert code == 0
-    data = parse_structured(out_path.read_text())
+    data = json.loads(out_path.read_text())
     assert data["exit_code"] == 0
     assert data["run"]["seed"] == 42
     row = data["reports"][0]
@@ -98,22 +142,10 @@ def test_structured_output_roundtrip(tmp_path):
     keys = [(r["model"], r["identity_id"]) for r in data["reports"]]
     assert keys == sorted(keys)
     # Serialization round-trips exactly.
-    assert parse_structured(serialize_structured(data)) == data
-    report_fields = {
-        k: row[k]
-        for k in (
-            "identity_id",
-            "paper_ref",
-            "points_tested",
-            "max_residual",
-            "scale",
-            "tolerance",
-            "verdict",
-            "extras",
-        )
-    }
-    report = IdentityReport.from_dict(report_fields)
-    assert report.to_dict() == report_fields
+    assert json.loads(serialize_structured(data)) == data
+    # A row is one report's fields plus the model and the expectation bookkeeping.
+    report_fields = {k: v for k, v in row.items() if k not in ("model", "n", "expected", "ok")}
+    assert IdentityReport(**report_fields).to_dict() == report_fields
 
 
 def test_fixed_seed_runs_are_byte_identical(tmp_path):
@@ -155,7 +187,7 @@ def test_unknown_model_filter_exits_two(capsys):
 
 def _verified_models(capsys, *argv):
     assert main(["verify", "--points", "2", "--format", "structured", *argv]) == 0
-    return sorted({row["model"] for row in parse_structured(capsys.readouterr().out)["reports"]})
+    return sorted({row["model"] for row in json.loads(capsys.readouterr().out)["reports"]})
 
 
 def test_model_filter_accepts_the_model_label(capsys):

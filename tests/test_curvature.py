@@ -154,7 +154,7 @@ def test_weyl_mixed_trace_via_contract_and_brute_force(small_bundles):
     weyl_c = TensorValue.of(b.weyl[0], (DOWN,) * 4)
     mixed = raise_lower(weyl_c, 0, TensorValue.of(b.g_inv[0], (UP, UP)), UP)
     traced = contract(mixed, 0, 3)
-    assert max_abs(traced) < 1e-12 * max(1.0, max_abs(weyl_c))
+    assert max_abs(traced.components) < 1e-12 * max(1.0, max_abs(weyl_c.components))
     n = b.n
     brute = np.zeros((n, n))
     for k in range(n):
@@ -171,7 +171,7 @@ def test_electric_raise_lower_roundtrip_on_twisted_metric(small_bundles):
             mixed = raise_lower(electric, 1, TensorValue.of(b.g_inv[k], (UP, UP)), UP)
             back = raise_lower(mixed, 1, TensorValue.of(b.g[k], (DOWN, DOWN)), DOWN)
             assert max_abs(back.components - electric.components) < 1e-12 * max(
-                1.0, max_abs(electric)
+                1.0, max_abs(electric.components)
             )
 
 

@@ -1,6 +1,7 @@
 """Identity evaluators: positive models, the negative control, and reports."""
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -384,7 +385,7 @@ def test_report_roundtrip():
         verdict=PASS,
         extras={"max_electric": 0.25},
     )
-    assert IdentityReport.from_dict(report.to_dict()) == report
+    assert IdentityReport(**report.to_dict()) == report
 
 
 def test_verdict_matches_relative_tolerance_rule(small_bundles):
@@ -427,26 +428,31 @@ def test_suite_reports_are_sorted(small_bundles):
 
 @pytest.mark.parametrize("spec", default_model_specs(), ids=lambda spec: f"{spec[0]}_n{spec[1]}")
 def test_suite_keeps_one_chunks_shared_blocks_and_the_same_reports(monkeypatch, spec):
-    # Six chunks of a few points each; the suite must hold the shared blocks
-    # of at most one chunk at a time and report exactly what evaluating each
-    # check over all chunks at once reports.
+    # Six chunks of a few points each; whenever an evaluator reads a bundle
+    # field, at most one chunk view may hold shared blocks, none may outlive
+    # the suite, and the reports must be exactly what evaluating each check
+    # over all chunks at once reports.
     model = builtin_model(*spec)
     points = sample_points(model, 17, 5)
     bundles = [build_bundle(model, points[i : i + 3]) for i in range(0, len(points), 3)]
     expected = sorted(
         (evaluate_check(check, model, bundles) for check in REGISTRY), key=lambda r: r.identity_id
     )
-    identities._SHARED.clear()
 
-    alive = []
-    shared = identities._shared
+    live = weakref.WeakSet()
+    holding = []
 
-    def counting(b):
-        out = shared(b)
-        alive.append(sum(chunk in identities._SHARED for chunk in bundles))
-        return out
+    class Tracked(identities._Chunk):
+        def __init__(self, b):
+            super().__init__(b)
+            live.add(self)
 
-    monkeypatch.setattr(identities, "_shared", counting)
+        def __getattr__(self, name):
+            # Every view's dict holds its bundle; more entries are shared blocks.
+            holding.append(sum(len(vars(view)) > 1 for view in live))
+            return super().__getattr__(name)
+
+    monkeypatch.setattr(identities, "_Chunk", Tracked)
     assert run_model_suite(model, bundles) == expected
-    assert alive and max(alive) == 1
-    assert not any(chunk in identities._SHARED for chunk in bundles)
+    assert holding and max(holding) == 1
+    assert len(live) == 0
