@@ -437,14 +437,35 @@ def cmd_tensor_dump(args: argparse.Namespace) -> int:
         "point": point.tolist(),
         "field": field_name,
     }
-    variance = FIELD_VARIANCE.get(field_name)
     if value.ndim == 0:
         record["value"] = float(value)
+        text = json.dumps(record, indent=2, sort_keys=True)
     else:
+        variance = FIELD_VARIANCE.get(field_name)
         record["variance"] = None if variance is None else list(variance)
-        record["components"] = value.tolist()
-    _emit(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        # "components" sorts before every other key, so it opens the object.
+        rest = json.dumps(record, indent=2, sort_keys=True)
+        text = '{\n  "components": ' + _json_float_array(value, 1) + "," + rest[1:]
+    _emit(text + "\n")
     return 0
+
+
+def _json_float_array(value: np.ndarray, depth: int) -> str:
+    """``value`` as ``json.dumps(value.tolist(), indent=2)`` writes it when
+    nested ``depth`` levels deep, built straight from the flat array.
+
+    ``json`` spells a finite float as ``float.__repr__`` does (the shortest
+    round-trip form); ``build_bundle`` rejects non-finite fields, so this
+    never meets the NaN and Infinity spellings.  Every axis must be
+    non-empty.
+    """
+    items = list(map(float.__repr__, value.ravel().tolist()))
+    for level, size in zip(range(depth + value.ndim, depth, -1), reversed(value.shape)):
+        indent = "  " * level
+        join = (",\n" + indent).join
+        close = "\n" + indent[2:] + "]"
+        items = ["[\n" + indent + join(items[i : i + size]) + close for i in range(0, len(items), size)]
+    return items[0]
 
 
 def cmd_models_list(args: argparse.Namespace) -> int:
@@ -472,8 +493,17 @@ def cmd_models_list(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error on one line,
+    ``error: <message>``, and exits 2, without argparse's usage block.
+    Subparsers are built from the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weylgeom",
         description="verify curvature identities of twisted space-time metrics",
     )

@@ -33,7 +33,7 @@ discriminating power.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -78,7 +78,8 @@ class IdentityReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report's fields as a dict, with its own copy of ``extras``."""
+        return dict(vars(self), extras=dict(self.extras))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ import pytest
 
 from weylgeom import builtin_model, cli, sample_points
 from weylgeom.cli import default_config, load_config, main, run, serialize_structured
+from weylgeom.curvature import FIELD_VARIANCE, build_bundle
 from weylgeom.identities import IdentityReport
+from weylgeom.models import default_model_specs
 
 
 def _verify_args(*extra):
@@ -301,6 +303,62 @@ def test_tensor_dump_unknown_field_exits_two(capsys):
     code = main(["tensor-dump", "nonsense", "--model", "minkowski", "--point", "0,0,0,0"])
     assert code == 2
     assert "unknown field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["verify", "--points", "abc"], "error: argument --points: invalid int value: 'abc'"),
+        (["verify", "--seed", "x"], "error: argument --seed: invalid int value: 'x'"),
+        (["tensor-dump", "C", "--model", "rw_flat", "--n", "x", "--point", "1,0,0,0"], "error: argument --n: "),
+        (["verify", "--format", "xml"], "error: argument --format: invalid choice: 'xml'"),
+        (["tensor-dump", "C", "--model", "rw_flat"], "error: the following arguments are required: --point"),
+        (["frobnicate"], "error: argument command: invalid choice: 'frobnicate'"),
+    ],
+    ids=["points", "seed", "n", "format", "missing-point", "subcommand"],
+)
+def test_usage_error_is_one_line(capsys, argv, line):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(line)
+
+
+def test_help_still_prints_usage(capsys):
+    assert main(["verify", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: weylgeom verify")
+
+
+def _dump_cases():
+    models = [builtin_model(name, n, params) for name, n, params in default_model_specs()]
+    return models + [builtin_model("twisted_generic", 7)]
+
+
+@pytest.mark.parametrize("model", _dump_cases(), ids=lambda model: model.label)
+def test_tensor_dump_text_equals_json_dumps(capsys, model):
+    point = sample_points(model, 1, 3)[0]
+    bundle = build_bundle(model, point[None])
+    argv = ["--model", model.name, "--n", str(model.n), "--point", ",".join(map(repr, point.tolist()))]
+    for name, value in model.parameters.items():
+        argv += ["--param", f"{name}={value}"]
+    for field_name in cli._DUMP_FIELDS:
+        assert main(["tensor-dump", field_name, *argv]) == 0
+        value = getattr(bundle, field_name)[0]
+        record = {"model": model.label, "n": model.n, "point": point.tolist(), "field": field_name}
+        if value.ndim == 0:
+            record["value"] = float(value)
+        else:
+            variance = FIELD_VARIANCE.get(field_name)
+            record["variance"] = None if variance is None else list(variance)
+            record["components"] = value.tolist()
+        assert capsys.readouterr().out == json.dumps(record, indent=2, sort_keys=True) + "\n", field_name
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1), (4, 4), (3,) * 5])
+def test_json_float_array_matches_json_dumps(shape):
+    values = np.resize([-0.0, 5e-324, 1e-7, 1e16, 1e300, 0.1, -2.5, 1.0 / 3.0], shape)
+    assert cli._json_float_array(values, 0) == json.dumps(values.tolist(), indent=2)
+    nested = json.dumps({"components": values.tolist()}, indent=2)
+    assert '{\n  "components": ' + cli._json_float_array(values, 1) + "\n}" == nested
 
 
 def test_exit_code_is_function_of_reports():
