@@ -2,28 +2,28 @@
 
 Each registry entry pins one identity: a stable ``identity_id``, the formula
 it checks (``paper_ref``, printed next to the result for auditability), a
-relative tolerance, and an evaluator.  Pointwise evaluators take one
-curvature bundle (a chunk of P points) and return ``(residual, scale)`` as
+relative tolerance, and what it measures.  A pointwise evaluator takes one
+curvature bundle (a chunk of P points) and returns ``(residual, scale)`` as
 two arrays of shape ``(P,)``, where ``scale`` is the magnitude of the
 dominant contributing term at each point; a report passes iff
 ``max_residual <= tolerance * max(1, scale)`` at the worst point in that
-relative sense.  Collection evaluators (the if-and-only-if checks and the
-divergence-free consequences) look at all sampled points of a model at once,
-because their hypotheses are measured, not assumed: checks whose hypotheses
-fail on a model are reported ``not-applicable`` with the measured magnitudes
-attached, never asserted.
+relative sense.  Hypotheses are measured, not assumed: a conditional check
+(the divergence-free consequences) is a pointwise check that also records
+the per-point maxima its hypothesis names, and an if-and-only-if check
+records only such maxima.  A check whose hypothesis fails on a model is
+reported ``not-applicable`` with the measured magnitudes attached, never
+asserted.  One rule (``_is_zero``) judges every measured hypothesis.
 
-The evaluators share a few building blocks: the Kulkarni-Nomizu blocks
-(u⊗u) ∧ E and g ∧ E of the Weyl decomposition, the antisymmetric pair
-u_i E_km - u_k E_im (``_wedge``), transports along u, and the squared norms.
-Each is computed at most once per chunk view (``_Chunk``), which forwards its
-bundle's fields, so an evaluator reads a field or a shared block alike.  The
-code that evaluates a chunk owns its view: ``run_model_suite`` builds one per
-chunk, runs every pointwise check on it and drops it before the next, so one
-chunk's blocks at most are alive; ``evaluate_check``, ``_largest`` and
-``_conditional`` wrap a bare bundle only for the one expression that uses
-it, so the collection checks recompute the few blocks they name.  One rule
-(``_is_zero``) judges every measured hypothesis.
+A model's suite is one pass over its chunks, then one judge per report.  The
+pass builds a view of each chunk (``_Chunk``), which forwards its bundle's
+fields and computes each shared block at most once: the Kulkarni-Nomizu
+blocks (u⊗u) ∧ E and g ∧ E of the Weyl decomposition, transports along u,
+the squared norms, and the per-point maxima ``max_<name>`` of any field or
+block.  Every applicable check measures its per-point arrays on that view
+(``evaluate_check``), and the view is dropped before the next chunk's is
+built, so one chunk's blocks at most are alive.  Each report is then judged
+from its check's arrays over all chunks (``_report``); ``check_report`` runs
+the same two steps for one check alone.
 
 The negative-control model declares which identities it is expected to fail;
 the runner treats an expected failure as a success of the suite's
@@ -33,7 +33,7 @@ discriminating power.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -49,6 +49,7 @@ __all__ = [
     "REGISTRY",
     "registry_ids",
     "evaluate_check",
+    "check_report",
     "run_model_suite",
     "expected_verdict",
     "report_ok",
@@ -135,12 +136,16 @@ def _cyclic_sum(t: np.ndarray) -> np.ndarray:
 
 class _Chunk:
     """One chunk's bundle fields, forwarded, and the quantities several
-    evaluators use, each computed at most once while the view lives."""
+    evaluators use, each computed at most once while the view lives.
+    ``max_<name>`` is the per-point maximum of a field or shared quantity."""
 
     def __init__(self, b: CurvatureBundle) -> None:
         self.b = b
 
     def __getattr__(self, name: str):
+        if name.startswith("max_"):
+            value = self.__dict__[name] = _pmax(getattr(self, name[4:]))
+            return value
         return getattr(self.b, name)
 
     @cached_property
@@ -210,16 +215,6 @@ class _Chunk:
         return transport, lhs, rhs
 
 
-def _view(b: CurvatureBundle | _Chunk) -> _Chunk:
-    """``b`` itself if it is a chunk view, else a new view of the bundle."""
-    return b if isinstance(b, _Chunk) else _Chunk(b)
-
-
-def _on_bundle(point_fn: Callable[[_Chunk], PointPairs]) -> Callable[[CurvatureBundle], PointPairs]:
-    """``point_fn`` for a bare bundle, through a view of its own."""
-    return lambda b: point_fn(_view(b))
-
-
 # ---------------------------------------------------------------------------
 # Pointwise evaluators: chunk view (P points) -> (residual, scale), each (P,)
 # ---------------------------------------------------------------------------
@@ -235,7 +230,7 @@ def _torse_forming(b: _Chunk) -> PointPairs:
 def _weyl_compatibility(b: _Chunk) -> PointPairs:
     # The three terms are u_i C_jklm u^m and its cyclic shifts i -> j -> k.
     pattern = np.einsum("...i,...jkl->...ijkl", b.u_down, b.weyl_u)
-    return _pmax(_cyclic_sum(pattern)), _pmax(b.weyl)
+    return _pmax(_cyclic_sum(pattern)), b.max_weyl
 
 
 def _electric_contraction(b: _Chunk) -> PointPairs:
@@ -270,7 +265,7 @@ def _lovelock_n4(b: _Chunk) -> PointPairs:
         + np.einsum("...at,...bcrs->...abcrst", g, c)
         + np.einsum("...as,...bctr->...abcrst", g, c)
     )
-    return _pmax(_cyclic_sum(pattern)), _pmax(g) * _pmax(c)
+    return _pmax(_cyclic_sum(pattern)), b.max_g * b.max_weyl
 
 
 def _quarter_trace_n4(b: _Chunk) -> PointPairs:
@@ -303,7 +298,7 @@ def _weyl_sq_8_electric_sq(b: _Chunk) -> PointPairs:
 
 def _remainder_curvature_symmetries(b: _Chunk) -> PointPairs:
     residuals = generalized_curvature_check(b.weyl_remainder)
-    scale = np.maximum(_pmax(b.weyl), _pmax(b.weyl_remainder))
+    scale = np.maximum(b.max_weyl, b.max_weyl_remainder)
     return np.max(list(residuals.values()), axis=0), scale
 
 
@@ -316,7 +311,7 @@ def _remainder_traceless(b: _Chunk) -> PointPairs:
         # g^sr contracted into the slot pair (s, r), both moved to the end.
         traced = _into_last(np.moveaxis(t, pair, (-2, -1)).reshape(len(t), n, n, n * n), g_inv)
         worst = np.maximum(worst, _pmax(traced))
-    return worst, np.maximum(_pmax(b.weyl), _pmax(t))
+    return worst, np.maximum(b.max_weyl, b.max_weyl_remainder)
 
 
 def _remainder_u_annihilation(b: _Chunk) -> PointPairs:
@@ -324,7 +319,7 @@ def _remainder_u_annihilation(b: _Chunk) -> PointPairs:
     worst = np.zeros(len(t))
     for slot in (1, 2, 3, 4):
         worst = np.maximum(worst, _pmax(_into_last(np.moveaxis(t, slot, -1), b.u_up)))
-    return worst, np.maximum(_pmax(b.weyl), _pmax(t))
+    return worst, np.maximum(b.max_weyl, b.max_weyl_remainder)
 
 
 def _remainder_recurrence(b: _Chunk) -> PointPairs:
@@ -334,7 +329,7 @@ def _remainder_recurrence(b: _Chunk) -> PointPairs:
 
 
 def _remainder_vanishes_n4(b: _Chunk) -> PointPairs:
-    return _pmax(b.weyl_remainder), _pmax(b.weyl)
+    return b.max_weyl_remainder, b.max_weyl
 
 
 def _remainder_scalar_relation(b: _Chunk) -> PointPairs:
@@ -360,7 +355,7 @@ def _bianchi_contraction(b: _Chunk) -> PointPairs:
     pattern = nc - (
         np.einsum("...jm,...kil->...ijklm", g, dv) + np.einsum("...kl,...jim->...ijklm", g, dv)
     ) / (b.n - 3.0)
-    return _pmax(_cyclic_sum(pattern)), _pmax(nc)
+    return _pmax(_cyclic_sum(pattern)), b.max_nabla_weyl
 
 
 def _divergence_formula(b: _Chunk) -> PointPairs:
@@ -393,14 +388,14 @@ def _master_recurrence_consistency(b: _Chunk) -> PointPairs:
 
 
 def _divfree_point(b: _Chunk) -> PointPairs:
-    return _pmax(b.div_weyl), _pmax(b.nabla_weyl)
+    return b.max_div_weyl, b.max_nabla_weyl
 
 
 def _divfree_corollary_point(b: _Chunk) -> PointPairs:
     de = b.electric_along_u
     decay = _slots(b.hubble_rate * (b.n - 1.0), 2) * b.electric
-    residual = np.maximum(_pmax(b.div_electric), _pmax(de + decay))
-    scale = np.maximum(_pmax(b.nabla_electric), _pmax(decay))
+    residual = np.maximum(b.max_div_electric, _pmax(de + decay))
+    scale = np.maximum(b.max_nabla_electric, _pmax(decay))
     return residual, scale
 
 
@@ -418,77 +413,6 @@ def _weyl_u_recurrence_point(b: _Chunk) -> PointPairs:
     transport = _into_last(b.weyl_along_u, b.u_up) + _into_last(b.weyl, acc_up)
     decay = _slots(b.hubble_rate * (b.n - 1.0), 3) * b.weyl_u
     return _pmax(transport + decay), np.maximum(_pmax(transport), _pmax(decay))
-
-
-# ---------------------------------------------------------------------------
-# Collection evaluators: (model, bundles) -> EvalResult
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EvalResult:
-    applicable: bool
-    residual: float = 0.0
-    scale: float = 0.0
-    points: int = 0
-    extras: dict = field(default_factory=dict)
-
-
-def _worst_point(pairs: Sequence[PointPairs]) -> EvalResult:
-    """The first point with the largest ``residual / max(1, scale)``."""
-    residual = np.concatenate([r for r, _ in pairs])
-    scale = np.concatenate([s for _, s in pairs])
-    k = int(np.argmax(residual / np.maximum(1.0, scale)))
-    return EvalResult(True, float(residual[k]), float(scale[k]), len(residual))
-
-
-def _largest(bundles: Sequence[CurvatureBundle], name: str) -> float:
-    """Largest absolute component of a bundle field or shared quantity over all points."""
-    return max(max_abs(getattr(_view(b), name)) for b in bundles)
-
-
-def _is_zero(value: float, scale: float) -> bool:
-    """The hypothesis rule: a maximum counts as zero below HYPOTHESIS_RTOL * max(1, scale)."""
-    return value < HYPOTHESIS_RTOL * max(1.0, scale)
-
-
-def _hypothesis(bundles, measured: str, reference: str) -> tuple[bool, dict]:
-    """Whether ``measured`` vanishes at every point relative to ``reference``,
-    with both maxima as extras (``max_<name>``)."""
-    value, scale = _largest(bundles, measured), _largest(bundles, reference)
-    return _is_zero(value, scale), {f"max_{measured}": value, f"max_{reference}": scale}
-
-
-def _conditional(point_fn, measured: str, reference: str, unmet_extras: tuple[str, ...] = ()):
-    """A pointwise check that runs only where its hypothesis, ``measured``
-    vanishing relative to ``reference``, holds; otherwise it is not applicable
-    and the maxima of ``unmet_extras`` join the measured extras."""
-
-    def run(bundles: Sequence[CurvatureBundle]) -> EvalResult:
-        holds, extras = _hypothesis(bundles, measured, reference)
-        if not holds:
-            extras.update((f"max_{name}", _largest(bundles, name)) for name in unmet_extras)
-            return EvalResult(False, extras=extras)
-        result = _worst_point([point_fn(_view(b)) for b in bundles])
-        result.extras = extras
-        return result
-
-    return run
-
-
-def _iff(sides: tuple[str, str], scale_by: tuple[str, ...]):
-    """Both ``sides`` vanish together or neither does, each judged by the
-    hypothesis rule against the largest of the ``scale_by`` maxima."""
-
-    def run(bundles: Sequence[CurvatureBundle]) -> EvalResult:
-        largest = {name: _largest(bundles, name) for name in dict.fromkeys(sides + scale_by)}
-        scale = max(largest[name] for name in scale_by)
-        lhs_zero, rhs_zero = (_is_zero(largest[name], scale) for name in sides)
-        residual = 0.0 if lhs_zero == rhs_zero else max(largest[name] for name in sides)
-        points = sum(len(b.points) for b in bundles)
-        return EvalResult(True, residual, scale, points, {f"max_{s}": largest[s] for s in sides})
-
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +438,32 @@ def _torse_class_n4(model: MetricModel) -> bool:
 
 @dataclass(frozen=True)
 class IdentityCheck:
+    """One registry identity and what it measures on each chunk.
+
+    ``point_fn`` gives a residual and a scale at each point.  A ``hypothesis``
+    ``(measured, reference, *logged)`` makes the check conditional: it applies
+    only if ``measured`` vanishes relative to ``reference`` at every point,
+    and otherwise reports the maxima of every quantity named.  An ``iff``
+    check ``((lhs, rhs), scale_by)`` has no ``point_fn``: both sides must
+    vanish together or neither, each judged against the largest ``scale_by``
+    maximum.
+    """
+
     identity_id: str
     paper_ref: str
     group: str
     tolerance: float
     applies: Callable[[MetricModel], bool] = _always
     point_fn: Callable[[_Chunk], PointPairs] | None = None
-    collection_fn: Callable[[Sequence[CurvatureBundle]], EvalResult] | None = None
+    hypothesis: tuple[str, ...] = ()
+    iff: tuple[tuple[str, str], tuple[str, ...]] | None = None
+
+    @property
+    def maxima(self) -> tuple[str, ...]:
+        """The quantities whose per-point maxima the check measures."""
+        if self.iff is None:
+            return self.hypothesis
+        return tuple(dict.fromkeys(self.iff[0] + self.iff[1]))
 
 
 REGISTRY: tuple[IdentityCheck, ...] = (
@@ -552,7 +495,7 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "weyl-electric structure",
         1e-9,
         _torse_class,
-        collection_fn=_iff(("weyl_u", "electric"), scale_by=("weyl",)),
+        iff=(("weyl_u", "electric"), ("weyl",)),
     ),
     IdentityCheck(
         "ricci_form",
@@ -619,7 +562,7 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "four-dimensional algebra",
         1e-9,
         _torse_class_n4,
-        collection_fn=_iff(("weyl", "electric"), scale_by=("weyl", "electric")),
+        iff=(("weyl", "electric"), ("weyl", "electric")),
     ),
     IdentityCheck(
         "remainder_curvature_symmetries",
@@ -718,7 +661,8 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "divergence-free consequences",
         1e-8,
         _torse_class,
-        collection_fn=_conditional(_divfree_point, "electric", "weyl", unmet_extras=("div_weyl",)),
+        point_fn=_divfree_point,
+        hypothesis=("electric", "weyl", "div_weyl"),
     ),
     IdentityCheck(
         "divfree_corollary",
@@ -726,7 +670,8 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "divergence-free consequences",
         1e-8,
         _torse_class,
-        collection_fn=_conditional(_divfree_corollary_point, "div_weyl", "nabla_weyl"),
+        point_fn=_divfree_corollary_point,
+        hypothesis=("div_weyl", "nabla_weyl"),
     ),
     IdentityCheck(
         "electric_gradient_recurrence",
@@ -734,7 +679,8 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "divergence-free consequences",
         1e-8,
         _torse_class,
-        collection_fn=_conditional(_electric_gradient_recurrence_point, "div_weyl", "nabla_weyl"),
+        point_fn=_electric_gradient_recurrence_point,
+        hypothesis=("div_weyl", "nabla_weyl"),
     ),
     IdentityCheck(
         "weyl_u_recurrence",
@@ -742,7 +688,8 @@ REGISTRY: tuple[IdentityCheck, ...] = (
         "divergence-free consequences",
         1e-8,
         _torse_class,
-        collection_fn=_conditional(_weyl_u_recurrence_point, "div_weyl", "nabla_weyl"),
+        point_fn=_weyl_u_recurrence_point,
+        hypothesis=("div_weyl", "nabla_weyl"),
     ),
 )
 
@@ -750,9 +697,11 @@ REGISTRY: tuple[IdentityCheck, ...] = (
 GROUPS = tuple(dict.fromkeys(check.group for check in REGISTRY))
 
 # Pointwise evaluators exposed for tests that need per-point residuals; each
-# takes a bundle.
+# takes a bundle, through a view of its own.
 POINT_EVALUATORS: dict[str, Callable[[CurvatureBundle], PointPairs]] = {
-    check.identity_id: _on_bundle(check.point_fn) for check in REGISTRY if check.point_fn is not None
+    check.identity_id: lambda b, fn=check.point_fn: fn(_Chunk(b))
+    for check in REGISTRY
+    if check.point_fn is not None
 }
 
 
@@ -760,40 +709,68 @@ def registry_ids() -> tuple[str, ...]:
     return tuple(check.identity_id for check in REGISTRY)
 
 
-def evaluate_check(
+def evaluate_check(check: IdentityCheck, chunk: _Chunk) -> dict[str, np.ndarray]:
+    """Measure one applicable check on one chunk view: the per-point maxima
+    ``max_<name>`` of the quantities it names and, for a pointwise check, its
+    ``residual`` and ``scale``; every array has shape ``(P,)``."""
+    arrays = {f"max_{name}": getattr(chunk, f"max_{name}") for name in check.maxima}
+    if check.point_fn is not None:
+        arrays["residual"], arrays["scale"] = check.point_fn(chunk)
+    return arrays
+
+
+def _is_zero(value: float, scale: float) -> bool:
+    """The hypothesis rule: a maximum counts as zero below HYPOTHESIS_RTOL * max(1, scale)."""
+    return value < HYPOTHESIS_RTOL * max(1.0, scale)
+
+
+def _report(
+    check: IdentityCheck,
+    model: MetricModel,
+    measured: Sequence[dict[str, np.ndarray]],
+    tolerance: float | None,
+) -> IdentityReport:
+    """Judge: one check's report from its per-chunk arrays, concatenated over
+    the chunks.  The verdict rule lives here and nowhere else."""
+    tol = check.tolerance if tolerance is None else float(tolerance)
+    unmet = IdentityReport(check.identity_id, check.paper_ref, 0, 0.0, 0.0, tol, NOT_APPLICABLE)
+    if not check.applies(model):
+        return unmet
+    if not measured:
+        raise ValueError("at least one curvature bundle is required")
+    arrays = {key: np.concatenate([m[key] for m in measured]) for key in measured[0]}
+    points = len(next(iter(arrays.values())))
+    largest = {f"max_{name}": float(np.max(arrays[f"max_{name}"])) for name in check.maxima}
+    extras = {}
+    if check.iff is not None:
+        (lhs, rhs), scale_by = check.iff
+        scale = max(largest[f"max_{name}"] for name in scale_by)
+        extras = {key: largest[key] for key in (f"max_{lhs}", f"max_{rhs}")}
+        lhs_zero, rhs_zero = (_is_zero(value, scale) for value in extras.values())
+        residual = 0.0 if lhs_zero == rhs_zero else max(extras.values())
+    else:
+        if check.hypothesis:
+            extras = {f"max_{name}": largest[f"max_{name}"] for name in check.hypothesis[:2]}
+            if not _is_zero(*extras.values()):
+                unmet.extras = largest
+                return unmet
+        # The first point with the largest residual / max(1, scale).
+        k = int(np.argmax(arrays["residual"] / np.maximum(1.0, arrays["scale"])))
+        residual, scale = float(arrays["residual"][k]), float(arrays["scale"][k])
+    verdict = PASS if residual <= tol * max(1.0, scale) else FAIL
+    return IdentityReport(check.identity_id, check.paper_ref, points, residual, scale, tol, verdict, extras)
+
+
+def check_report(
     check: IdentityCheck,
     model: MetricModel,
     bundles: Sequence[CurvatureBundle],
     tolerance: float | None = None,
 ) -> IdentityReport:
-    """Evaluate one identity over a model's bundles (chunks of sampled points,
-    or their views) and build its report; the verdict rule lives here and
-    nowhere else."""
-    if not bundles:
-        raise ValueError("at least one curvature bundle is required")
-    tol = check.tolerance if tolerance is None else float(tolerance)
-    if not check.applies(model):
-        result = EvalResult(False)
-    elif check.collection_fn is not None:
-        result = check.collection_fn(bundles)
-    else:
-        result = _worst_point([check.point_fn(_view(b)) for b in bundles])
-    if not result.applicable:
-        verdict = NOT_APPLICABLE
-    elif result.residual <= tol * max(1.0, result.scale):
-        verdict = PASS
-    else:
-        verdict = FAIL
-    return IdentityReport(
-        check.identity_id,
-        check.paper_ref,
-        result.points,
-        result.residual,
-        result.scale,
-        tol,
-        verdict,
-        extras=result.extras,
-    )
+    """One identity's report over a model's bundles (chunks of sampled
+    points): the suite's measure and judge steps for this check alone."""
+    measured = [evaluate_check(check, _Chunk(b)) for b in bundles] if check.applies(model) else []
+    return _report(check, model, measured, tolerance)
 
 
 def run_model_suite(
@@ -806,33 +783,21 @@ def run_model_suite(
     unknown = set(overrides) - set(registry_ids())
     if unknown:
         raise ValueError(f"unknown identity ids in tolerance overrides: {sorted(unknown)}")
-    # Pointwise checks that apply run a chunk at a time, all of them on one
-    # chunk's view, which is dropped before the next is built, so only one
-    # chunk's shared quantities are alive at once; every other check sees all
-    # the chunks in one call.
-    chunked = [check for check in REGISTRY if check.point_fn is not None and check.applies(model)]
-    per_chunk: dict[str, list[IdentityReport]] = {check.identity_id: [] for check in chunked}
+    # Every applicable check measures a chunk on that chunk's view, which is
+    # dropped before the next is built, so only one chunk's shared quantities
+    # are alive at once; each report is then judged over all the chunks.
+    applicable = [check for check in REGISTRY if check.applies(model)]
+    measured: dict[str, list] = {check.identity_id: [] for check in applicable}
     for b in bundles:
         chunk = _Chunk(b)
-        for check in chunked:
-            report = evaluate_check(check, model, [chunk], overrides.get(check.identity_id))
-            per_chunk[check.identity_id].append(report)
-        del chunk  # the last one too: the collection checks build their own
+        for check in applicable:
+            measured[check.identity_id].append(evaluate_check(check, chunk))
+        del chunk
     reports = [
-        _merged(per_chunk[check.identity_id])
-        if check.identity_id in per_chunk
-        else evaluate_check(check, model, bundles, overrides.get(check.identity_id))
+        _report(check, model, measured.get(check.identity_id, []), overrides.get(check.identity_id))
         for check in REGISTRY
     ]
     return sorted(reports, key=lambda r: r.identity_id)
-
-
-def _merged(reports: Sequence[IdentityReport]) -> IdentityReport:
-    """One pointwise check's report from its per-chunk reports: the chunk
-    holding the worst point (the first on ties, as in ``_worst_point``),
-    with every chunk's points counted.  Its verdict is that point's."""
-    worst = max(reports, key=lambda r: r.max_residual / max(1.0, r.scale))
-    return replace(worst, points_tested=sum(r.points_tested for r in reports))
 
 
 def expected_verdict(model: MetricModel, report: IdentityReport) -> str:

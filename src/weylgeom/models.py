@@ -257,6 +257,19 @@ _BINOPS = {
     ast.Div: lambda a, b: a / b,
 }
 
+# Deepest nesting a metric expression may have, in syntax-tree levels.
+# Compiling and evaluating it recurse once per level, so the bound keeps both
+# well inside Python's recursion limit (a 600-term sum nests 600 levels deep).
+MAX_EXPRESSION_DEPTH = 700
+
+
+def _depth(tree: ast.Expression) -> int:
+    """The nesting depth of an expression, measured level by level."""
+    depth, level = 0, [tree.body]
+    while level:
+        depth, level = depth + 1, [child for node in level for child in ast.iter_child_nodes(node)]
+    return depth
+
 
 def compile_expression(source: str, n: int) -> EntryFn:
     """Compile one metric-entry expression into a jet-valued closure.
@@ -264,13 +277,18 @@ def compile_expression(source: str, n: int) -> EntryFn:
     The grammar admits numeric literals, the names ``t`` and ``x1 .. x{n-1}``,
     the operators ``+ - * / **`` (exponents must be numeric literals), unary
     minus, and calls to ``exp``, ``log``, ``sin``, ``cos``, ``pow``.
-    Anything else is rejected.
+    Anything else, or nesting deeper than ``MAX_EXPRESSION_DEPTH``, is rejected.
     """
     names = {name: i for i, name in enumerate(coordinate_names(n))}
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as err:
         raise ValueError(f"invalid metric expression {source!r}: {err}") from None
+    except RecursionError:
+        tree = None
+    if tree is None or _depth(tree) > MAX_EXPRESSION_DEPTH:
+        shown = source if len(source) <= 60 else source[:57] + "..."
+        raise ValueError(f"metric expression {shown!r} nests deeper than {MAX_EXPRESSION_DEPTH} levels")
 
     def build(node: ast.AST) -> Callable[[Sequence[Jet3]], Jet3 | float]:
         if isinstance(node, ast.Expression):

@@ -457,6 +457,12 @@ def test_tensor_dump_rejects_non_finite_coordinate(capsys):
     assert err.count("\n") == 1 and "chart coordinate t = nan" in err
 
 
+def _long_sum_config(terms):
+    """A custom model whose g_11 is the sum 1 + 1 + ... + 1 of ``terms`` ones."""
+    g_diag = ["-1", "+".join(["1"] * terms), "1", "1"]
+    return {"models": [{"name": "custom_diagonal", "n": 4, "parameters": {"g_diag": g_diag}}], "points": 2}
+
+
 @pytest.mark.parametrize(
     "config, message",
     [
@@ -504,6 +510,9 @@ def test_tensor_dump_rejects_non_finite_coordinate(capsys):
             "'expected_failures' must be a list of identity ids, got 'torse_forming'",
         ),
         ({"models": [{"name": "minkowski", "label": ""}]}, "model-entry 'label' must not be empty"),
+        # Too deep to compile and evaluate by recursion (5000 terms fail in ast.parse itself).
+        (_long_sum_config(1200), "metric expression '1+1+1+"),
+        (_long_sum_config(5000), "nests deeper than 700 levels"),
     ],
 )
 def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, config, message):
@@ -513,6 +522,18 @@ def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, config, mess
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_long_sum_at_the_depth_bound_verifies(tmp_path, capsys):
+    # 700 terms nest exactly MAX_EXPRESSION_DEPTH levels deep; compiling and
+    # evaluating them must stay inside the recursion limit, under pytest too.
+    # g = diag(-1, 700, 1, 1) is flat.
+    path = tmp_path / "long.json"
+    config = _long_sum_config(700)
+    config["models"][0]["parameters"]["expected_class"] = "minkowski"
+    path.write_text(json.dumps(config))
+    assert main(["verify", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_overflowing_entry_is_one_model_error_without_warnings(tmp_path, capsys):

@@ -2,9 +2,11 @@
 
 import itertools
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylgeom import build_bundle, builtin_model, identities, sample_points
 from weylgeom.models import default_model_specs
@@ -16,7 +18,7 @@ from weylgeom.identities import (
     REGISTRY,
     GROUPS,
     IdentityReport,
-    evaluate_check,
+    check_report,
     expected_verdict,
     report_ok,
     registry_ids,
@@ -29,7 +31,7 @@ _BY_ID = {check.identity_id: check for check in REGISTRY}
 
 
 def _report(identity_id, model, bundles):
-    return evaluate_check(_BY_ID[identity_id], model, bundles)
+    return check_report(_BY_ID[identity_id], model, bundles)
 
 
 def _reports(ids, model, bundles):
@@ -39,7 +41,7 @@ def _reports(ids, model, bundles):
 def _group(group, model, bundles):
     """Reports of every registry check in ``group``, keyed by identity id."""
     return {
-        check.identity_id: evaluate_check(check, model, bundles)
+        check.identity_id: check_report(check, model, bundles)
         for check in REGISTRY
         if check.group == group
     }
@@ -119,7 +121,8 @@ def test_registry_matches_manifest_exactly():
         assert check.paper_ref == MANIFEST[check.identity_id]
         assert check.tolerance > 0
         assert check.group in GROUPS
-        assert (check.point_fn is None) != (check.collection_fn is None)
+        # Every check measures residuals at points, except the iff checks.
+        assert (check.point_fn is None) == (check.iff is not None)
 
 
 def test_minkowski_everything_trivially_zero(small_bundles):
@@ -288,7 +291,7 @@ def test_divergence_free_suite_not_applicable_on_twisted(small_bundles):
     assert reports["divfree_corollary"].extras["max_div_weyl"] > 1e-3
 
 
-# Verdict and extras keys of every collection check on a model where it runs
+# Verdict and extras keys of every check with a hypothesis or an iff, on a model where it runs
 # and on one where it does not (by model class, or by a measured hypothesis).
 COLLECTION_REPORTS = {
     "electric_contraction_iff": (
@@ -319,7 +322,7 @@ COLLECTION_REPORTS = {
 
 
 def test_collection_checks_verdicts_and_extras(small_bundles):
-    assert set(COLLECTION_REPORTS) == {c.identity_id for c in REGISTRY if c.collection_fn}
+    assert set(COLLECTION_REPORTS) == {c.identity_id for c in REGISTRY if c.hypothesis or c.iff}
     for identity_id, cases in COLLECTION_REPORTS.items():
         for label, verdict, extras in cases:
             model, bundles = small_bundles[label]
@@ -391,7 +394,7 @@ def test_report_roundtrip():
 def test_verdict_matches_relative_tolerance_rule(small_bundles):
     for label, (model, bundles) in small_bundles.items():
         for check in REGISTRY:
-            report = evaluate_check(check, model, bundles)
+            report = check_report(check, model, bundles)
             if report.verdict == NOT_APPLICABLE:
                 continue
             should_pass = report.max_residual <= report.tolerance * max(1.0, report.scale)
@@ -415,7 +418,8 @@ def test_tolerance_override_changes_verdict(small_bundles):
 def test_point_evaluators_exposed_for_all_pointwise_checks():
     assert "torse_forming" in POINT_EVALUATORS
     assert "weyl_divergence_formula" in POINT_EVALUATORS
-    assert "electric_contraction_iff" not in POINT_EVALUATORS  # collection-level
+    assert "divfree_corollary" in POINT_EVALUATORS  # pointwise, with a hypothesis
+    assert "electric_contraction_iff" not in POINT_EVALUATORS  # an iff check
 
 
 def test_suite_reports_are_sorted(small_bundles):
@@ -428,15 +432,15 @@ def test_suite_reports_are_sorted(small_bundles):
 
 @pytest.mark.parametrize("spec", default_model_specs(), ids=lambda spec: f"{spec[0]}_n{spec[1]}")
 def test_suite_keeps_one_chunks_shared_blocks_and_the_same_reports(monkeypatch, spec):
-    # Six chunks of a few points each; whenever an evaluator reads a bundle
-    # field, at most one chunk view may hold shared blocks, none may outlive
-    # the suite, and the reports must be exactly what evaluating each check
-    # over all chunks at once reports.
+    # Six chunks of a few points each; whenever any check, the ones with a
+    # hypothesis or an iff included, reads a bundle field, at most one chunk
+    # view may hold shared blocks, none may outlive the suite, and the reports
+    # must be exactly what each check's own report over all chunks gives.
     model = builtin_model(*spec)
     points = sample_points(model, 17, 5)
     bundles = [build_bundle(model, points[i : i + 3]) for i in range(0, len(points), 3)]
     expected = sorted(
-        (evaluate_check(check, model, bundles) for check in REGISTRY), key=lambda r: r.identity_id
+        (check_report(check, model, bundles) for check in REGISTRY), key=lambda r: r.identity_id
     )
 
     live = weakref.WeakSet()
@@ -456,3 +460,84 @@ def test_suite_keeps_one_chunks_shared_blocks_and_the_same_reports(monkeypatch, 
     assert run_model_suite(model, bundles) == expected
     assert holding and max(holding) == 1
     assert len(live) == 0
+
+
+@pytest.mark.parametrize("name", ["grw_product_spheres", "twisted_generic"])
+def test_suite_measures_each_applicable_check_once_per_chunk(monkeypatch, name):
+    # The benchmark times each identity by wrapping the module-level
+    # evaluate_check, so the suite must call it by that name, positionally
+    # with the check first, once per applicable check and chunk.  The largest
+    # |∇C| at each point is measured once per chunk view, whichever checks
+    # read it (the hypothesis of three divergence-free checks and a scale).
+    model = builtin_model(name, 5)
+    points = sample_points(model, 7, 3)
+    bundles = [build_bundle(model, points[i : i + 3]) for i in range(0, len(points), 3)]
+    calls, nabla_maxima = Counter(), Counter()
+    measure, largest = identities.evaluate_check, identities.max_abs
+
+    def counted_measure(*args):
+        check, chunk = args
+        assert check in REGISTRY
+        calls[check.identity_id, id(chunk.b)] += 1
+        return measure(check, chunk)
+
+    def counted_max_abs(t, per_point=False):
+        nabla_maxima.update(id(b) for b in bundles if t is b.nabla_weyl)
+        return largest(t, per_point)
+
+    monkeypatch.setattr(identities, "evaluate_check", counted_measure)
+    monkeypatch.setattr(identities, "max_abs", counted_max_abs)
+    run_model_suite(model, bundles)
+    applicable = [check.identity_id for check in REGISTRY if check.applies(model)]
+    assert calls == Counter({(i, id(b)): 1 for i in applicable for b in bundles})
+    assert nabla_maxima == Counter({id(b): 1 for b in bundles})
+
+
+# Property tests: each expected verdict follows from the paper's hypotheses,
+# on both sides of the measured hypothesis of the conditional checks.
+_DIVFREE_CONSEQUENCES = ("electric_zero_implies_divfree", "divfree_corollary", "electric_gradient_recurrence")
+
+
+def _sampled(name, n, params):
+    model = builtin_model(name, n, params)
+    return model, [build_bundle(model, sample_points(model, 3, 7))]
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(r=st.floats(0.5, 2.0), h=st.floats(-0.6, 0.6))
+def test_einstein_fibre_meets_the_divergence_free_hypotheses(r, h):
+    # Equal radii make the product-of-spheres fibre Einstein, so E = 0: the
+    # theorem gives ∇_m C_jkl^m = 0, and with it the corollaries.
+    model, bundles = _sampled("grw_product_spheres", 5, {"r1": r, "r2": r, "H": h})
+    for identity_id in _DIVFREE_CONSEQUENCES:
+        assert _report(identity_id, model, bundles).verdict == PASS, identity_id
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(r=st.floats(0.5, 2.0), ratio=st.floats(1.3, 2.0), h=st.floats(-0.6, 0.6))
+def test_non_einstein_fibre_leaves_the_theorem_not_applicable(r, ratio, h):
+    # Unequal radii: the fibre is not Einstein, E ≠ 0, so the theorem's
+    # hypothesis fails measurably.
+    model, bundles = _sampled("grw_product_spheres", 5, {"r1": r, "r2": r * ratio, "H": h})
+    report = _report("electric_zero_implies_divfree", model, bundles)
+    assert report.verdict == NOT_APPLICABLE
+    assert report.extras["max_electric"] > 1e-3
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["shear", "acceleration"]),
+    a=st.floats(-0.5, 0.5),
+    b=st.floats(0.2, 0.6),
+)
+def test_shear_or_acceleration_fails_torse_forming(kind, a, b):
+    # Per-axis scale rates a, a + b, a (shear), or a lapse exp(b x1) that
+    # depends on position (acceleration): either way u is not torse-forming.
+    if kind == "shear":
+        g_diag = ["-1", f"exp({2 * a!r}*t)", f"exp({2 * (a + b)!r}*t)", f"exp({2 * a!r}*t)"]
+    else:
+        g_diag = [f"-exp({2 * b!r}*x1)", f"exp({2 * a!r}*t)", f"exp({2 * a!r}*t)", f"exp({2 * a!r}*t)"]
+    model, bundles = _sampled("custom_diagonal", 4, {"g_diag": g_diag})
+    report = _report("torse_forming", model, bundles)
+    assert report.verdict == FAIL
+    assert report.max_residual > 1e-2
