@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field as dataclass_field, fields
@@ -105,7 +104,8 @@ def _check_int(value, name: str, low: int, high: int | None = None) -> None:
 def _check_tolerance(identity_id: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"tolerance for {identity_id} must be a number, got {value!r}")
-    if not (math.isfinite(value) and value > 0):
+    # False for NaN too, and exact for an integer too large for a float.
+    if not 0 < value <= sys.float_info.max:
         raise ValueError(f"tolerance for {identity_id} must be finite and positive, got {value!r}")
 
 
@@ -534,7 +534,11 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--model", required=True, help="catalog model name")
     dump.add_argument("--n", type=int, help="dimension (model default when omitted)")
     dump.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    dump.add_argument("--point", required=True, help="comma-separated chart coordinates, t first")
+    dump.add_argument(
+        "--point",
+        required=True,
+        help="comma-separated chart coordinates, t first; write --point=-0.5,... when t is negative",
+    )
     dump.set_defaults(func=cmd_tensor_dump)
 
     models = sub.add_parser("models-list", help="print the metric catalog")

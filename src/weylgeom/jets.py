@@ -281,15 +281,15 @@ def cos(u: Jet3) -> Jet3:
 def power(u: Jet3, exponent: float) -> Jet3:
     """u**p with the direct derivative formulas.
 
-    Integer exponents are valid for any base (negative bases included, zero
-    base for p >= 3); fractional exponents require a positive base.
+    Integer exponents are valid for any base, except a negative exponent at a
+    zero base; fractional exponents require a positive base.
     """
     p = float(exponent)
     x = u.value
     if p.is_integer():
         p_int = int(p)
-        if p_int < 3 and np.any(x == 0.0):
-            raise ValueError("power domain violation: zero base needs integer exponent >= 3")
+        if p_int < 0 and np.any(x == 0.0):
+            raise ValueError("power domain violation: a negative integer exponent is singular at a zero base")
         coeffs = [1.0, p, p * (p - 1.0), p * (p - 1.0) * (p - 2.0)]
         vals = [c * x ** (p_int - k) if c != 0.0 else np.zeros_like(x) for k, c in enumerate(coeffs)]
         return _compose(u, *vals)

@@ -5,8 +5,9 @@ data (:class:`~weylgeom.jets.Jet3`) for each metric component at a chart
 point, together with a declared comoving velocity field ``u^a = (1, 0, ..., 0)``
 and an ``expected_class`` tag that the identity suite uses to decide which
 checks are assertions, which are expected failures, and which do not apply.
-An entry is a closure of the coordinate jets, or a :class:`Product` of
-closures, some of which (a scale factor f²) several entries share.
+A model's metric is one function of the coordinate jets that returns the jet
+of each stored component; a factor several components share (a scale factor
+f²) is a local value in it, computed once per call.
 
 The chart convention is ``x^0 = t`` first, signature (-, +, ..., +).  Block
 models take the form ``ds^2 = -dt^2 + f(t, x)^2 g*_{mu nu}(x) dx^mu dx^nu``;
@@ -22,11 +23,10 @@ execution).
 from __future__ import annotations
 
 import ast
-import functools
 import math
 import numbers
-import operator
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "ChartPoint",
     "MetricJets",
     "MetricModel",
-    "Product",
     "builtin_model",
     "sample_points",
     "evaluate_metric_jets",
@@ -74,26 +73,7 @@ NEGATIVE_CONTROL_EXPECTED_FAILURES = frozenset(
 
 EntryFn = Callable[[Sequence[Jet3]], Jet3]
 
-
-class Product:
-    """A metric entry that is the product of its factors, taken left to right.
-
-    A factor is an entry closure or a number.  :func:`evaluate_metric_jets`
-    evaluates each distinct closure once per call, so a factor that several
-    entries share (a scale factor f²) is computed once.
-    """
-
-    def __init__(self, *factors: EntryFn | float) -> None:
-        self.factors = factors
-
-    def combine(self, evaluate: Callable[[EntryFn], Jet3]) -> Jet3:
-        """The product, with ``evaluate`` giving the jet of each closure factor."""
-        return functools.reduce(
-            operator.mul, (evaluate(f) if callable(f) else f for f in self.factors)
-        )
-
-    def __call__(self, xj: Sequence[Jet3]) -> Jet3:
-        return self.combine(lambda fn: fn(xj))
+MetricFn = Callable[[Sequence[Jet3]], dict[tuple[int, int], Jet3]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,13 +96,18 @@ class MetricJets:
 
 @dataclass(frozen=True, eq=False)
 class MetricModel:
-    """Named, parameterized chart-level metric producing jet data per point."""
+    """Named, parameterized chart-level metric producing jet data per point.
+
+    ``entries(xj)`` maps each stored component (a, b) to its jet at the
+    coordinate jets ``xj``; (b, a) mirrors an off-diagonal component, and an
+    absent component is zero.
+    """
 
     name: str
     n: int
     parameters: dict
     expected_class: str
-    entries: dict[tuple[int, int], EntryFn]
+    entries: MetricFn
     bounds: tuple[tuple[float, float], ...]
     description: str
     expected_failures: frozenset[str] = field(default_factory=frozenset)
@@ -180,17 +165,15 @@ def coordinate_names(n: int) -> tuple[str, ...]:
     return ("t",) + tuple(f"x{i}" for i in range(1, n))
 
 
-def evaluate_metric_jets(
-    entries: dict[tuple[int, int], EntryFn], n: int, points: ChartPoint
-) -> MetricJets:
-    """Evaluate entry jets at one point ``(n,)`` or at points ``(P, n)``.
+def evaluate_metric_jets(entries: MetricFn, n: int, points: ChartPoint) -> MetricJets:
+    """Evaluate a metric's jets at one point ``(n,)`` or at points ``(P, n)``.
 
-    Each distinct closure, whether an entry or a :class:`Product` factor, runs
-    once per call for all points; the cache of its jets lives only as long as
-    the call.  A constant entry broadcasts.  Each order of partials is one
-    gather from the entries' Taylor coefficients, written to (a, b) and
-    exactly mirrored to (b, a).  Non-finite coordinates are rejected before
-    any entry runs, naming the coordinate.
+    ``entries`` runs once per call, on the coordinate jets of all points, so
+    a factor that several of its components share is computed once.  A
+    constant component broadcasts.  Each order of partials is one gather
+    from the components' Taylor coefficients, written to (a, b) and exactly
+    mirrored to (b, a).  Non-finite coordinates are rejected before
+    ``entries`` runs, naming the coordinate.
     """
     coords = np.asarray(points, dtype=float)
     if coords.ndim not in (1, 2) or coords.shape[-1] != n:
@@ -203,25 +186,18 @@ def evaluate_metric_jets(
             f"at point {rows[row].tolist()}"
         )
     lead = coords.shape[:-1]
-    xj = jets.variables(coords)
-    cache: dict[EntryFn, Jet3] = {}
-
-    def evaluate(fn: EntryFn) -> Jet3:
-        if fn not in cache:
-            cache[fn] = fn(xj)
-        return cache[fn]
-
-    # Column k of `stack` holds the Taylor coefficients of the k-th entry.
-    table = jets.basis(n)
-    stack = np.empty(lead + (table.size, len(entries)))
-    # An entry that overflows or leaves its domain gives non-finite jets,
+    # A component that overflows or leaves its domain gives non-finite jets,
     # which metric_jets rejects point by point; numpy's warnings would only
     # repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k, fn in enumerate(entries.values()):
-            stack[..., k] = (fn.combine(evaluate) if isinstance(fn, Product) else evaluate(fn)).coeffs
-    # Each entry is written at (a, b) and, off the diagonal, at (b, a).
-    placed = {(*ab, k) for k, key in enumerate(entries) for ab in (key, key[::-1])}
+        components = entries(jets.variables(coords))
+    # Column k of `stack` holds the Taylor coefficients of the k-th component.
+    table = jets.basis(n)
+    stack = np.empty(lead + (table.size, len(components)))
+    for k, jet in enumerate(components.values()):
+        stack[..., k] = jet.coeffs
+    # Each component is written at (a, b) and, off the diagonal, at (b, a).
+    placed = {(*ab, k) for k, key in enumerate(components) for ab in (key, key[::-1])}
     rows, cols, source = np.array(sorted(placed), dtype=np.intp).reshape(-1, 3).T
     orders = []
     for order, (monomials, weights) in enumerate(zip(table.partials, table.weights)):
@@ -363,7 +339,9 @@ def _number(params: dict, key: str, default: float) -> float:
     Booleans, strings and non-finite values are rejected, not converted.
     """
     value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # False for NaN too, and exact for an integer too large for a float.
+    if not (real and abs(value) <= sys.float_info.max):
         raise ValueError(f"parameter {key!r} must be a finite number, got {value!r}")
     return float(value)
 
@@ -375,29 +353,13 @@ def _check_n(n: int) -> int:
     return n
 
 
-def _scale_factor_squared(alpha: float, beta: float) -> EntryFn:
-    """Jet for f(t, x)^2 with f = exp(alpha*t + beta*t*sin(x1))."""
-
-    def fn(xj: Sequence[Jet3]) -> Jet3:
-        t, x1 = xj[0], xj[1]
-        return jets.exp(2.0 * (alpha * t + beta * t * jets.sin(x1)))
-
-    return fn
-
-
-def _minus_one(xj: Sequence[Jet3]) -> Jet3:
-    return jets.constant(-1.0, len(xj))
-
-
-def _one(xj: Sequence[Jet3]) -> Jet3:
-    return jets.constant(1.0, len(xj))
-
-
 def _minkowski(n: int | None, params: dict) -> MetricModel:
     n = _check_n(4 if n is None else n)
-    entries: dict[tuple[int, int], EntryFn] = {(0, 0): _minus_one}
-    for mu in range(1, n):
-        entries[(mu, mu)] = _one
+
+    def entries(xj: Sequence[Jet3]) -> dict:
+        minus_one, one = jets.constant(-1.0, n), jets.constant(1.0, n)
+        return {(0, 0): minus_one, **{(mu, mu): one for mu in range(1, n)}}
+
     return MetricModel(
         name="minkowski",
         n=n,
@@ -428,9 +390,11 @@ def _rw_flat(n: int | None, params: dict) -> MetricModel:
         scale_sq = lambda xj: jets.power(xj[0], 2.0 * k)
     else:
         scale_sq = lambda xj: jets.power(1.0 + xj[0] * xj[0], 2)
-    entries: dict[tuple[int, int], EntryFn] = {(0, 0): _minus_one}
-    for mu in range(1, n):
-        entries[(mu, mu)] = scale_sq
+
+    def entries(xj: Sequence[Jet3]) -> dict:
+        f_sq = scale_sq(xj)
+        return {(0, 0): jets.constant(-1.0, n), **{(mu, mu): f_sq for mu in range(1, n)}}
+
     return MetricModel(
         name="rw_flat",
         n=n,
@@ -452,16 +416,16 @@ def _grw_product_spheres(n: int | None, params: dict) -> MetricModel:
     if r1 <= 0 or r2 <= 0:
         raise ValueError("sphere radii must be positive")
 
-    def scale_sq(xj: Sequence[Jet3]) -> Jet3:
-        return jets.exp((2.0 * h) * xj[0])
+    def entries(xj: Sequence[Jet3]) -> dict:
+        f_sq = jets.exp((2.0 * h) * xj[0])
+        return {
+            (0, 0): jets.constant(-1.0, 5),
+            (1, 1): r1 * r1 * f_sq,
+            (2, 2): r1 * r1 * f_sq * jets.power(jets.sin(xj[1]), 2),
+            (3, 3): r2 * r2 * f_sq,
+            (4, 4): r2 * r2 * f_sq * jets.power(jets.sin(xj[3]), 2),
+        }
 
-    entries: dict[tuple[int, int], EntryFn] = {
-        (0, 0): _minus_one,
-        (1, 1): Product(r1 * r1, scale_sq),
-        (2, 2): Product(r1 * r1, scale_sq, lambda xj: jets.power(jets.sin(xj[1]), 2)),
-        (3, 3): Product(r2 * r2, scale_sq),
-        (4, 4): Product(r2 * r2, scale_sq, lambda xj: jets.power(jets.sin(xj[3]), 2)),
-    }
     return MetricModel(
         name="grw_product_spheres",
         n=5,
@@ -477,20 +441,18 @@ def _grw_product_spheres(n: int | None, params: dict) -> MetricModel:
     )
 
 
-def _twisted_entries(n: int, alpha: float, beta: float, eps: float) -> dict:
+def _twisted_entries(n: int, alpha: float, beta: float, eps: float) -> MetricFn:
     # Fiber entry mu depends on the *next* spatial coordinate (cyclically).
     # A diagonal metric whose entries each depend on their own coordinate is
     # flat (a coordinate stretch of Euclidean space), which would make the
     # fiber conformally flat and the Weyl-remainder checks vacuous; the
     # shifted dependence keeps the fiber genuinely curved.
-    f_sq = _scale_factor_squared(alpha, beta)
-    entries: dict[tuple[int, int], EntryFn] = {(0, 0): _minus_one}
+    def entries(xj: Sequence[Jet3]) -> dict:
+        t, x1 = xj[0], xj[1]
+        f_sq = jets.exp(2.0 * (alpha * t + beta * t * jets.sin(x1)))
+        spatial = {(mu, mu): f_sq * (1.0 + eps * jets.cos(xj[1 + mu % (n - 1)])) for mu in range(1, n)}
+        return {(0, 0): jets.constant(-1.0, n), **spatial}
 
-    def diag_entry(dep: int) -> EntryFn:
-        return Product(f_sq, lambda xj: 1.0 + eps * jets.cos(xj[dep]))
-
-    for mu in range(1, n):
-        entries[(mu, mu)] = diag_entry(1 + (mu % (n - 1)))
     return entries
 
 
@@ -519,14 +481,9 @@ def _twisted_generic(n: int | None, params: dict) -> MetricModel:
 def _twisted_n4(n: int | None, params: dict) -> MetricModel:
     if n not in (None, 4):
         raise ValueError("twisted_n4 is the four-dimensional member of the twisted family")
-    model = _twisted_generic(4, params)
-    return MetricModel(
+    return replace(
+        _twisted_generic(4, params),
         name="twisted_n4",
-        n=4,
-        parameters=model.parameters,
-        expected_class="twisted",
-        entries=model.entries,
-        bounds=model.bounds,
         description="four-dimensional member of the twisted family",
     )
 
@@ -537,13 +494,16 @@ def _non_twisted_perturbed(n: int | None, params: dict) -> MetricModel:
     alpha = _number(params, "alpha", 0.2)
     beta = _number(params, "beta", 0.1)
     eps = _number(params, "eps", 0.05)
-    entries = _twisted_entries(n, alpha, beta, eps)
+    twisted = _twisted_entries(n, alpha, beta, eps)
+
     # The off-block perturbation must depend on a coordinate other than x1:
     # delta*sin(x1) dt dx1 is an exact form, absorbable into a time
     # redefinition, and would violate the torse-forming condition only at
     # order delta^2.  delta*sin(x2) dt dx1 is non-integrable and gives the
     # declared velocity O(delta) vorticity at almost every point.
-    entries[(0, 1)] = lambda xj: delta * jets.sin(xj[2])
+    def entries(xj: Sequence[Jet3]) -> dict:
+        return {**twisted(xj), (0, 1): delta * jets.sin(xj[2])}
+
     return MetricModel(
         name="non_twisted_perturbed",
         n=n,
@@ -567,9 +527,7 @@ def _custom_diagonal(n: int | None, params: dict) -> MetricModel:
     if not isinstance(exprs, (list, tuple)) or len(exprs) != n:
         raise ValueError("custom_diagonal needs a list 'g_diag' of n expression strings")
     expected_class = params.get("expected_class", "twisted")
-    entries = {
-        (i, i): compile_expression(str(src), n) for i, src in enumerate(exprs)
-    }
+    compiled = [compile_expression(str(src), n) for src in exprs]
     used = {"g_diag": list(map(str, exprs)), "expected_class": expected_class}
     if "expected_failures" in params:
         declared = params["expected_failures"]
@@ -590,7 +548,7 @@ def _custom_diagonal(n: int | None, params: dict) -> MetricModel:
         n=n,
         parameters=used,
         expected_class=expected_class,
-        entries=entries,
+        entries=lambda xj: {(i, i): fn(xj) for i, fn in enumerate(compiled)},
         bounds=(_T_BOUNDS,) + (_SPATIAL_BOUNDS,) * (n - 1),
         description="user-defined diagonal metric from the expression grammar",
         expected_failures=expected_failures,

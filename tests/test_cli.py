@@ -457,6 +457,15 @@ def test_tensor_dump_rejects_non_finite_coordinate(capsys):
     assert err.count("\n") == 1 and "chart coordinate t = nan" in err
 
 
+def test_tensor_dump_takes_a_negative_first_coordinate_in_the_equals_form(capsys):
+    # After "--point" a value starting with "-" reads as an option.
+    argv = ["tensor-dump", "phi", "--model", "twisted_n4"]
+    assert main(argv + ["--point", "-0.5,0.2,0.3,0.4"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert main(argv + ["--point=-0.5,0.2,0.3,0.4"]) == 0
+    assert json.loads(capsys.readouterr().out)["point"] == [-0.5, 0.2, 0.3, 0.4]
+
+
 def _long_sum_config(terms):
     """A custom model whose g_11 is the sum 1 + 1 + ... + 1 of ``terms`` ones."""
     g_diag = ["-1", "+".join(["1"] * terms), "1", "1"]
@@ -513,6 +522,11 @@ def _long_sum_config(terms):
         # Too deep to compile and evaluate by recursion (5000 terms fail in ast.parse itself).
         (_long_sum_config(1200), "metric expression '1+1+1+"),
         (_long_sum_config(5000), "nests deeper than 700 levels"),
+        # Integers too large for a float are not finite.
+        ({"tolerances": {"torse_forming": 10**400}}, "must be finite and positive"),
+        ({"models": [{"name": "rw_flat", "parameters": {"f": "exp", "H": 10**400}}]}, "'H' must be a finite number"),
+        ({"models": [{"name": "rw_flat", "parameters": {"f": "power", "k": -(10**400)}}]}, "'k' must be a finite number"),
+        ({"models": [{"name": "grw_product_spheres", "parameters": {"r1": 10**400}}]}, "'r1' must be a finite number"),
     ],
 )
 def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, config, message):

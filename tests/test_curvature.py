@@ -73,10 +73,9 @@ def test_rw_flat_expansion_and_scalar_curvature():
 def test_unit_sphere_block_curvature():
     # Pure two-sphere metric diag(1, sin^2 theta): the pipeline runs on any
     # dimension up to the Weyl step.
-    entries = {
-        (0, 0): lambda xj: jets.constant(1.0, 2),
-        (1, 1): lambda xj: jets.power(jets.sin(xj[0]), 2),
-    }
+    def entries(xj):
+        return {(0, 0): jets.constant(1.0, 2), (1, 1): jets.power(jets.sin(xj[0]), 2)}
+
     for theta in (0.7, 1.1, 2.0):
         mj = evaluate_metric_jets(entries, 2, np.array([theta, 0.4]))
         conn = christoffel_from_jets(mj)
@@ -193,10 +192,9 @@ def test_mixed_weyl_conformal_invariance():
     base = builtin_model("twisted_generic", n)
 
     def scaled_model(omega_sq):
-        entries = {
-            key: (lambda f: lambda xj: omega_sq(xj) * f(xj))(fn)
-            for key, fn in base.entries.items()
-        }
+        def entries(xj):
+            return {key: omega_sq(xj) * g for key, g in base.entries(xj).items()}
+
         return MetricModel(
             name="conformal_variant",
             n=n,
@@ -232,12 +230,9 @@ def test_bundle_construction_is_deterministic():
 
 
 def test_singular_metric_raises():
-    entries = {
-        (0, 0): lambda xj: jets.constant(-1.0, 4),
-        (1, 1): lambda xj: jets.constant(0.0, 4),
-        (2, 2): lambda xj: jets.constant(1.0, 4),
-        (3, 3): lambda xj: jets.constant(1.0, 4),
-    }
+    def entries(xj):
+        return {(a, a): jets.constant(g, 4) for a, g in enumerate((-1.0, 0.0, 1.0, 1.0))}
+
     mj = evaluate_metric_jets(entries, 4, np.zeros(4))
     with pytest.raises(ValueError, match="singular metric"):
         christoffel_from_jets(mj)
@@ -245,15 +240,12 @@ def test_singular_metric_raises():
 
 def test_non_lorentzian_signature_rejected():
     m = builtin_model("minkowski", 4)
-    euclid = {
-        key: (lambda xj: jets.constant(1.0, 4)) for key in m.entries
-    }
     bad = MetricModel(
         name="euclidean",
         n=4,
         parameters={},
         expected_class="minkowski",
-        entries=euclid,
+        entries=lambda xj: {(a, a): jets.constant(1.0, 4) for a in range(4)},
         bounds=m.bounds,
         description="",
     )

@@ -541,3 +541,25 @@ def test_shear_or_acceleration_fails_torse_forming(kind, a, b):
     report = _report("torse_forming", model, bundles)
     assert report.verdict == FAIL
     assert report.max_residual > 1e-2
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([4, 5]),
+    abc=st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+    d=st.lists(st.floats(-0.4, 0.4), min_size=4, max_size=4),
+)
+def test_random_twisted_metrics_pass_every_applicable_check(n, abc, d):
+    # ds² = -dt² + f(t, x)² g*_mm(x) (dx^m)² with g*_mm ≥ 0.3: the comoving u
+    # is shear-, vorticity- and acceleration-free, so every identity the
+    # paper proves under those hypotheses holds wherever it applies.
+    a, b, c = abc
+    f_sq = f"exp(2*({a!r}*t + {b!r}*t*sin(x1) + {c!r}*t**2*cos(x2)))"
+
+    def x(k):  # the spatial coordinates, cyclically
+        return f"x{1 + (k - 1) % (n - 1)}"
+
+    fibre = [f"(1 + 0.3*cos({x(m + 1)}) + {d[m - 1]!r}*sin({x(m + 2)})**2)" for m in range(1, n)]
+    model, bundles = _sampled("custom_diagonal", n, {"g_diag": ["-1"] + [f"{f_sq}*{g}" for g in fibre]})
+    for report in run_model_suite(model, bundles):
+        assert report.verdict in (PASS, NOT_APPLICABLE), (report.identity_id, report.verdict)

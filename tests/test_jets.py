@@ -179,6 +179,23 @@ def test_integer_power_matches_repeated_multiplication():
     assert np.allclose(p3.d3, ref.d3, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_integer_power_of_a_zero_base_is_the_repeated_product(p):
+    x, y = jets.variables(np.array([0.0, 0.4]))
+    base = x * jets.exp(y)  # value exactly 0, nonzero partials through d3
+    assert base.value == 0.0
+    want = [jets.constant(1.0, 2), base, base * base, base * base * base][p]
+    got = jets.power(base, p)
+    for order in ("value", "d1", "d2", "d3"):
+        assert np.array_equal(getattr(got, order), getattr(want, order))
+
+
+def test_negative_integer_power_of_a_zero_base_raises():
+    x, _ = jets.variables(np.array([0.0, 0.4]))
+    with pytest.raises(ValueError, match="negative integer exponent is singular at a zero base"):
+        jets.power(x, -1)
+
+
 def test_mismatched_variable_counts_rejected():
     with pytest.raises(ValueError, match="different numbers of variables"):
         jets.constant(1.0, 2) + jets.constant(1.0, 3)

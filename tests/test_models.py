@@ -116,12 +116,15 @@ def test_grw_fiber_is_einstein_for_equal_radii():
     # Run the curvature pipeline on the four-dimensional Riemannian fiber
     # itself: a product of two unit spheres has Ricci = g (Einstein constant
     # 1/r^2 with r = 1).
-    entries = {
-        (0, 0): lambda xj: jets.constant(1.0, 4),
-        (1, 1): lambda xj: jets.power(jets.sin(xj[0]), 2),
-        (2, 2): lambda xj: jets.constant(1.0, 4),
-        (3, 3): lambda xj: jets.power(jets.sin(xj[2]), 2),
-    }
+    def entries(xj):
+        one = jets.constant(1.0, 4)
+        return {
+            (0, 0): one,
+            (1, 1): jets.power(jets.sin(xj[0]), 2),
+            (2, 2): one,
+            (3, 3): jets.power(jets.sin(xj[2]), 2),
+        }
+
     for point in ([0.7, 1.1, 1.2, 0.9], [1.2, 0.5, 0.8, 1.4]):
         mj = evaluate_metric_jets(entries, 4, np.array(point))
         curv = riemann_ricci_scalar(mj, christoffel_from_jets(mj))
@@ -151,7 +154,7 @@ def test_shared_scale_factor_runs_once_per_call(monkeypatch, name, n, params):
     assert len(calls) == 2
 
 
-def test_factor_cache_does_not_outlive_a_call():
+def test_metric_jets_do_not_depend_on_an_earlier_call():
     model = builtin_model("twisted_generic", 6)
     points = sample_points(model, 8, 3)
     chunk_a, chunk_b = points[:4], points[4:]
@@ -192,7 +195,7 @@ def test_compiled_expression_matches_builtin_jets():
     point = np.array([0.9, 0.4, -0.7, 1.1])
     xj = jets.variables(point)
     got = expr(xj)
-    want = model.entries[(1, 1)](xj)
+    want = model.entries(xj)[(1, 1)]
     assert abs(got.value - want.value) < 1e-14
     assert np.max(np.abs(got.d1 - want.d1)) < 1e-14
     assert np.max(np.abs(got.d2 - want.d2)) < 1e-14
@@ -203,6 +206,10 @@ def test_grammar_supports_pow_call_and_operator():
     xj = jets.variables(np.array([1.2, 0.5]))
     a = compile_expression("pow(t, 3) + x1**2", 2)(xj)
     assert abs(a.value - (1.2**3 + 0.25)) < 1e-14
+    # An integer power of a zero base is the repeated product.
+    at_zero = jets.variables(np.array([1.2, 0.0]))
+    squared = compile_expression("1 + x1**2", 2)(at_zero)
+    assert np.array_equal(squared.coeffs, compile_expression("1 + x1*x1", 2)(at_zero).coeffs)
 
 
 def test_grammar_rejects_unknown_names_and_calls():
