@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 from dataclasses import dataclass, field as dataclass_field, fields
 
@@ -98,15 +99,17 @@ def _check_int(value, name: str, low: int, high: int | None = None) -> None:
     is_int = isinstance(value, int) and not isinstance(value, bool)
     if not is_int or value < low or (high is not None and value > high):
         bounds = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+        raise ValueError(f"{name} must be an integer {bounds}, got {reprlib.repr(value)}")
 
 
 def _check_tolerance(identity_id: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"tolerance for {identity_id} must be a number, got {value!r}")
+        raise ValueError(f"tolerance for {identity_id} must be a number, got {reprlib.repr(value)}")
     # False for NaN too, and exact for an integer too large for a float.
     if not 0 < value <= sys.float_info.max:
-        raise ValueError(f"tolerance for {identity_id} must be finite and positive, got {value!r}")
+        raise ValueError(
+            f"tolerance for {identity_id} must be finite and positive, got {reprlib.repr(value)}"
+        )
 
 
 def _validate_config(config: RunConfig) -> RunConfig:
@@ -150,10 +153,26 @@ def _validate_config(config: RunConfig) -> RunConfig:
     return config
 
 
+def _parse_int(text: str) -> int:
+    """A JSON integer literal, or a ValueError that says why it is unreadable
+    (Python converts at most 4300 digits)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"an integer of {len(text.lstrip('-'))} digits is too long to read") from None
+
+
 def load_config(path: str) -> RunConfig:
-    """Read and validate a JSON run config; unknown fields are rejected."""
+    """Read and validate a JSON run config; unknown fields are rejected.
+
+    A file that is not JSON, or holds an unreadable integer, is an error
+    that names the file.
+    """
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle, parse_int=_parse_int)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
     unknown = set(data) - _CONFIG_KEYS

@@ -25,6 +25,21 @@ built, so one chunk's blocks at most are alive.  Each report is then judged
 from its check's arrays over all chunks (``_report``); ``check_report`` runs
 the same two steps for one check alone.
 
+Checks whose residual pattern repeats itself up to sign are evaluated on
+its independent components only, from index tables built once per n
+(``_cyclic_triples``).  ``weyl_compatibility`` and
+``weyl_bianchi_contraction`` read the C(n,3) triples i < j < k of their
+cyclic sums (20 of 216 at n = 6), ``lovelock_n4`` the 16 entries
+a < b < c, r < s < t of its 4096, and ``remainder_traceless`` the one trace
+g^ac T_abcd of six.  The other entries repeat these only if C, ∇C and
+D = ∇_p C^p are antisymmetric in their first pair, which is not so by
+construction (the Riemann tensor is lowered on its first index), so those
+checks measure that antisymmetry themselves and count it as residual:
+max|C_jk.. + C_kj..| for the first two, max|∇_p C_jk.. + ∇_p C_kj..| and
+max|D_jk. + D_kj.| for the Bianchi check.  The remainder's other traces
+follow from its pair antisymmetry and pair exchange, which
+``remainder_curvature_symmetries`` measures.
+
 The negative-control model declares which identities it is expected to fail;
 the runner treats an expected failure as a success of the suite's
 discriminating power.
@@ -34,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -127,11 +142,31 @@ def _wedge(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     return vt - np.swapaxes(vt, -3, -2)
 
 
-def _cyclic_sum(t: np.ndarray) -> np.ndarray:
-    """``t`` summed over the cyclic shifts of its first three slots after the
-    point axis: out_ijk... = t_ijk... + t_jki... + t_kij..."""
-    shifted = np.moveaxis(t, 3, 1)
-    return t + shifted + np.moveaxis(shifted, 3, 1)
+@cache
+def _cyclic_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The C(n,3) index triples i < j < k under the three cyclic shifts
+    (i, j, k), (k, i, j), (j, k, i), built on first use: arrays ``a, b, c`` of
+    shape (3, C(n,3)) with row s the s-th shift, so row 0 is the triples."""
+    i, j, k = np.array(list(itertools.combinations(range(n), 3))).T
+    tables = (np.stack([i, k, j]), np.stack([j, i, k]), np.stack([k, j, i]))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _sum_shifts(terms: np.ndarray) -> np.ndarray:
+    """A pattern's sum over the cyclic shifts of its triples: ``terms`` holds
+    the pattern at the three shifts on axis 1 (as ``_cyclic_triples`` lists
+    them), summed in that order."""
+    return terms[:, 0] + terms[:, 1] + terms[:, 2]
+
+
+def _first_pair_defect(t: np.ndarray, slot: int) -> np.ndarray:
+    """max |t_..jk.. + t_..kj..| at each point, over the pair at ``slot``
+    and ``slot + 1`` after the point axis (as its largest and least entry,
+    which spares an n**5 temporary for the absolute values)."""
+    s = (t + np.swapaxes(t, slot, slot + 1)).reshape(len(t), -1)
+    return np.maximum(s.max(axis=1), -s.min(axis=1))
 
 
 class _Chunk:
@@ -167,6 +202,12 @@ class _Chunk:
     def weyl_along_u(self) -> np.ndarray:
         """u^p ∇_p C_jklm."""
         return _into_first(self.b.u_up, self.b.nabla_weyl)
+
+    @cached_property
+    def weyl_first_pair_defect(self) -> np.ndarray:
+        """max |C_jklm + C_kjlm| at each point.  Not zero by construction:
+        the Riemann tensor is lowered on its first index."""
+        return _first_pair_defect(self.b.weyl, 1)
 
     @cached_property
     def kn_uu(self) -> np.ndarray:
@@ -228,9 +269,14 @@ def _torse_forming(b: _Chunk) -> PointPairs:
 
 
 def _weyl_compatibility(b: _Chunk) -> PointPairs:
-    # The three terms are u_i C_jklm u^m and its cyclic shifts i -> j -> k.
-    pattern = np.einsum("...i,...jkl->...ijkl", b.u_down, b.weyl_u)
-    return _pmax(_cyclic_sum(pattern)), b.max_weyl
+    """The cyclic sum u_i C_jklm u^m + (its shifts i -> j -> k) on the triples
+    i < j < k only.  Given C_jklm = -C_kjlm it is totally antisymmetric in
+    (i, j, k), so the other triples repeat these up to sign and those with a
+    repeated index vanish; that first-pair antisymmetry is measured instead,
+    as ``weyl_first_pair_defect``."""
+    i, j, k = _cyclic_triples(b.n)
+    terms = b.u_down[:, i, None] * b.weyl_u[:, j, k]
+    return np.maximum(_pmax(_sum_shifts(terms)), b.weyl_first_pair_defect), b.max_weyl
 
 
 def _electric_contraction(b: _Chunk) -> PointPairs:
@@ -257,15 +303,22 @@ def _hubble_gradient_spacelike(b: _Chunk) -> PointPairs:
 
 
 def _lovelock_n4(b: _Chunk) -> PointPairs:
-    g = b.g
-    c = b.weyl
-    # The nine terms are the three below and their cyclic shifts a -> b -> c.
-    pattern = (
-        np.einsum("...ar,...bcst->...abcrst", g, c)
-        + np.einsum("...at,...bcrs->...abcrst", g, c)
-        + np.einsum("...as,...bctr->...abcrst", g, c)
-    )
-    return _pmax(_cyclic_sum(pattern)), b.max_g * b.max_weyl
+    """The nine-term sum on a < b < c and r < s < t only.  It is the cyclic
+    sum over (a, b, c) of g_ar C_bcst + g_at C_bcrs + g_as C_bctr, itself a
+    cyclic sum over (r, s, t), so it is totally antisymmetric in both triples
+    given the pair antisymmetries of C: 16 of n**6 = 4096 entries at n = 4
+    carry the identity.  The first-pair antisymmetry is measured instead, as
+    ``weyl_first_pair_defect``; the second pair's is exact up to rounding,
+    since the Riemann and Weyl kernels antisymmetrize (c, d) explicitly."""
+    g, c = b.g, b.weyl
+    triples = _cyclic_triples(b.n)
+    # (i, j, k) stands for (a, b, c) at its three shifts; (r, s, t) for the
+    # triples across a last axis.
+    i, j, k = (x[:, :, None] for x in triples)
+    r, s, t = (x[0] for x in triples)
+    terms = g[:, i, r] * c[:, j, k, s, t] + g[:, i, t] * c[:, j, k, r, s] + g[:, i, s] * c[:, j, k, t, r]
+    residual = np.maximum(_pmax(_sum_shifts(terms)), b.weyl_first_pair_defect)
+    return residual, b.max_g * b.max_weyl
 
 
 def _quarter_trace_n4(b: _Chunk) -> PointPairs:
@@ -303,15 +356,15 @@ def _remainder_curvature_symmetries(b: _Chunk) -> PointPairs:
 
 
 def _remainder_traceless(b: _Chunk) -> PointPairs:
+    """The one independent trace g^ac T_abcd of the remainder T.  The other
+    five follow from T's pair antisymmetry and pair exchange, which
+    ``remainder_curvature_symmetries`` measures."""
     t = b.weyl_remainder
     n = b.n
-    g_inv = b.g_inv.reshape(len(t), n * n)
-    worst = np.zeros(len(t))
-    for pair in itertools.combinations((1, 2, 3, 4), 2):
-        # g^sr contracted into the slot pair (s, r), both moved to the end.
-        traced = _into_last(np.moveaxis(t, pair, (-2, -1)).reshape(len(t), n, n, n * n), g_inv)
-        worst = np.maximum(worst, _pmax(traced))
-    return worst, np.maximum(b.max_weyl, b.max_weyl_remainder)
+    # g^ac contracted into the slot pair (a, c), both moved to the end.
+    moved = np.moveaxis(t, (1, 3), (-2, -1)).reshape(len(t), n, n, n * n)
+    traced = _into_last(moved, b.g_inv.reshape(len(t), n * n))
+    return _pmax(traced), np.maximum(b.max_weyl, b.max_weyl_remainder)
 
 
 def _remainder_u_annihilation(b: _Chunk) -> PointPairs:
@@ -347,15 +400,25 @@ def _weyl_scalar_positivity(b: _Chunk) -> PointPairs:
 
 
 def _bianchi_contraction(b: _Chunk) -> PointPairs:
-    nc = b.nabla_weyl
-    g = b.g
-    dv = b.div_weyl
-    # Both sides sum a pattern over the cyclic shifts i -> j -> k: ∇_i C_jklm
-    # on the left, (g_jm D_kil + g_kl D_jim)/(n-3) on the right.
-    pattern = nc - (
-        np.einsum("...jm,...kil->...ijklm", g, dv) + np.einsum("...kl,...jim->...ijklm", g, dv)
-    ) / (b.n - 3.0)
-    return _pmax(_cyclic_sum(pattern)), b.max_nabla_weyl
+    """Both sides of the contracted Bianchi identity on the triples i < j < k
+    only.  Each side sums a pattern over the cyclic shifts i -> j -> k:
+    ∇_i C_jklm on the left, (g_jm D_kil + g_kl D_jim)/(n-3) on the right.
+    Given the first-pair antisymmetry of ∇C (∇_p C_jklm = -∇_p C_kjlm) and of
+    D (D_jkl = -D_kjl), and g symmetric, the difference is totally
+    antisymmetric in (i, j, k), so the other triples repeat these up to sign
+    and those with a repeated index vanish.  Both antisymmetries are measured
+    instead, and count as residual."""
+    n = b.n
+    i, j, k = _cyclic_triples(n)
+    g, dv = b.g, b.div_weyl
+    # Outer products of n-vectors: einsum writes them about twice as fast as
+    # a broadcast multiply, whose inner loops are only n long.
+    outer = "...l,...m->...lm"
+    terms = b.nabla_weyl[:, i, j, k] - (
+        np.einsum(outer, dv[:, k, i], g[:, j]) + np.einsum(outer, g[:, k], dv[:, j, i])
+    ) / (n - 3.0)
+    residual = np.maximum(_pmax(_sum_shifts(terms)), _first_pair_defect(b.nabla_weyl, 2))
+    return np.maximum(residual, _first_pair_defect(dv, 1)), b.max_nabla_weyl
 
 
 def _divergence_formula(b: _Chunk) -> PointPairs:

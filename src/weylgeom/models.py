@@ -25,6 +25,7 @@ from __future__ import annotations
 import ast
 import math
 import numbers
+import reprlib
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -342,14 +343,14 @@ def _number(params: dict, key: str, default: float) -> float:
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     # False for NaN too, and exact for an integer too large for a float.
     if not (real and abs(value) <= sys.float_info.max):
-        raise ValueError(f"parameter {key!r} must be a finite number, got {value!r}")
+        raise ValueError(f"parameter {key!r} must be a finite number, got {reprlib.repr(value)}")
     return float(value)
 
 
 def _check_n(n: int) -> int:
     n = int(n)
     if not 4 <= n <= 7:
-        raise ValueError(f"dimension n must be in 4..7, got {n}")
+        raise ValueError(f"dimension n must be in 4..7, got {reprlib.repr(n)}")
     return n
 
 
@@ -418,12 +419,13 @@ def _grw_product_spheres(n: int | None, params: dict) -> MetricModel:
 
     def entries(xj: Sequence[Jet3]) -> dict:
         f_sq = jets.exp((2.0 * h) * xj[0])
+        g11, g33 = r1 * r1 * f_sq, r2 * r2 * f_sq
         return {
             (0, 0): jets.constant(-1.0, 5),
-            (1, 1): r1 * r1 * f_sq,
-            (2, 2): r1 * r1 * f_sq * jets.power(jets.sin(xj[1]), 2),
-            (3, 3): r2 * r2 * f_sq,
-            (4, 4): r2 * r2 * f_sq * jets.power(jets.sin(xj[3]), 2),
+            (1, 1): g11,
+            (2, 2): g11 * jets.power(jets.sin(xj[1]), 2),
+            (3, 3): g33,
+            (4, 4): g33 * jets.power(jets.sin(xj[3]), 2),
         }
 
     return MetricModel(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -527,15 +528,25 @@ def _long_sum_config(terms):
         ({"models": [{"name": "rw_flat", "parameters": {"f": "exp", "H": 10**400}}]}, "'H' must be a finite number"),
         ({"models": [{"name": "rw_flat", "parameters": {"f": "power", "k": -(10**400)}}]}, "'k' must be a finite number"),
         ({"models": [{"name": "grw_product_spheres", "parameters": {"r1": 10**400}}]}, "'r1' must be a finite number"),
+        # Config text that json.dumps cannot write: more digits than Python
+        # converts to an integer, and text that is not JSON.
+        pytest.param(
+            '{"tolerances": {"torse_forming": 1' + "0" * 5000 + "}}",
+            "bad.json: an integer of 5001 digits is too long",
+            id="integer-of-5001-digits",
+        ),
+        pytest.param('{"points": 3,', "bad.json: Expecting property name", id="not-json"),
     ],
 )
 def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, config, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     assert main(["verify", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    # An echoed value is shortened: a 401-digit integer to 40 characters.
+    assert re.search("[0-9]{41}", err) is None
 
 
 def test_long_sum_at_the_depth_bound_verifies(tmp_path, capsys):

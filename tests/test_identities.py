@@ -1,6 +1,8 @@
 """Identity evaluators: positive models, the negative control, and reports."""
 
+import dataclasses
 import itertools
+import types
 import weakref
 from collections import Counter
 
@@ -249,6 +251,130 @@ def test_bianchi_contraction_unconditional(small_bundles):
         report = _report("weyl_bianchi_contraction", model, bundles)
         assert report.verdict == PASS, label
         assert report.max_residual < 1e-8 * max(1.0, report.scale)
+
+
+# Oracles: the cyclic-sum checks over every index combination, as full n**5
+# and n**6 patterns, and all six single traces of the remainder.  The suite
+# evaluates only the independent components of each.
+
+
+def _full_cyclic_sum(t):
+    """out_ijk... = t_ijk... + t_kij... + t_jki..., over the first three slots."""
+    shifted = np.moveaxis(t, 3, 1)
+    return t + shifted + np.moveaxis(shifted, 3, 1)
+
+
+def _oracle_weyl_compatibility(b):
+    pattern = np.einsum("...i,...jkl->...ijkl", b.u_down, b.weyl_u)
+    return max_abs(_full_cyclic_sum(pattern), per_point=True)
+
+
+def _oracle_lovelock(b):
+    g, c = b.g, b.weyl
+    pattern = (
+        np.einsum("...ar,...bcst->...abcrst", g, c)
+        + np.einsum("...at,...bcrs->...abcrst", g, c)
+        + np.einsum("...as,...bctr->...abcrst", g, c)
+    )
+    return max_abs(_full_cyclic_sum(pattern), per_point=True)
+
+
+def _oracle_bianchi(b):
+    g, dv = b.g, b.div_weyl
+    pattern = b.nabla_weyl - (
+        np.einsum("...jm,...kil->...ijklm", g, dv) + np.einsum("...kl,...jim->...ijklm", g, dv)
+    ) / (b.n - 3.0)
+    return max_abs(_full_cyclic_sum(pattern), per_point=True)
+
+
+def _oracle_remainder_traceless(b):
+    t, n = b.weyl_remainder, b.n
+    g_inv = b.g_inv.reshape(len(t), n * n, 1)
+    traces = [
+        np.moveaxis(t, pair, (-2, -1)).reshape(len(t), n * n, n * n) @ g_inv
+        for pair in itertools.combinations((1, 2, 3, 4), 2)
+    ]
+    return np.max([max_abs(x, per_point=True) for x in traces], axis=0)
+
+
+_ORACLES = {
+    "weyl_compatibility": _oracle_weyl_compatibility,
+    "lovelock_n4": _oracle_lovelock,
+    "weyl_bianchi_contraction": _oracle_bianchi,
+    "remainder_traceless": _oracle_remainder_traceless,
+}
+
+
+def _antisymmetric(x, *slots):
+    """``x`` made exactly antisymmetric in each pair (s, s + 1) of ``slots``."""
+    for s in slots:
+        x = x - np.swapaxes(x, s, s + 1)
+    return x
+
+
+def _random_chunk(n, points=3, seed=0):
+    """Random fields with the exact pair symmetries the suite relies on, but
+    satisfying none of the identities."""
+    rng = np.random.default_rng(seed + n)
+    g = rng.normal(size=(points, n, n))
+    g_inv = rng.normal(size=(points, n, n))
+    remainder = _antisymmetric(rng.normal(size=(points,) + (n,) * 4), 1, 3)
+    return types.SimpleNamespace(
+        n=n,
+        g=g + np.swapaxes(g, 1, 2),
+        g_inv=g_inv + np.swapaxes(g_inv, 1, 2),
+        u_down=rng.normal(size=(points, n)),
+        u_up=rng.normal(size=(points, n)),
+        weyl=_antisymmetric(rng.normal(size=(points,) + (n,) * 4), 1, 3),
+        nabla_weyl=_antisymmetric(rng.normal(size=(points,) + (n,) * 5), 2, 4),
+        div_weyl=_antisymmetric(rng.normal(size=(points,) + (n,) * 3), 1),
+        weyl_remainder=remainder + np.einsum("...abcd->...cdab", remainder),
+    )
+
+
+@pytest.mark.parametrize("identity_id", sorted(_ORACLES))
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_independent_components_match_the_full_pattern_oracle(identity_id, n):
+    b = _random_chunk(n)
+    residual, _ = POINT_EVALUATORS[identity_id](b)
+    expected = _ORACLES[identity_id](identities._Chunk(b))
+    assert np.all(expected > 1.0)  # the random fields violate the identity
+    np.testing.assert_allclose(residual, expected, rtol=1e-15, atol=0.0)
+
+
+def _first_pair_symmetric(n, j, k, *rest):
+    """A unit tensor symmetric in its first pair (j, k); with two more slots
+    it is antisymmetric in them, as a curvature tensor's last pair is."""
+    e = np.zeros((n,) * (2 + len(rest)))
+    e[(j, k) + rest] = e[(k, j) + rest] = 1.0
+    if len(rest) == 2:
+        e[(j, k) + rest[::-1]] = e[(k, j) + rest[::-1]] = -1.0
+    return e
+
+
+_CHECKS_READING = {
+    "weyl": ("weyl_compatibility", "lovelock_n4"),
+    "nabla_weyl": ("weyl_bianchi_contraction",),
+    "div_weyl": ("weyl_bianchi_contraction",),
+}
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (1, 2)], ids=["repeated-index", "distinct"])
+@pytest.mark.parametrize("field", sorted(_CHECKS_READING))
+def test_a_first_pair_antisymmetry_defect_fails_the_cyclic_checks(small_bundles, field, pair):
+    # The suite reads only the triples i < j < k of each cyclic sum, which
+    # never put one index in both slots of a pair; it measures the pair
+    # antisymmetry those sums assume on its own, so a defect of 1e-6 there,
+    # even on the diagonal the triples never see, fails the check.
+    model, bundles = small_bundles["twisted_n4"]
+    # The defect broadcasts over the leading axes: every point, and every p of ∇_p C.
+    defect = _first_pair_symmetric(model.n, *pair, *((3,) if field == "div_weyl" else (2, 3)))
+    broken = [dataclasses.replace(b, **{field: getattr(b, field) + 1e-6 * defect}) for b in bundles]
+    for identity_id in _CHECKS_READING[field]:
+        assert _report(identity_id, model, bundles).verdict == PASS
+        report = _report(identity_id, model, broken)
+        assert report.verdict == FAIL, identity_id
+        assert report.max_residual >= 1e-6
 
 
 def test_divergence_formula(small_bundles):
