@@ -13,6 +13,7 @@ max_residual, scale, tolerance, verdict, plus the expectation bookkeeping
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import reprlib
@@ -37,6 +38,7 @@ from .models import CATALOG_NAMES, MetricModel, builtin_model, default_model_spe
 __all__ = [
     "RunConfig",
     "CHUNK_ELEMENTS",
+    "MAX_POINTS",
     "chunk_size",
     "load_config",
     "default_config",
@@ -51,6 +53,10 @@ __all__ = [
 # 128 at n = 4, 16 at n = 6.  Larger chunks save little Python overhead but
 # hold more memory at once.
 CHUNK_ELEMENTS = 2**17
+
+# Most sampled points per model.  A model's bundles are all held until its
+# suite has run, about 0.2 MB a point at n = 7: at most about 2 GB a model.
+MAX_POINTS = 10_000
 
 _CONFIG_KEYS = {"models", "points", "seed", "tolerances", "output_format", "output_path"}
 _MODEL_KEYS = {"name", "n", "parameters", "label"}
@@ -114,6 +120,8 @@ def _check_tolerance(identity_id: str, value) -> None:
 
 def _validate_config(config: RunConfig) -> RunConfig:
     _check_int(config.points, "points", 1)
+    if config.points > MAX_POINTS:
+        raise ValueError(f"points must be at most {MAX_POINTS}, got {reprlib.repr(config.points)}")
     _check_int(config.seed, "seed", 0)
     if config.output_format not in _FORMATS:
         raise ValueError(f"output_format must be one of {_FORMATS}")
@@ -449,7 +457,7 @@ def cmd_tensor_dump(args: argparse.Namespace) -> int:
         raise ValueError(f"--point expects comma-separated numbers, got {args.point!r}") from None
     if point.size != model.n:
         raise ValueError(f"--point needs {model.n} coordinates for {model.label}, got {point.size}")
-    value = getattr(build_bundle(model, point[None]), field_name)[0]
+    value = getattr(build_bundle(model, point[None], (field_name,)), field_name)[0]
     record: dict = {
         "model": model.label,
         "n": model.n,
@@ -521,7 +529,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once and then reused (parsing keeps no state in it)."""
     parser = _Parser(
         prog="weylgeom",
         description="verify curvature identities of twisted space-time metrics",

@@ -35,7 +35,7 @@ which sum nothing, stay ``np.einsum`` views and broadcasts.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -264,10 +264,11 @@ def weyl_remainder_tensor(
 class CurvatureBundle:
     """Every curvature quantity the identity suite needs, at a chunk of points.
 
-    Layout: every field except ``n`` is a plain ``float64`` array whose first
-    axis is the point axis, of length P (the chunk size); row ``k`` belongs
-    to the chart point ``points[k]``.  The remaining axes are tensor slots in
-    the order of the field's name, covariant or contravariant as listed in
+    Layout: every field except ``n`` is a plain ``float64`` array (or
+    ``None`` when :func:`build_bundle` did not need it) whose first axis is
+    the point axis, of length P (the chunk size); row ``k`` belongs to the
+    chart point ``points[k]``.  The remaining axes are tensor slots in the
+    order of the field's name, covariant or contravariant as listed in
     :data:`FIELD_VARIANCE`; scalar fields have shape ``(P,)``.  Coordinate
     derivatives put the derivative index first after the point axis
     (``d_christoffel[k, p, a, b, c] = ∂_p Γ^a_bc``), and covariant
@@ -333,22 +334,18 @@ FIELD_VARIANCE = {
 }
 
 
-def build_bundle(model: MetricModel, points: ChartPoint) -> CurvatureBundle:
-    """Assemble the full curvature bundle of a model at points of shape (P, n).
+_FIELDS = tuple(f.name for f in fields(CurvatureBundle))
 
-    Raises ``ValueError`` if any point fails a check (non-finite coordinates
-    or components, non-Lorentzian or singular metric, jet domain errors, an
-    asymmetric Kulkarni-Nomizu factor); callers that must skip single points
-    re-run a failed chunk one point at a time.
-    """
-    coords = np.asarray(points, dtype=float)
+
+def _stages(model: MetricModel, coords: np.ndarray) -> Iterator[dict]:
+    """The bundle's fields at points of shape (P, n), one stage at a time in
+    dependency order: the jets and connection (with u, φ, ξ and v), the
+    Riemann tensor and its traces, the Weyl tensor (with E and the
+    remainder), then the covariant derivatives.  Kernel data the next stage
+    needs (∂²Γ, ∂R, ∂C, ...) stays in this generator's frame."""
     n = model.n
-    if coords.ndim != 2:
-        raise ValueError(f"points must have shape (P, {n}), got shape {coords.shape}")
     mj = model.metric_jets(coords)
     conn = christoffel_from_jets(mj)
-    curv = riemann_ricci_scalar(mj, conn)
-    wd = weyl(mj, curv)
     gamma = conn.gamma
 
     u = model.u_up
@@ -359,11 +356,36 @@ def build_bundle(model: MetricModel, points: ChartPoint) -> CurvatureBundle:
 
     hubble = np.trace(nabla_u_up, axis1=-2, axis2=-1) / (n - 1)
     d_hubble = np.trace(conn.d_gamma, axis1=-3, axis2=-2) @ u / (n - 1)
+    proj = conn.g_inv + np.multiply.outer(u, u)
+    yield dict(
+        points=coords,
+        n=n,
+        g=mj.value,
+        g_inv=conn.g_inv,
+        christoffel=gamma,
+        d_christoffel=conn.d_gamma,
+        u_down=u_down,
+        u_up=u_up,
+        nabla_u_down=nabla_u_down,
+        nabla_u_up=nabla_u_up,
+        hubble_rate=hubble,
+        d_hubble_rate=d_hubble,
+        raychaudhuri_scalar=(n - 1) * (d_hubble @ u + hubble * hubble),
+        hubble_gradient_up=(proj @ d_hubble[..., None])[..., 0],
+    )
 
+    curv = riemann_ricci_scalar(mj, conn)
+    yield dict(riemann=curv.riemann, ricci=curv.ricci, scalar_curvature=curv.scalar)
+
+    wd = weyl(mj, curv)
+    del curv  # ∂R is not needed again
     # E_kl = u^j C_jklm u^m: u contracted into the last slot, then the first.
     lead = coords.shape[:1]
     electric = u @ (wd.weyl.reshape(lead + (n**3, n)) @ u).reshape(lead + (n, n * n))
     electric = electric.reshape(lead + (n, n))
+    remainder = weyl_remainder_tensor(mj.value, u_down, wd.weyl, electric, n)
+    yield dict(weyl=wd.weyl, electric=electric, weyl_remainder=remainder)
+
     d_electric = u @ (wd.d_weyl.reshape(lead + (n**4, n)) @ u).reshape(lead + (n, n, n * n))
     d_electric = d_electric.reshape(lead + (n,) * 3)
     nabla_electric = covariant_derivative((DOWN, DOWN), electric, d_electric, gamma)
@@ -374,42 +396,39 @@ def build_bundle(model: MetricModel, points: ChartPoint) -> CurvatureBundle:
 
     nabla_weyl = covariant_derivative((DOWN,) * 4, wd.weyl, wd.d_weyl, gamma)
     div_weyl = (nabla_weyl.reshape(lead + (n, n**3, n)) @ g_inv_rows).sum(axis=-3)
-    div_weyl = div_weyl.reshape(lead + (n,) * 3)
-
-    remainder = weyl_remainder_tensor(mj.value, u_down, wd.weyl, electric, n)
-
-    raychaudhuri = (n - 1) * (d_hubble @ u + hubble * hubble)
-    proj = conn.g_inv + np.multiply.outer(u, u)
-    hubble_grad_up = (proj @ d_hubble[..., None])[..., 0]
-
-    bundle = CurvatureBundle(
-        points=coords,
-        n=n,
-        g=mj.value,
-        g_inv=conn.g_inv,
-        christoffel=gamma,
-        d_christoffel=conn.d_gamma,
-        riemann=curv.riemann,
-        ricci=curv.ricci,
-        scalar_curvature=curv.scalar,
-        weyl=wd.weyl,
+    yield dict(
         nabla_weyl=nabla_weyl,
-        div_weyl=div_weyl,
-        u_down=u_down,
-        u_up=u_up,
-        nabla_u_down=nabla_u_down,
-        nabla_u_up=nabla_u_up,
-        hubble_rate=hubble,
-        d_hubble_rate=d_hubble,
-        electric=electric,
+        div_weyl=div_weyl.reshape(lead + (n,) * 3),
         nabla_electric=nabla_electric,
         div_electric=div_electric,
-        weyl_remainder=remainder,
-        raychaudhuri_scalar=raychaudhuri,
-        hubble_gradient_up=hubble_grad_up,
     )
-    for f in fields(bundle):
-        value = getattr(bundle, f.name)
-        if isinstance(value, np.ndarray) and not np.isfinite(value).all():
-            raise ValueError(f"non-finite tensor components in {f.name}")
-    return bundle
+
+
+def build_bundle(
+    model: MetricModel, points: ChartPoint, fields: Collection[str] = _FIELDS
+) -> CurvatureBundle:
+    """Assemble the curvature bundle of a model at points of shape (P, n).
+
+    Only the stages up to the last one that ``fields`` (default: every
+    field) depends on are run (see :func:`_stages`); the fields of later
+    stages are ``None``.  Raises ``ValueError`` if any point fails a check
+    in the stages run (non-finite coordinates or components of any field
+    built, non-Lorentzian or singular metric, jet domain errors, an
+    asymmetric Kulkarni-Nomizu factor); callers that must skip single
+    points re-run a failed chunk one point at a time.
+    """
+    coords = np.asarray(points, dtype=float)
+    if coords.ndim != 2:
+        raise ValueError(f"points must have shape (P, {model.n}), got shape {coords.shape}")
+    wanted = set(fields)
+    built: dict = {}
+    for stage in _stages(model, coords):
+        built.update(stage)
+        if wanted <= built.keys():
+            break
+    else:
+        raise ValueError(f"unknown bundle fields: {sorted(wanted - built.keys())}")
+    for name in _FIELDS:
+        if isinstance(built.get(name), np.ndarray) and not np.isfinite(built[name]).all():
+            raise ValueError(f"non-finite tensor components in {name}")
+    return CurvatureBundle(**{name: built.get(name) for name in _FIELDS})

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, dumps, config handling."""
 
+import dataclasses
 import json
 import os
 import re
@@ -11,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylgeom import builtin_model, cli, sample_points
+from weylgeom import builtin_model, cli, curvature, sample_points
 from weylgeom.cli import default_config, load_config, main, run, serialize_structured
-from weylgeom.curvature import FIELD_VARIANCE, build_bundle
+from weylgeom.curvature import FIELD_VARIANCE, CurvatureBundle, build_bundle
 from weylgeom.identities import IdentityReport
 from weylgeom.models import default_model_specs
 
@@ -354,6 +355,92 @@ def test_tensor_dump_text_equals_json_dumps(capsys, model):
         assert capsys.readouterr().out == json.dumps(record, indent=2, sort_keys=True) + "\n", field_name
 
 
+def test_the_shared_parser_keeps_nothing_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    dump = ["tensor-dump", "phi", "--model", "rw_flat", "--point", "1.0,0.2,0.4,0.1"]
+    assert main(dump + ["--param", "H=0.7"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(0.7, abs=1e-12)
+    assert main(dump) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(0.3, abs=1e-12)
+
+    verify = _verify_args("--model", "twisted_n4", "--format", "structured")
+    tolerances = []
+    for extra in (["--tolerance", "weyl_divergence_formula=1e-18"], []):
+        code = main(verify + extra)
+        rows = json.loads(capsys.readouterr().out)["reports"]
+        tolerances.append((code, next(r["tolerance"] for r in rows if r["identity_id"] == "weyl_divergence_formula")))
+    assert tolerances[0] == (1, 1e-18)
+    assert tolerances[1][0] == 0 and tolerances[1][1] > 1e-18
+
+    assert main(["tensor-dump", "C", "--model", "rw_flat"]) == 2
+    assert main(["tensor-dump", "C", "--model", "rw_flat", "--point", "1,0,0,0"]) == 0
+
+
+def _count_kernel_calls(monkeypatch):
+    """Record each curvature kernel call; covariant_derivative with its slot count."""
+    calls = []
+    for name in ("christoffel_from_jets", "riemann_ricci_scalar", "weyl", "covariant_derivative"):
+
+        def counted(*args, _name=name, _kernel=getattr(curvature, name)):
+            calls.append(f"{_name}/{len(args[0])}" if _name == "covariant_derivative" else _name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(curvature, name, counted)
+    return calls
+
+
+_CONNECTION_STAGE = ["christoffel_from_jets", "covariant_derivative/1", "covariant_derivative/1"]
+_CURVATURE_STAGE = _CONNECTION_STAGE + ["riemann_ricci_scalar"]
+_WEYL_STAGE = _CURVATURE_STAGE + ["weyl"]
+
+
+@pytest.mark.parametrize(
+    "field_name, kernels",
+    [
+        ("gamma", _CONNECTION_STAGE),
+        ("phi", _CONNECTION_STAGE),
+        ("xi", _CONNECTION_STAGE),
+        ("ricci", _CURVATURE_STAGE),
+        ("weyl", _WEYL_STAGE),
+        ("E", _WEYL_STAGE),
+        ("nablaC", _WEYL_STAGE + ["covariant_derivative/2", "covariant_derivative/4"]),
+    ],
+)
+def test_a_dump_runs_only_the_stages_its_field_needs(monkeypatch, capsys, field_name, kernels):
+    calls = _count_kernel_calls(monkeypatch)
+    argv = ["tensor-dump", field_name, "--model", "twisted_generic", "--point", "0.5,0.1,0.2,0.3,0.4"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert sorted(calls) == sorted(kernels)
+
+
+def test_a_dump_fails_only_when_a_stage_it_needs_fails(monkeypatch, capsys):
+    def broken(mj, curv):
+        raise ValueError("broken Weyl stage")
+
+    monkeypatch.setattr(curvature, "weyl", broken)
+    argv = ["--model", "twisted_n4", "--point", "0.5,0.3,0.7,0.2"]
+    assert main(["tensor-dump", "ricci", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["field"] == "ricci"
+    for field_name in ("E", "nablaC"):
+        assert main(["tensor-dump", field_name, *argv]) == 2
+        assert capsys.readouterr().err == "error: broken Weyl stage\n"
+
+
+def test_a_bundle_holds_its_fields_and_nothing_else():
+    model = builtin_model("twisted_generic", 5)
+    points = sample_points(model, 3, 1)
+    names = {f.name for f in dataclasses.fields(CurvatureBundle)}
+    [bundle] = cli._collect_bundles(model, points, [])
+    assert vars(bundle).keys() == names
+    assert all(getattr(bundle, name) is not None for name in names)
+    partial = build_bundle(model, points, ("ricci",))
+    assert vars(partial).keys() == names
+    assert partial.scalar_curvature is not None and partial.weyl is None and partial.nabla_weyl is None
+    with pytest.raises(ValueError, match="unknown bundle fields: \\['phi'\\]"):
+        build_bundle(model, points, ("ricci", "phi"))
+
+
 @pytest.mark.parametrize("shape", [(1,), (1, 1), (4, 4), (3,) * 5])
 def test_json_float_array_matches_json_dumps(shape):
     values = np.resize([-0.0, 5e-324, 1e-7, 1e16, 1e300, 0.1, -2.5, 1.0 / 3.0], shape)
@@ -528,6 +615,8 @@ def _long_sum_config(terms):
         ({"models": [{"name": "rw_flat", "parameters": {"f": "exp", "H": 10**400}}]}, "'H' must be a finite number"),
         ({"models": [{"name": "rw_flat", "parameters": {"f": "power", "k": -(10**400)}}]}, "'k' must be a finite number"),
         ({"models": [{"name": "grw_product_spheres", "parameters": {"r1": 10**400}}]}, "'r1' must be a finite number"),
+        # More points than numpy can allocate; refused before sampling.
+        ({"points": 10**15}, "points must be at most 10000, got 1000000000000000"),
         # Config text that json.dumps cannot write: more digits than Python
         # converts to an integer, and text that is not JSON.
         pytest.param(
@@ -586,11 +675,18 @@ def test_overflowing_entry_is_one_model_error_without_warnings(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "flags", [["--seed", "-1"], ["--tolerance", "torse_forming=nan"], ["--tolerance", "torse_forming=-1"]]
+    "flags",
+    [
+        ["--seed", "-1"],
+        ["--tolerance", "torse_forming=nan"],
+        ["--tolerance", "torse_forming=-1"],
+        ["--points", str(10**15)],
+    ],
 )
 def test_malformed_flags_exit_two(capsys, flags):
     assert main(["verify", "--points", "2", *flags]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
