@@ -483,16 +483,49 @@ def _json_float_array(value: np.ndarray, depth: int) -> str:
 
     ``json`` spells a finite float as ``float.__repr__`` does (the shortest
     round-trip form); ``build_bundle`` rejects non-finite fields, so this
-    never meets the NaN and Infinity spellings.  Every axis must be
-    non-empty.
+    never meets the NaN and Infinity spellings.  Each distinct bit pattern is
+    spelled once (so -0.0 and 0.0 stay apart), and the text interleaves the
+    spellings with the separators of :func:`_json_separators`.  Every axis
+    must be non-empty.
     """
-    items = list(map(float.__repr__, value.ravel().tolist()))
-    for level, size in zip(range(depth + value.ndim, depth, -1), reversed(value.shape)):
-        indent = "  " * level
-        join = (",\n" + indent).join
-        close = "\n" + indent[2:] + "]"
-        items = ["[\n" + indent + join(items[i : i + size]) + close for i in range(0, len(items), size)]
-    return items[0]
+    flat = np.ascontiguousarray(value, dtype=np.float64).ravel()
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    spellings = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    parts = list(_json_separators(value.shape, depth))
+    parts[1::2] = spellings[inverse].tolist()
+    return "".join(parts)
+
+
+@functools.lru_cache(maxsize=64)
+def _json_separators(shape: tuple, depth: int) -> tuple:
+    """The text around the entries of a ``json.dumps(indent=2)`` array of
+    ``shape`` nested ``depth`` levels deep, as ``(opening, None, sep, None,
+    ..., None, closing)``: one ``None`` slot per entry.
+
+    Between entries ``i - 1`` and ``i``, the last ``k`` axes roll over (``i``
+    is a multiple of the product of the last ``k`` sizes); the separator
+    closes those ``k`` lists and opens ``k`` new ones."""
+    last = depth + len(shape)
+
+    def opening(k):
+        return "".join("[\n" + "  " * level for level in range(last - k + 1, last + 1))
+
+    def closing(k):
+        return "".join("\n" + "  " * (level - 1) + "]" for level in range(last, last - k, -1))
+
+    table = [closing(k) + ",\n" + "  " * (last - k) + opening(k) for k in range(len(shape))]
+    size = int(np.prod(shape))
+    index = np.arange(1, size)
+    rolled = np.zeros(size - 1, dtype=np.intp)
+    block = 1
+    for axis_size in reversed(shape[1:]):
+        block *= axis_size
+        rolled += index % block == 0
+    parts = [None] * (2 * size + 1)
+    parts[0] = opening(len(shape))
+    parts[2:-1:2] = [table[k] for k in rolled.tolist()]
+    parts[-1] = closing(len(shape))
+    return tuple(parts)
 
 
 def cmd_models_list(args: argparse.Namespace) -> int:

@@ -7,10 +7,12 @@ derivative and divergence) come out at machine precision.
 Conventions (validated by the identity suite during bring-up):
 
 * signature (-, +, ..., +), chart time coordinate first;
-* ``Γ^a_bc = (1/2) g^ad (∂_b g_dc + ∂_c g_db - ∂_d g_bc)``;
-* ``R^a_bcd = ∂_c Γ^a_db - ∂_d Γ^a_cb + Γ^a_ce Γ^e_db - Γ^a_de Γ^e_cb``;
-* ``R_bd = R^a_bad``, ``R = g^bd R_bd`` (unit two-sphere blocks come out with
-  ``R_θφθφ = sin²θ > 0``);
+* ``Γ_dbc = (∂_b g_dc + ∂_c g_db - ∂_d g_bc) / 2``, ``Γ^a_bc = g^ad Γ_dbc``;
+* ``R^a_bcd = ∂_c Γ^a_db - ∂_d Γ^a_cb + Γ^a_ce Γ^e_db - Γ^a_de Γ^e_cb``, built
+  covariant: ``R_abcd = ∂_c Γ_adb - ∂_d Γ_acb + Γ_ead Γ^e_cb - Γ_eac Γ^e_db``,
+  whose ∂ needs ∂³g, Γ and ∂Γ only;
+* ``R_bd = g^ac R_abcd = R^a_bad``, ``R = g^bd R_bd`` (unit two-sphere blocks
+  come out with ``R_θφθφ = sin²θ > 0``);
 * Weyl: ``C_jklm = R_jklm - (g_jl R_km - g_jm R_kl + g_km R_jl - g_kl R_jm)/(n-2)
   + R (g_jl g_km - g_jm g_kl)/((n-1)(n-2))`` for n >= 4.
 
@@ -58,18 +60,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Connection:
-    """Inverse metric and Christoffel symbols with coordinate derivatives.
+    """Inverse metric and Christoffel symbols of both kinds, with first
+    coordinate derivatives.
 
-    ``gamma[..., a, b, c] = Γ^a_bc`` (exactly symmetric in b, c),
-    ``d_gamma[..., p, a, b, c] = ∂_p Γ``, ``d2_gamma[..., p, q, a, b, c] = ∂_p ∂_q Γ``.
+    ``gamma[..., a, b, c] = Γ^a_bc`` and ``gamma_low[..., d, b, c] = Γ_dbc =
+    g_da Γ^a_bc`` (both exactly symmetric in b, c); ``d_gamma[..., p, a, b, c]
+    = ∂_p Γ^a_bc`` and ``d_gamma_low[..., p, d, b, c] = ∂_p Γ_dbc``.
     """
 
     g_inv: np.ndarray
     d_g_inv: np.ndarray
-    d2_g_inv: np.ndarray
     gamma: np.ndarray
     d_gamma: np.ndarray
-    d2_gamma: np.ndarray
+    gamma_low: np.ndarray
+    d_gamma_low: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,91 +98,85 @@ class WeylData:
 
 
 def christoffel_from_jets(mj: MetricJets) -> Connection:
-    """Christoffel symbols with first and second coordinate derivatives."""
+    """Christoffel symbols of both kinds with their first coordinate derivatives."""
     try:
         g_inv = np.linalg.inv(mj.value)
     except np.linalg.LinAlgError:
         raise ValueError("singular metric") from None
-    dg, d2g, d3g = mj.d1, mj.d2, mj.d3
+    dg, d2g = mj.d1, mj.d2
 
-    # Matrix products over the (a, b) slots, broadcast over derivative slots:
-    # ∂_p g⁻¹ = -g⁻¹ ∂_p g g⁻¹ and
-    # ∂_p ∂_q g⁻¹ = -(∂_q g⁻¹ ∂_p g g⁻¹ + g⁻¹ ∂_p g ∂_q g⁻¹ + g⁻¹ ∂_p ∂_q g g⁻¹),
-    # whose middle term is the transpose of the first.
+    # ∂_p g⁻¹ = -g⁻¹ ∂_p g g⁻¹: matrix products over the (a, b) slots,
+    # broadcast over p.
     gi1 = g_inv[..., None, :, :]
-    gi2 = g_inv[..., None, None, :, :]
-    dg_gi = dg @ gi1
-    d_g_inv = -(gi1 @ dg_gi)
-    cross = d_g_inv[..., None, :, :, :] @ dg_gi[..., :, None, :, :]
-    d2_g_inv = -(cross + np.swapaxes(cross, -1, -2) + gi2 @ d2g @ gi2)
+    d_g_inv = -(gi1 @ (dg @ gi1))
 
-    k = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
-    dk = np.einsum("...pbdc->...pdbc", d2g) + np.einsum("...pcdb->...pdbc", d2g) - d2g
-    d2k = np.einsum("...pqbdc->...pqdbc", d3g) + np.einsum("...pqcdb->...pqdbc", d3g) - d3g
+    # First kind: Γ_dbc = (∂_b g_dc + ∂_c g_db - ∂_d g_bc) / 2, and its ∂_p.
+    gamma_low = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
+    gamma_low *= 0.5
+    d_gamma_low = np.einsum("...pbdc->...pdbc", d2g) + np.einsum("...pcdb->...pdbc", d2g) - d2g
+    d_gamma_low *= 0.5
 
-    # Γ = g⁻¹ k / 2 and its derivatives by the product rule, each term one
-    # matrix product over d: (b, c) flatten into the columns, derivative
-    # slots either join the rows of g⁻¹'s derivative or stay batch axes.
+    # Second kind: Γ = g⁻¹ Γ_low and its ∂_p by the product rule, each term one
+    # matrix product over d: (b, c) flatten into the columns, p either joins
+    # the rows of ∂g⁻¹ or stays a batch axis.
     lead, n = g_inv.shape[:-2], mj.n
-    k_cols = k.reshape(lead + (n, n * n))
-    dk_cols = dk.reshape(lead + (n, n, n * n))
-    gamma = 0.5 * (g_inv @ k_cols).reshape(k.shape)
-    d_gamma = (d_g_inv.reshape(lead + (n * n, n)) @ k_cols).reshape(dk.shape)
-    d_gamma += (g_inv[..., None, :, :] @ dk_cols).reshape(dk.shape)
-    d_gamma *= 0.5
-    # swapped[q, p] = ∂_p g⁻¹ ∂_q k; with its (p, q) exchange it gives the
-    # symmetric cross term.  The sum accumulates in place, like the other
-    # n**5-per-point sums, to bound the temporaries a chunk holds.
-    swapped = (d_g_inv.reshape(lead + (1, n * n, n)) @ dk_cols).reshape(d2k.shape)
-    d2_gamma = (d2_g_inv.reshape(lead + (n**3, n)) @ k_cols).reshape(d2k.shape)
-    d2_gamma += swapped.swapaxes(-5, -4)
-    d2_gamma += swapped
-    del swapped
-    d2_gamma += (g_inv[..., None, :, :] @ d2k.reshape(lead + (n * n, n, n * n))).reshape(d2k.shape)
-    d2_gamma *= 0.5
-    return Connection(g_inv, d_g_inv, d2_g_inv, gamma, d_gamma, d2_gamma)
+    low_cols = gamma_low.reshape(lead + (n, n * n))
+    gamma = (g_inv @ low_cols).reshape(gamma_low.shape)
+    d_gamma = (d_g_inv.reshape(lead + (n * n, n)) @ low_cols).reshape(d_gamma_low.shape)
+    d_gamma += (gi1 @ d_gamma_low.reshape(lead + (n, n, n * n))).reshape(d_gamma_low.shape)
+    return Connection(g_inv, d_g_inv, gamma, d_gamma, gamma_low, d_gamma_low)
+
+
+def _exchange_cd(b: np.ndarray) -> np.ndarray:
+    """``(B_abcd - B_abdc) / 2``, C-ordered, from B held as ``b[..., b, c, a, d]``."""
+    out = np.subtract(np.einsum("...bcad->...abcd", b), np.einsum("...bdac->...abcd", b), out=np.empty(b.shape))
+    return np.multiply(out, 0.5, out=out)
+
+
+def _trace_ac(b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g^ac (B_abcd - B_abdc) / 2`` as ``[..., b, d]`` from B held as
+    ``b[..., b, c, a, d]``, for symmetric ``g[..., a, c]`` broadcasting
+    against b's leading axes.  Each term sums two adjacent slots of ``b``."""
+    n = b.shape[-1]
+    first = g.reshape(g.shape[:-2] + (1, 1, n * n)) @ b.reshape(b.shape[:-4] + (n, n * n, n))
+    second = b.reshape(b.shape[:-4] + (n * n, n * n)) @ g.reshape(g.shape[:-2] + (n * n, 1))
+    return 0.5 * (first[..., 0, :] - second.reshape(second.shape[:-2] + (n, n)))
 
 
 def riemann_ricci_scalar(mj: MetricJets, conn: Connection) -> Curvature:
     """Covariant Riemann tensor, Ricci tensor, curvature scalar and their ∂'s."""
-    gamma, d_gamma, d2_gamma = conn.gamma, conn.d_gamma, conn.d2_gamma
-    lead, n = gamma.shape[:-3], mj.n
-    # gg[a, c, d, b] = Γ^a_ce Γ^e_db is one product over e; the Riemann
-    # tensor takes it minus its (c, d) exchange.
-    gamma_rows = gamma.reshape(lead + (n * n, n))
-    gamma_cols = gamma.reshape(lead + (n, n * n))
-    gg = (gamma_rows @ gamma_cols).reshape(lead + (n,) * 4)
-    r_up = (
-        np.einsum("...cadb->...abcd", d_gamma)
-        - np.einsum("...dacb->...abcd", d_gamma)
-        + np.einsum("...acdb->...abcd", gg)
-        - np.einsum("...adcb->...abcd", gg)
-    )
-    # Sums of n**5-per-point terms accumulate in place, so a chunk holds two
-    # temporaries of that size at a time.
-    d_r_up = np.einsum("...pcadb->...pabcd", d2_gamma) - np.einsum("...pdacb->...pabcd", d2_gamma)
-    d_gg = (d_gamma.reshape(lead + (n**3, n)) @ gamma_cols).reshape(d2_gamma.shape)
-    d_gg += (gamma_rows[..., None, :, :] @ d_gamma.reshape(lead + (n, n, n * n))).reshape(d_gg.shape)
-    d_r_up += np.einsum("...pacdb->...pabcd", d_gg)
-    d_r_up -= np.einsum("...padcb->...pabcd", d_gg)
-    del d_gg
-    # Lowering a = g_ae R^e_bcd: one product over e, (b, c, d) in the columns.
-    r_up_cols = r_up.reshape(lead + (n, n**3))
-    riemann = (mj.value @ r_up_cols).reshape(r_up.shape)
-    d_riemann = (mj.d1.reshape(lead + (n * n, n)) @ r_up_cols).reshape(d_r_up.shape)
-    d_riemann += (mj.value[..., None, :, :] @ d_r_up.reshape(lead + (n, n, n**3))).reshape(
-        d_r_up.shape
-    )
-    ricci = np.trace(r_up, axis1=-4, axis2=-2)
-    d_ricci = np.trace(d_r_up, axis1=-4, axis2=-2)
+    lead, n = conn.gamma.shape[:-3], mj.n
+    # R_abcd = A_abcd - A_abdc with A_abcd = ∂_c Γ_adb + Γ^e_bc Γ_ead.  Less
+    # its term g_ab,cd / 2, which is symmetric in (c, d), 2A is B_abcd =
+    # g_ad,bc - g_bd,ac + 2 Γ^e_bc Γ_ead, and R_abcd = (B_abcd - B_abdc) / 2.
+    # B is held as B[b, c, a, d]: its product is one matrix product over e
+    # with rows (b, c) and columns (a, d), and its ∂²g part is the jet itself
+    # less a view.  ∂_p B follows by the product rule, with ∂³g in place of
+    # ∂²g: one matrix product over (e, e') of [∂_p Γ^e_bc, Γ^e'_bc] and
+    # [2 Γ_ead; 2 ∂_p Γ_e'ad], with p a batch axis.
+    rows = np.swapaxes(conn.gamma.reshape(lead + (n, n * n)), -1, -2)
+    cols = 2.0 * conn.gamma_low.reshape(lead + (n, n * n))
+    d_rows = np.swapaxes(conn.d_gamma.reshape(lead + (n, n, n * n)), -1, -2)
+    d_cols = 2.0 * conn.d_gamma_low.reshape(lead + (n, n, n * n))
+    d_rows = np.concatenate((d_rows, np.broadcast_to(rows[..., None, :, :], d_rows.shape)), axis=-1)
+    d_cols = np.concatenate((np.broadcast_to(cols[..., None, :, :], d_cols.shape), d_cols), axis=-2)
+    b, d_b = (rows @ cols).reshape(lead + (n,) * 4), (d_rows @ d_cols).reshape(lead + (n,) * 5)
+    for held, jet in ((b, mj.d2), (d_b, mj.d3)):
+        held += jet
+        held -= np.einsum("...cabd->...bcad", jet)
+    # Ricci R_bd = g^ac R_abcd, taken from B; its ∂_p by the product rule.
+    g_inv, d_g_inv = conn.g_inv, conn.d_g_inv
+    ricci = _trace_ac(b, g_inv)
+    d_ricci = _trace_ac(d_b, g_inv[..., None, :, :])
+    d_ricci += _trace_ac(b[..., None, :, :, :, :], d_g_inv)
     ricci_col = ricci.reshape(lead + (n * n, 1))
-    g_inv_col = conn.g_inv.reshape(lead + (n * n, 1))
+    g_inv_col = g_inv.reshape(lead + (n * n, 1))
     scalar = (np.swapaxes(g_inv_col, -1, -2) @ ricci_col)[..., 0, 0]
     d_scalar = (
-        conn.d_g_inv.reshape(lead + (n, n * n)) @ ricci_col
+        d_g_inv.reshape(lead + (n, n * n)) @ ricci_col
         + d_ricci.reshape(lead + (n, n * n)) @ g_inv_col
     )[..., 0]
-    return Curvature(riemann, d_riemann, ricci, d_ricci, scalar, d_scalar)
+    return Curvature(_exchange_cd(b), _exchange_cd(d_b), ricci, d_ricci, scalar, d_scalar)
 
 
 def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
@@ -342,7 +340,7 @@ def _stages(model: MetricModel, coords: np.ndarray) -> Iterator[dict]:
     dependency order: the jets and connection (with u, φ, ξ and v), the
     Riemann tensor and its traces, the Weyl tensor (with E and the
     remainder), then the covariant derivatives.  Kernel data the next stage
-    needs (∂²Γ, ∂R, ∂C, ...) stays in this generator's frame."""
+    needs (∂Γ, ∂R, ∂C, ...) stays in this generator's frame."""
     n = model.n
     mj = model.metric_jets(coords)
     conn = christoffel_from_jets(mj)

@@ -441,12 +441,33 @@ def test_a_bundle_holds_its_fields_and_nothing_else():
         build_bundle(model, points, ("ricci", "phi"))
 
 
-@pytest.mark.parametrize("shape", [(1,), (1, 1), (4, 4), (3,) * 5])
-def test_json_float_array_matches_json_dumps(shape):
-    values = np.resize([-0.0, 5e-324, 1e-7, 1e16, 1e300, 0.1, -2.5, 1.0 / 3.0], shape)
+def _assert_json_float_array_matches_json_dumps(values):
     assert cli._json_float_array(values, 0) == json.dumps(values.tolist(), indent=2)
     nested = json.dumps({"components": values.tolist()}, indent=2)
     assert '{\n  "components": ' + cli._json_float_array(values, 1) + "\n}" == nested
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1), (4, 4), (3,) * 5, (2, 1, 3, 1)])
+def test_json_float_array_matches_json_dumps(shape):
+    # Repeated values, and -0.0 next to 0.0: each distinct bit pattern is
+    # spelled once, and the two zeros keep their own spellings.
+    values = np.resize([-0.0, 5e-324, 1e-7, 0.0, 1e16, 1e300, 0.1, -2.5, 1.0 / 3.0, 0.1, -0.0], shape)
+    _assert_json_float_array_matches_json_dumps(values)
+
+
+def test_json_float_array_matches_json_dumps_on_a_real_nabla_weyl():
+    model = builtin_model("twisted_generic", 6)
+    point = np.array([[0.5, 0.1, 0.2, 0.3, 0.4, 0.2]])
+    values = build_bundle(model, point, ("nabla_weyl",)).nabla_weyl[0]
+    assert values.shape == (6,) * 5
+    assert len(np.unique(values)) < values.size / 2
+    _assert_json_float_array_matches_json_dumps(values)
+    # Every other exact zero (most entries are zeros) turned into -0.0.
+    zeros = np.flatnonzero(values == 0.0)
+    signed = values.copy()
+    signed.flat[zeros[::2]] = -0.0
+    assert np.signbit(signed.flat[zeros]).sum() == (len(zeros) + 1) // 2
+    _assert_json_float_array_matches_json_dumps(signed)
 
 
 def test_exit_code_is_function_of_reports():

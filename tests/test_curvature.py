@@ -299,8 +299,18 @@ ORACLE_RTOL = 64 * np.finfo(np.float64).eps
 ORACLE_VARIANCES = ["u", "d", "ud", "du", "dud", "uud", "dddd", "udud", "duuu"]
 
 
+def _einsum_d2_g_inv(mj, g_inv, d_g_inv):
+    """∂_p ∂_q g⁻¹ = -(∂_q g⁻¹ ∂_p g g⁻¹ + g⁻¹ ∂_p g ∂_q g⁻¹ + g⁻¹ ∂_p ∂_q g g⁻¹)."""
+    dg, d2g = mj.d1, mj.d2
+    return -(
+        np.einsum("...qae,...pef,...fb->...pqab", d_g_inv, dg, g_inv)
+        + np.einsum("...ae,...pef,...qfb->...pqab", g_inv, dg, d_g_inv)
+        + np.einsum("...ae,...pqef,...fb->...pqab", g_inv, d2g, g_inv)
+    )
+
+
 def _einsum_connection(mj, g_inv, d_g_inv, d2_g_inv):
-    """Γ, ∂Γ, ∂∂Γ from the metric jets and the kernel's g⁻¹ and its derivatives."""
+    """Γ, ∂Γ, ∂∂Γ (second kind) from the metric jets and g⁻¹ with its derivatives."""
     dg, d2g, d3g = mj.d1, mj.d2, mj.d3
     k = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
     dk = np.einsum("...pbdc->...pdbc", d2g) + np.einsum("...pcdb->...pdbc", d2g) - d2g
@@ -319,9 +329,9 @@ def _einsum_connection(mj, g_inv, d_g_inv, d2_g_inv):
     return gamma, d_gamma, d2_gamma
 
 
-def _einsum_curvature(mj, conn):
-    """Riemann, Ricci, scalar curvature and their ∂'s from the kernel's connection."""
-    gamma, d_gamma, d2_gamma = conn.gamma, conn.d_gamma, conn.d2_gamma
+def _einsum_curvature(mj, g_inv, d_g_inv, gamma, d_gamma, d2_gamma):
+    """Riemann, Ricci, scalar curvature and their ∂'s by the second-kind route:
+    R^a_bcd from Γ, ∂Γ, ∂∂Γ, then lowered with g and ∂g."""
     r_up = (
         np.einsum("...cadb->...abcd", d_gamma)
         - np.einsum("...dacb->...abcd", d_gamma)
@@ -342,9 +352,9 @@ def _einsum_curvature(mj, conn):
     )
     ricci = np.einsum("...abad->...bd", r_up)
     d_ricci = np.einsum("...pabad->...pbd", d_r_up)
-    scalar = np.einsum("...bd,...bd->...", conn.g_inv, ricci)
-    d_scalar = np.einsum("...pbd,...bd->...p", conn.d_g_inv, ricci) + np.einsum(
-        "...bd,...pbd->...p", conn.g_inv, d_ricci
+    scalar = np.einsum("...bd,...bd->...", g_inv, ricci)
+    d_scalar = np.einsum("...pbd,...bd->...p", d_g_inv, ricci) + np.einsum(
+        "...bd,...pbd->...p", g_inv, d_ricci
     )
     return riemann, d_riemann, ricci, d_ricci, scalar, d_scalar
 
@@ -405,12 +415,18 @@ def test_kernels_match_einsum_oracle(spec):
     points = sample_points(model, 4, 3)
     mj = model.metric_jets(points)
     conn = christoffel_from_jets(mj)
-    want = _einsum_connection(mj, conn.g_inv, conn.d_g_inv, conn.d2_g_inv)
-    for field, expected in zip(("gamma", "d_gamma", "d2_gamma"), want):
-        assert _oracle_close(getattr(conn, field), expected), field
+    d2_g_inv = _einsum_d2_g_inv(mj, conn.g_inv, conn.d_g_inv)
+    gamma, d_gamma, d2_gamma = _einsum_connection(mj, conn.g_inv, conn.d_g_inv, d2_g_inv)
+    assert _oracle_close(conn.gamma, gamma), "gamma"
+    assert _oracle_close(conn.d_gamma, d_gamma), "d_gamma"
+    assert _oracle_close(conn.gamma_low, np.einsum("...da,...abc->...dbc", mj.value, gamma)), "gamma_low"
+    want = np.einsum("...pda,...abc->...pdbc", mj.d1, gamma) + np.einsum("...da,...pabc->...pdbc", mj.value, d_gamma)
+    assert _oracle_close(conn.d_gamma_low, want), "d_gamma_low"
 
+    # The kernel builds the covariant tensor from first-kind symbols; the
+    # oracle takes the second-kind route through ∂∂Γ and lowers the index.
     curv = riemann_ricci_scalar(mj, conn)
-    want = _einsum_curvature(mj, conn)
+    want = _einsum_curvature(mj, conn.g_inv, conn.d_g_inv, gamma, d_gamma, d2_gamma)
     names = ("riemann", "d_riemann", "ricci", "d_ricci", "scalar", "d_scalar")
     for field, expected in zip(names, want):
         assert _oracle_close(getattr(curv, field), expected), field

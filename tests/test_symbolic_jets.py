@@ -1,4 +1,4 @@
-"""Metric jets against an independent symbolic oracle.
+"""Metric jets and curvature against independent symbolic oracles.
 
 Each metric entry is written out again from the model's formula as a sympy
 expression, differentiated symbolically through third order and evaluated at
@@ -6,6 +6,11 @@ expression, differentiated symbolically through third order and evaluated at
 rational its float stands for.  ``metric_jets`` must agree
 in value, d1, d2 and d3 to 1e-13 relative to the largest exact entry of
 each order.
+
+The same 30-digit jets feed a textbook curvature computation in mpmath, one
+component at a time by the second-kind route (Γ, ∂Γ and ∂∂Γ, then R^a_bcd
+and its lowering).  The kernels' Riemann and Ricci tensors and their ∂'s
+must agree with it to 1e-12 relative to each field's largest entry.
 """
 
 import itertools
@@ -14,9 +19,11 @@ import numpy as np
 import pytest
 
 from weylgeom import builtin_model
+from weylgeom.curvature import christoffel_from_jets, riemann_ricci_scalar
 from weylgeom.models import coordinate_names, default_model_specs
 
 sympy = pytest.importorskip("sympy")
+mpmath = pytest.importorskip("mpmath")
 
 RELATIVE = 1e-13
 CUSTOM_EXPRESSIONS = [
@@ -63,12 +70,15 @@ def _symbolic_entries(model, x):
     return entries
 
 
-def _exact_jets(model, point):
-    """Value and raw partials through order 3 of every g_ab, at 30 digits."""
+def _exact_jets(model, point, number=float):
+    """Value and raw partials through order 3 of every g_ab, evaluated at 30
+    digits and converted by ``number`` (``mpmath.mpf`` keeps the digits, in
+    arrays of dtype object)."""
     n = model.n
     x = sympy.symbols(coordinate_names(n))
     at = {xi: sympy.Rational(v) for xi, v in zip(x, point)}
-    orders = [np.zeros((n,) * k + (n, n)) for k in range(4)]
+    dtype = float if number is float else object
+    orders = [np.zeros((n,) * k + (n, n), dtype=dtype) for k in range(4)]
     for (a, b), expr in _symbolic_entries(model, x).items():
         derivative = {(): sympy.sympify(expr)}
         for k in range(1, 4):
@@ -76,7 +86,7 @@ def _exact_jets(model, point):
                 derivative[mono] = sympy.diff(derivative[mono[:-1]], x[mono[-1]])
         for k, order in enumerate(orders):
             for idx in itertools.product(range(n), repeat=k):
-                exact = float(derivative[tuple(sorted(idx))].evalf(30, subs=at))
+                exact = number(derivative[tuple(sorted(idx))].evalf(30, subs=at))
                 order[idx + (a, b)] = order[idx + (b, a)] = exact
     return orders
 
@@ -103,3 +113,100 @@ def test_metric_jets_match_symbolic_derivatives(model):
             scale = np.max(np.abs(exact))
             err = np.max(np.abs(got - exact))
             assert err <= RELATIVE * scale, f"{model.label} order {k} at {point}: {err:.3e} vs scale {scale:.3e}"
+
+
+def _textbook_curvature(g, dg, d2g, d3g):
+    """R_abcd, ∂_p R_abcd, R_bd and ∂_p R_bd from exact jets, in mpmath loops:
+    Γ^a_bc = g^ad (g_db,c + g_dc,b - g_bc,d) / 2 with its first and second
+    partials, R^a_bcd = ∂_c Γ^a_db - ∂_d Γ^a_cb + Γ^a_ce Γ^e_db - Γ^a_de Γ^e_cb,
+    R_abcd = g_ae R^e_bcd and R_bd = R^a_bad."""
+    n = len(g)
+    r = range(n)
+    inverse = mpmath.matrix(g.tolist()) ** -1
+    gi = np.array([[inverse[a, b] for b in r] for a in r], dtype=object)
+    dgi = np.empty((n,) * 3, dtype=object)
+    d2gi = np.empty((n,) * 4, dtype=object)
+    for p, a, b in itertools.product(r, r, r):
+        dgi[p, a, b] = -mpmath.fsum(gi[a, e] * dg[p, e, f] * gi[f, b] for e in r for f in r)
+    for p, q, a, b in itertools.product(r, r, r, r):
+        d2gi[p, q, a, b] = -mpmath.fsum(
+            dgi[q, a, e] * dg[p, e, f] * gi[f, b]
+            + gi[a, e] * dg[p, e, f] * dgi[q, f, b]
+            + gi[a, e] * d2g[p, q, e, f] * gi[f, b]
+            for e in r
+            for f in r
+        )
+
+    def k(d, b, c):  # 2 Γ_dbc
+        return dg[b, d, c] + dg[c, d, b] - dg[d, b, c]
+
+    def dk(p, d, b, c):
+        return d2g[p, b, d, c] + d2g[p, c, d, b] - d2g[p, d, b, c]
+
+    def d2k(p, q, d, b, c):
+        return d3g[p, q, b, d, c] + d3g[p, q, c, d, b] - d3g[p, q, d, b, c]
+
+    gamma = np.empty((n,) * 3, dtype=object)
+    d_gamma = np.empty((n,) * 4, dtype=object)
+    d2_gamma = np.empty((n,) * 5, dtype=object)
+    for a, b, c in itertools.product(r, r, r):
+        gamma[a, b, c] = mpmath.fsum(gi[a, d] * k(d, b, c) for d in r) / 2
+        for p in r:
+            d_gamma[p, a, b, c] = mpmath.fsum(dgi[p, a, d] * k(d, b, c) + gi[a, d] * dk(p, d, b, c) for d in r) / 2
+            for q in r:
+                d2_gamma[p, q, a, b, c] = (
+                    mpmath.fsum(
+                        d2gi[p, q, a, d] * k(d, b, c)
+                        + dgi[p, a, d] * dk(q, d, b, c)
+                        + dgi[q, a, d] * dk(p, d, b, c)
+                        + gi[a, d] * d2k(p, q, d, b, c)
+                        for d in r
+                    )
+                    / 2
+                )
+
+    r_up = np.empty((n,) * 4, dtype=object)
+    d_r_up = np.empty((n,) * 5, dtype=object)
+    for a, b, c, d in itertools.product(r, r, r, r):
+        r_up[a, b, c, d] = d_gamma[c, a, d, b] - d_gamma[d, a, c, b] + mpmath.fsum(
+            gamma[a, c, e] * gamma[e, d, b] - gamma[a, d, e] * gamma[e, c, b] for e in r
+        )
+        for p in r:
+            d_r_up[p, a, b, c, d] = d2_gamma[p, c, a, d, b] - d2_gamma[p, d, a, c, b] + mpmath.fsum(
+                d_gamma[p, a, c, e] * gamma[e, d, b]
+                + gamma[a, c, e] * d_gamma[p, e, d, b]
+                - d_gamma[p, a, d, e] * gamma[e, c, b]
+                - gamma[a, d, e] * d_gamma[p, e, c, b]
+                for e in r
+            )
+    riemann = np.empty((n,) * 4, dtype=object)
+    d_riemann = np.empty((n,) * 5, dtype=object)
+    for a, b, c, d in itertools.product(r, r, r, r):
+        riemann[a, b, c, d] = mpmath.fsum(g[a, e] * r_up[e, b, c, d] for e in r)
+        for p in r:
+            d_riemann[p, a, b, c, d] = mpmath.fsum(
+                dg[p, a, e] * r_up[e, b, c, d] + g[a, e] * d_r_up[p, e, b, c, d] for e in r
+            )
+    ricci = np.array([[mpmath.fsum(r_up[a, b, a, d] for a in r) for d in r] for b in r], dtype=object)
+    d_ricci = np.array(
+        [[[mpmath.fsum(d_r_up[p, a, b, a, d] for a in r) for d in r] for b in r] for p in r], dtype=object
+    )
+    return riemann, d_riemann, ricci, d_ricci
+
+
+@pytest.mark.parametrize(
+    "name, n", [("twisted_generic", 5), ("non_twisted_perturbed", 4)], ids=["twisted_generic_n5", "non_twisted_perturbed_n4"]
+)
+def test_curvature_matches_30_digit_textbook_oracle(name, n):
+    model = builtin_model(name, n)
+    point = _points(model)[0]
+    with mpmath.workdps(30):
+        exact = _textbook_curvature(*_exact_jets(model, point, mpmath.mpf))
+    mj = model.metric_jets(point)
+    curv = riemann_ricci_scalar(mj, christoffel_from_jets(mj))
+    for field, want in zip(("riemann", "d_riemann", "ricci", "d_ricci"), exact):
+        want = want.astype(float)
+        scale = np.max(np.abs(want))
+        err = np.max(np.abs(getattr(curv, field) - want))
+        assert scale > 0.01, field
+        assert err <= 1e-12 * scale, f"{model.label} {field}: {err:.3e} vs scale {scale:.3e}"
