@@ -19,6 +19,7 @@ import os
 import reprlib
 import sys
 from dataclasses import dataclass, field as dataclass_field, fields
+from typing import Iterator
 
 import numpy as np
 
@@ -54,8 +55,10 @@ __all__ = [
 # hold more memory at once.
 CHUNK_ELEMENTS = 2**17
 
-# Most sampled points per model.  A model's bundles are all held until its
-# suite has run, about 0.2 MB a point at n = 7: at most about 2 GB a model.
+# Most sampled points per model.  Bundles are streamed a chunk at a time
+# from build to suite, so memory grows with the sample only by the per-point
+# residual arrays kept for the reports (under 1 kB a point); the bound caps
+# the run time, about 2 ms a point at n = 7.
 MAX_POINTS = 10_000
 
 _CONFIG_KEYS = {"models", "points", "seed", "tolerances", "output_format", "output_path"}
@@ -230,34 +233,37 @@ def chunk_size(n: int) -> int:
 
 def _collect_bundles(
     model: MetricModel, points: np.ndarray, warnings: list[str]
-) -> list[CurvatureBundle]:
-    """Bundles of a model's sampled points, built a chunk at a time.
+) -> Iterator[CurvatureBundle]:
+    """Bundles of a model's sampled points, built a chunk at a time and
+    yielded as they are built; none is kept.
 
     A chunk that fails is rebuilt one point at a time, so only the points
-    that fail are skipped (each with a warning); skipping 5% or more of the
-    sample, or all of it, is a model error.
+    that fail are skipped (each with a warning); after the last chunk,
+    skipping 5% or more of the sample, or all of it, is a model error.
     """
-    bundles = []
     skipped = 0
     size = chunk_size(model.n)
     for start in range(0, len(points), size):
         chunk = points[start : start + size]
         try:
-            bundles.append(build_bundle(model, chunk))
+            bundle = build_bundle(model, chunk)
         except ValueError:
             for point in chunk:
                 try:
-                    bundles.append(build_bundle(model, point[None]))
+                    bundle = build_bundle(model, point[None])
                 except ValueError as err:
                     skipped += 1
                     warnings.append(f"{model.label}: skipped point {point.tolist()}: {err}")
+                else:
+                    yield bundle
+        else:
+            yield bundle
     if skipped and skipped / len(points) >= 0.05:
         raise RuntimeError(
             f"{model.label}: {skipped}/{len(points)} sampled points failed to evaluate"
         )
-    if not bundles:
+    if skipped == len(points):
         raise RuntimeError(f"{model.label}: no usable sampled points")
-    return bundles
 
 
 def run(config: RunConfig) -> dict:

@@ -36,7 +36,7 @@ which sum nothing, stay ``np.einsum`` views and broadcasts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Collection, Iterator, Sequence
 
 import numpy as np
@@ -158,9 +158,11 @@ def riemann_ricci_scalar(mj: MetricJets, conn: Connection) -> Curvature:
     cols = 2.0 * conn.gamma_low.reshape(lead + (n, n * n))
     d_rows = np.swapaxes(conn.d_gamma.reshape(lead + (n, n, n * n)), -1, -2)
     d_cols = 2.0 * conn.d_gamma_low.reshape(lead + (n, n, n * n))
-    d_rows = np.concatenate((d_rows, np.broadcast_to(rows[..., None, :, :], d_rows.shape)), axis=-1)
-    d_cols = np.concatenate((np.broadcast_to(cols[..., None, :, :], d_cols.shape), d_cols), axis=-2)
-    b, d_b = (rows @ cols).reshape(lead + (n,) * 4), (d_rows @ d_cols).reshape(lead + (n,) * 5)
+    b = (rows @ cols).reshape(lead + (n,) * 4)
+    d_b = (
+        np.concatenate((d_rows, np.broadcast_to(rows[..., None, :, :], d_rows.shape)), axis=-1)
+        @ np.concatenate((np.broadcast_to(cols[..., None, :, :], d_cols.shape), d_cols), axis=-2)
+    ).reshape(lead + (n,) * 5)
     for held, jet in ((b, mj.d2), (d_b, mj.d3)):
         held += jet
         held -= np.einsum("...cabd->...bcad", jet)
@@ -196,15 +198,26 @@ def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
     d_schouten = curv.d_ricci - c * (d_scalar * g[..., None, :, :] + scalar[..., None] * dg)
     d_schouten /= n - 2
 
-    def exchange_lm_jk(a):
-        b = a - a.swapaxes(-1, -2)
-        return b - b.swapaxes(-4, -3)
-
-    weyl_c = curv.riemann - exchange_lm_jk(np.einsum("...jl,...km->...jklm", g, schouten))
-    d_product = np.einsum("...pjl,...km->...pjklm", dg, schouten)
-    d_product += np.einsum("...jl,...pkm->...pjklm", g, d_schouten)
-    d_weyl_c = curv.d_riemann - exchange_lm_jk(d_product)
+    # The products g_jl S_km and ∂_p(g_jl S_km) are outer products over the
+    # flattened pairs (j, l) and (k, m), so they are held as [..., (p,) j, l, k, m].
+    lead, nn = g.shape[:-2], n * n
+    product = g.reshape(lead + (nn, 1)) * schouten.reshape(lead + (1, nn))
+    d_product = dg.reshape(lead + (n, nn, 1)) * schouten.reshape(lead + (1, 1, nn))
+    scratch = g.reshape(lead + (1, nn, 1)) * d_schouten.reshape(lead + (n, 1, nn))
+    d_product += scratch
+    weyl_c = _minus_exchanged(curv.riemann, product.reshape(lead + (n,) * 4), np.empty(curv.riemann.shape))
+    d_weyl_c = _minus_exchanged(curv.d_riemann, d_product.reshape(lead + (n,) * 5), scratch.reshape(lead + (n,) * 5))
     return WeylData(weyl_c, d_weyl_c)
+
+
+def _minus_exchanged(r: np.ndarray, jlkm: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``R_jklm - ((A_jklm - A_jkml) - (A_kjlm - A_kjml))`` into ``out``, for A
+    held as ``jlkm[..., j, l, k, m]``.  Both ``jlkm`` and ``out`` (C-ordered,
+    the shape of ``r``) are overwritten; ``out`` is returned."""
+    a = jlkm.swapaxes(-3, -2)
+    b = np.subtract(a, a.swapaxes(-1, -2), out=out)
+    exchanged = np.subtract(b, b.swapaxes(-4, -3), out=a)
+    return np.subtract(r, exchanged, out=out)
 
 
 def covariant_derivative(
@@ -221,22 +234,28 @@ def covariant_derivative(
     if d1 is None:
         raise ValueError("missing coordinate-derivative data for covariant derivative")
     comp = np.asarray(components, dtype=float)
-    nabla = np.array(d1, dtype=float)
+    d1 = np.asarray(d1, dtype=float)
+    if not variance:
+        return d1.copy()
     lead, n = gamma.shape[:-3], gamma.shape[-1]
     first = len(lead)  # axis of the first tensor slot
     # Γ as a matrix whose columns contract the slot: rows (p, a) from Γ^z_pa
     # for a down slot, rows (a, p) from Γ^a_pz for an up slot.
     down = np.swapaxes(gamma.reshape(lead + (n, n * n)), -1, -2)
     up = gamma.reshape(lead + (n * n, n))
+    # Each slot's Γ-term is built in one scratch buffer; the first is
+    # combined with d1 into the result, the others in place.
+    scratch = np.empty(lead + (n,) * (len(variance) + 1))
+    nabla = np.empty_like(d1)
     for slot, flag in enumerate(variance):
         moved = np.moveaxis(comp, first + slot, first)
-        rest = moved.shape[first + 1 :]
         cols = moved.reshape(lead + (n, -1))
-        term = ((down if flag == DOWN else up) @ cols).reshape(lead + (n, n) + rest)
+        np.matmul(down if flag == DOWN else up, cols, out=scratch.reshape(lead + (n * n, cols.shape[-1])))
         if flag == DOWN:
-            nabla -= np.moveaxis(term, first + 1, first + 1 + slot)
+            term, combine = np.moveaxis(scratch, first + 1, first + 1 + slot), np.subtract
         else:
-            nabla += np.moveaxis(term.swapaxes(first, first + 1), first + 1, first + 1 + slot)
+            term, combine = np.moveaxis(scratch.swapaxes(first, first + 1), first + 1, first + 1 + slot), np.add
+        combine(nabla if slot else d1, term, out=nabla)
     return nabla
 
 
@@ -276,8 +295,10 @@ class CurvatureBundle:
     Chunks: the command-line runner builds a model's bundles a chunk of
     points at a time, with ``P = max(1, CHUNK_ELEMENTS // n**5)`` (see
     :mod:`weylgeom.cli`), since the largest field (``nabla_weyl``) and the
-    largest intermediates hold n**5 entries per point.  A single-point
-    evaluation is a chunk of one.
+    largest intermediates hold n**5 entries per point.  Each bundle is
+    measured by the identity suite and dropped once the next one is built,
+    so a run holds at most two at once, whatever its sample size.  A
+    single-point evaluation is a chunk of one.
     """
 
     points: np.ndarray
@@ -373,6 +394,7 @@ def _stages(model: MetricModel, coords: np.ndarray) -> Iterator[dict]:
     )
 
     curv = riemann_ricci_scalar(mj, conn)
+    mj = replace(mj, d2=None, d3=None)  # ∂²g and ∂³g are not needed again
     yield dict(riemann=curv.riemann, ricci=curv.ricci, scalar_curvature=curv.scalar)
 
     wd = weyl(mj, curv)

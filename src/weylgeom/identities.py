@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -838,10 +838,13 @@ def check_report(
 
 def run_model_suite(
     model: MetricModel,
-    bundles: Sequence[CurvatureBundle],
+    bundles: Iterable[CurvatureBundle],
     tolerances: dict[str, float] | None = None,
 ) -> list[IdentityReport]:
-    """All registry identities for one model, sorted by identity_id."""
+    """All registry identities for one model, sorted by identity_id.
+
+    ``bundles`` is iterated once, so it may be a generator that builds each
+    chunk's bundle only when the suite asks for it."""
     overrides = tolerances or {}
     unknown = set(overrides) - set(registry_ids())
     if unknown:

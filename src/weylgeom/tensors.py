@@ -171,8 +171,12 @@ def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for t in (a, b):
         if max_abs(t - np.swapaxes(t, -1, -2)) > 1e-10:
             raise ValueError("asymmetric factor")
-    # a_im b_kl - a_il b_km, then the same with i and k exchanged.
-    half = np.einsum("...im,...kl->...iklm", a, b)
+    # a_im b_kl - a_il b_km, then the same with i and k exchanged.  The outer
+    # product is taken over the flattened pairs (i, m) and (k, l), then viewed
+    # with its slots in (i, k, l, m) order.
+    n = a.shape[-1]
+    outer = a.reshape(a.shape[:-2] + (n * n, 1)) * b.reshape(b.shape[:-2] + (1, n * n))
+    half = np.moveaxis(outer.reshape(outer.shape[:-2] + (n,) * 4), -3, -1)
     half = half - np.swapaxes(half, -1, -2)
     return half - np.swapaxes(half, -3, -4)
 

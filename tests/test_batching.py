@@ -51,10 +51,10 @@ def test_chunked_equals_alone_and_reverses(monkeypatch, spec):
     monkeypatch.setattr(cli, "CHUNK_ELEMENTS", CHUNK_POINTS * n**5)
     points = sample_points(model, POINTS, 11)
     warnings = []
-    chunked = cli._collect_bundles(model, points, warnings)
+    chunked = list(cli._collect_bundles(model, points, warnings))
     assert warnings == [] and [len(b.points) for b in chunked] == [3, 3, 1]
     alone = [build_bundle(model, p[None]) for p in points]
-    reversed_chunks = cli._collect_bundles(model, points[::-1].copy(), warnings)
+    reversed_chunks = list(cli._collect_bundles(model, points[::-1].copy(), warnings))
 
     for field in ARRAY_FIELDS:
         batched, single = _stacked(chunked, field), _stacked(alone, field)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -431,7 +432,7 @@ def test_a_bundle_holds_its_fields_and_nothing_else():
     model = builtin_model("twisted_generic", 5)
     points = sample_points(model, 3, 1)
     names = {f.name for f in dataclasses.fields(CurvatureBundle)}
-    [bundle] = cli._collect_bundles(model, points, [])
+    [bundle] = list(cli._collect_bundles(model, points, []))
     assert vars(bundle).keys() == names
     assert all(getattr(bundle, name) is not None for name in names)
     partial = build_bundle(model, points, ("ricci",))
@@ -550,13 +551,80 @@ def test_nan_point_is_skipped_alone_in_its_chunk():
     points = sample_points(model, size + 5, 42)  # a full chunk, then one of 5
     points[size + 2, 2] = np.nan
     warnings = []
-    bundles = cli._collect_bundles(model, points, warnings)
+    bundles = list(cli._collect_bundles(model, points, warnings))
     # The first chunk is untouched; the failing one is rebuilt point by point.
     assert [len(b.points) for b in bundles] == [size] + [1] * 4
     assert len(warnings) == 1
     assert "skipped point" in warnings[0] and "chart coordinate x2 = nan" in warnings[0]
     kept = np.concatenate([b.points for b in bundles])
     assert np.array_equal(kept, np.delete(points, size + 2, axis=0))
+
+
+def _skip_warnings(model, points):
+    """The warning of each point that fails when built alone, in sample order."""
+    out = []
+    for point in points:
+        try:
+            build_bundle(model, point[None])
+        except ValueError as err:
+            out.append(f"{model.label}: skipped point {point.tolist()}: {err}")
+    return out
+
+
+def test_a_model_holds_at_most_two_bundles_at_once(monkeypatch):
+    # twisted_generic n = 6 at 100 points is 7 chunks of at most 16 points.
+    # Each bundle is measured, then dropped once the next one is built, so
+    # only that one and the one being built may be alive.
+    alive, counts = weakref.WeakSet(), []
+
+    def tracked(*args, _build=cli.build_bundle):
+        bundle = _build(*args)
+        alive.add(bundle)
+        counts.append(len(alive))
+        return bundle
+
+    monkeypatch.setattr(cli, "build_bundle", tracked)
+    config = default_config()
+    config.models = [entry for entry in config.models if entry["name"] == "twisted_generic" and entry["n"] == 6]
+    config.points = 100
+    result = run(config)
+    assert result["exit_code"] == 0 and result["warnings"] == []
+    assert len(counts) == 7 and max(counts) <= 2
+
+
+@pytest.mark.parametrize("failing", [1, 2, 22, 50])
+def test_skips_warn_in_sample_order_and_error_after_the_last_chunk(monkeypatch, failing):
+    # Of the first 22 sampled points, index 21 has the earliest time and index
+    # 17 the next, so one failing point is the last one sampled (in the last
+    # chunk, whatever the chunk size) and two are 9% of the sample.
+    points = 50 if failing == 50 else 22
+    times = _sampled_times(points)
+    threshold = times[-1] + 1.0 if failing == points else 0.5 * (times[failing - 1] + times[failing])
+    config = load_config_from_dict(_threshold_custom_config(threshold, points))
+    entry = config.models[0]
+    model = builtin_model(entry["name"], entry["n"], entry["parameters"])
+    expected_warnings = _skip_warnings(model, sample_points(model, points, 42))
+    assert len(expected_warnings) == failing
+    expected_errors = [] if failing == 1 else [f"{model.label}: {failing}/{points} sampled points failed to evaluate"]
+    for budget in (cli.CHUNK_ELEMENTS, _SMALL_CHUNK_ELEMENTS):
+        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", budget)
+        result = run(config)
+        assert result["warnings"] == expected_warnings
+        assert result["errors"] == expected_errors
+        assert bool(result["reports"]) == (failing == 1)
+
+
+def test_a_failing_point_in_the_last_chunk_warns_when_that_chunk_is_built():
+    model = builtin_model("twisted_generic", 5)
+    size = cli.chunk_size(5)
+    points = sample_points(model, 2 * size + 5, 42)
+    points[-2, 1] = np.nan
+    warnings = []
+    stream = cli._collect_bundles(model, points, warnings)
+    assert [len(next(stream).points) for _ in range(2)] == [size, size]
+    assert warnings == []
+    assert [len(b.points) for b in stream] == [1] * 4
+    assert warnings == _skip_warnings(model, points) and len(warnings) == 1
 
 
 def test_tensor_dump_rejects_non_finite_coordinate(capsys):

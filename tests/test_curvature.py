@@ -450,3 +450,25 @@ def test_kernels_match_einsum_oracle(spec):
         got = covariant_derivative(variance, comp, d1, conn.gamma)
         want = _einsum_covariant_derivative(variance, comp, d1, conn.gamma)
         assert _oracle_close(got, want), variance
+
+
+def test_weyl_and_covariant_derivative_leave_their_inputs_alone():
+    # Both kernels fill scratch buffers in place; none of them may be an input.
+    model = builtin_model("twisted_generic", 6)
+    mj = model.metric_jets(sample_points(model, 3, 5))
+    conn = christoffel_from_jets(mj)
+    curv = riemann_ricci_scalar(mj, conn)
+    riemann, d_riemann = curv.riemann.copy(), curv.d_riemann.copy()
+    wd = weyl(mj, curv)
+    assert np.array_equal(curv.riemann, riemann) and np.array_equal(curv.d_riemann, d_riemann)
+    assert not np.shares_memory(wd.d_weyl, curv.d_riemann)
+
+    rng = np.random.default_rng(0)
+    for variance in ("", "d", "u", "du", "dddd"):
+        shape = (3,) + (6,) * len(variance)
+        comp = rng.uniform(-1.0, 1.0, shape)
+        d1 = rng.uniform(-1.0, 1.0, shape[:1] + (6,) + shape[1:])
+        comp_before, d1_before = comp.copy(), d1.copy()
+        nabla = covariant_derivative(variance, comp, d1, conn.gamma)
+        assert np.array_equal(comp, comp_before) and np.array_equal(d1, d1_before), variance
+        assert not np.shares_memory(nabla, d1), variance
