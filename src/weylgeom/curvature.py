@@ -1,8 +1,10 @@
 """Curvature pipeline: metric jets -> connection -> curvature -> Weyl.
 
-Everything is assembled analytically from the metric's third-order Taylor
-data, so first derivatives of the Weyl tensor (and hence its covariant
-derivative and divergence) come out at machine precision.
+Everything is assembled analytically from the metric's Taylor data, so
+first derivatives of the Weyl tensor (and hence its covariant derivative and
+divergence) come out at machine precision.  Every field but ∇C, div C, ∇E
+and div E depends on the metric's 2-jet only, so :func:`build_bundle` reads
+third metric derivatives only when one of those four is asked for.
 
 Conventions (validated by the identity suite during bring-up):
 
@@ -79,22 +81,23 @@ class Connection:
 @dataclass(frozen=True, eq=False)
 class Curvature:
     """Covariant Riemann tensor, Ricci tensor and scalar, with ∂ data
-    (derivative index first after the point axes)."""
+    (derivative index first after the point axes; ``None`` without ∂³g)."""
 
     riemann: np.ndarray
-    d_riemann: np.ndarray
+    d_riemann: np.ndarray | None
     ricci: np.ndarray
-    d_ricci: np.ndarray
+    d_ricci: np.ndarray | None
     scalar: np.ndarray
-    d_scalar: np.ndarray
+    d_scalar: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
 class WeylData:
-    """Covariant Weyl tensor and its coordinate derivatives."""
+    """Covariant Weyl tensor and its coordinate derivatives (``None``
+    without ∂Riemann)."""
 
     weyl: np.ndarray
-    d_weyl: np.ndarray
+    d_weyl: np.ndarray | None
 
 
 def christoffel_from_jets(mj: MetricJets) -> Connection:
@@ -144,8 +147,10 @@ def _trace_ac(b: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def riemann_ricci_scalar(mj: MetricJets, conn: Connection) -> Curvature:
-    """Covariant Riemann tensor, Ricci tensor, curvature scalar and their ∂'s."""
+    """Covariant Riemann tensor, Ricci tensor, curvature scalar and, when
+    ``mj`` holds ∂³g, their ∂'s."""
     lead, n = conn.gamma.shape[:-3], mj.n
+    third = mj.d3 is not None
     # R_abcd = A_abcd - A_abdc with A_abcd = ∂_c Γ_adb + Γ^e_bc Γ_ead.  Less
     # its term g_ab,cd / 2, which is symmetric in (c, d), 2A is B_abcd =
     # g_ad,bc - g_bd,ac + 2 Γ^e_bc Γ_ead, and R_abcd = (B_abcd - B_abdc) / 2.
@@ -154,26 +159,36 @@ def riemann_ricci_scalar(mj: MetricJets, conn: Connection) -> Curvature:
     # less a view.  ∂_p B follows by the product rule, with ∂³g in place of
     # ∂²g: one matrix product over (e, e') of [∂_p Γ^e_bc, Γ^e'_bc] and
     # [2 Γ_ead; 2 ∂_p Γ_e'ad], with p a batch axis.
+    # Without ∂³g the ∂ half is skipped.  With it, value and ∂ steps
+    # interleave in one fixed order: the order of the large allocations moves
+    # the peak memory of a verify.
     rows = np.swapaxes(conn.gamma.reshape(lead + (n, n * n)), -1, -2)
     cols = 2.0 * conn.gamma_low.reshape(lead + (n, n * n))
-    d_rows = np.swapaxes(conn.d_gamma.reshape(lead + (n, n, n * n)), -1, -2)
-    d_cols = 2.0 * conn.d_gamma_low.reshape(lead + (n, n, n * n))
+    if third:
+        d_rows = np.swapaxes(conn.d_gamma.reshape(lead + (n, n, n * n)), -1, -2)
+        d_cols = 2.0 * conn.d_gamma_low.reshape(lead + (n, n, n * n))
     b = (rows @ cols).reshape(lead + (n,) * 4)
-    d_b = (
-        np.concatenate((d_rows, np.broadcast_to(rows[..., None, :, :], d_rows.shape)), axis=-1)
-        @ np.concatenate((np.broadcast_to(cols[..., None, :, :], d_cols.shape), d_cols), axis=-2)
-    ).reshape(lead + (n,) * 5)
-    for held, jet in ((b, mj.d2), (d_b, mj.d3)):
-        held += jet
-        held -= np.einsum("...cabd->...bcad", jet)
+    held = [(b, mj.d2)]
+    if third:
+        d_b = (
+            np.concatenate((d_rows, np.broadcast_to(rows[..., None, :, :], d_rows.shape)), axis=-1)
+            @ np.concatenate((np.broadcast_to(cols[..., None, :, :], d_cols.shape), d_cols), axis=-2)
+        ).reshape(lead + (n,) * 5)
+        held.append((d_b, mj.d3))
+    for array, jet in held:
+        array += jet
+        array -= np.einsum("...cabd->...bcad", jet)
     # Ricci R_bd = g^ac R_abcd, taken from B; its ∂_p by the product rule.
     g_inv, d_g_inv = conn.g_inv, conn.d_g_inv
     ricci = _trace_ac(b, g_inv)
-    d_ricci = _trace_ac(d_b, g_inv[..., None, :, :])
-    d_ricci += _trace_ac(b[..., None, :, :, :, :], d_g_inv)
+    if third:
+        d_ricci = _trace_ac(d_b, g_inv[..., None, :, :])
+        d_ricci += _trace_ac(b[..., None, :, :, :, :], d_g_inv)
     ricci_col = ricci.reshape(lead + (n * n, 1))
     g_inv_col = g_inv.reshape(lead + (n * n, 1))
     scalar = (np.swapaxes(g_inv_col, -1, -2) @ ricci_col)[..., 0, 0]
+    if not third:
+        return Curvature(_exchange_cd(b), None, ricci, None, scalar, None)
     d_scalar = (
         d_g_inv.reshape(lead + (n, n * n)) @ ricci_col
         + d_ricci.reshape(lead + (n, n * n)) @ g_inv_col
@@ -182,7 +197,8 @@ def riemann_ricci_scalar(mj: MetricJets, conn: Connection) -> Curvature:
 
 
 def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
-    """Totally traceless part of the Riemann tensor, with coordinate ∂'s."""
+    """Totally traceless part of the Riemann tensor, with its coordinate ∂'s
+    when ``curv`` holds ∂Riemann."""
     n = mj.n
     if n < 4:
         raise ValueError("Weyl undefined for n < 4")
@@ -191,21 +207,28 @@ def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
     # exchanged, S the Schouten tensor (R_km - R g_km / (2(n-1))) / (n-2).
     # This is the docstring's formula with its two metric terms folded into
     # one, so ∂C is ∂Riemann less one product-rule pair (slot p first).
+    # Without ∂Riemann the ∂ half is skipped.  With it, value and ∂ steps
+    # interleave in one fixed order, as in riemann_ricci_scalar.
+    third = curv.d_riemann is not None
     c = 0.5 / (n - 1)
     scalar = curv.scalar[..., None, None]
     schouten = (curv.ricci - c * scalar * g) / (n - 2)
-    d_scalar = curv.d_scalar[..., None, None]
-    d_schouten = curv.d_ricci - c * (d_scalar * g[..., None, :, :] + scalar[..., None] * dg)
-    d_schouten /= n - 2
+    if third:
+        d_scalar = curv.d_scalar[..., None, None]
+        d_schouten = curv.d_ricci - c * (d_scalar * g[..., None, :, :] + scalar[..., None] * dg)
+        d_schouten /= n - 2
 
     # The products g_jl S_km and ∂_p(g_jl S_km) are outer products over the
     # flattened pairs (j, l) and (k, m), so they are held as [..., (p,) j, l, k, m].
     lead, nn = g.shape[:-2], n * n
     product = g.reshape(lead + (nn, 1)) * schouten.reshape(lead + (1, nn))
-    d_product = dg.reshape(lead + (n, nn, 1)) * schouten.reshape(lead + (1, 1, nn))
-    scratch = g.reshape(lead + (1, nn, 1)) * d_schouten.reshape(lead + (n, 1, nn))
-    d_product += scratch
+    if third:
+        d_product = dg.reshape(lead + (n, nn, 1)) * schouten.reshape(lead + (1, 1, nn))
+        scratch = g.reshape(lead + (1, nn, 1)) * d_schouten.reshape(lead + (n, 1, nn))
+        d_product += scratch
     weyl_c = _minus_exchanged(curv.riemann, product.reshape(lead + (n,) * 4), np.empty(curv.riemann.shape))
+    if not third:
+        return WeylData(weyl_c, None)
     d_weyl_c = _minus_exchanged(curv.d_riemann, d_product.reshape(lead + (n,) * 5), scratch.reshape(lead + (n,) * 5))
     return WeylData(weyl_c, d_weyl_c)
 
@@ -355,15 +378,20 @@ FIELD_VARIANCE = {
 
 _FIELDS = tuple(f.name for f in fields(CurvatureBundle))
 
+# The fields that need the metric's 3-jet: those of the derivative stage.
+_THIRD_ORDER_FIELDS = frozenset({"nabla_weyl", "div_weyl", "nabla_electric", "div_electric"})
 
-def _stages(model: MetricModel, coords: np.ndarray) -> Iterator[dict]:
+
+def _stages(model: MetricModel, coords: np.ndarray, order: int) -> Iterator[dict]:
     """The bundle's fields at points of shape (P, n), one stage at a time in
     dependency order: the jets and connection (with u, φ, ξ and v), the
-    Riemann tensor and its traces, the Weyl tensor (with E and the
-    remainder), then the covariant derivatives.  Kernel data the next stage
-    needs (∂Γ, ∂R, ∂C, ...) stays in this generator's frame."""
+    Riemann tensor and its traces, the Weyl tensor with E, the Weyl
+    remainder, then the covariant derivatives.  The metric jets have the
+    given order; at order 2 no ∂ data is formed past ∂Γ, so the derivative
+    stage needs order 3.  Kernel data the next stage needs (∂Γ, ∂R, ∂C, ...)
+    stays in this generator's frame."""
     n = model.n
-    mj = model.metric_jets(coords)
+    mj = model.metric_jets(coords, order=order)
     conn = christoffel_from_jets(mj)
     gamma = conn.gamma
 
@@ -403,8 +431,9 @@ def _stages(model: MetricModel, coords: np.ndarray) -> Iterator[dict]:
     lead = coords.shape[:1]
     electric = u @ (wd.weyl.reshape(lead + (n**3, n)) @ u).reshape(lead + (n, n * n))
     electric = electric.reshape(lead + (n, n))
-    remainder = weyl_remainder_tensor(mj.value, u_down, wd.weyl, electric, n)
-    yield dict(weyl=wd.weyl, electric=electric, weyl_remainder=remainder)
+    yield dict(weyl=wd.weyl, electric=electric)
+
+    yield dict(weyl_remainder=weyl_remainder_tensor(mj.value, u_down, wd.weyl, electric, n))
 
     d_electric = u @ (wd.d_weyl.reshape(lead + (n**4, n)) @ u).reshape(lead + (n, n, n * n))
     d_electric = d_electric.reshape(lead + (n,) * 3)
@@ -431,9 +460,12 @@ def build_bundle(
 
     Only the stages up to the last one that ``fields`` (default: every
     field) depends on are run (see :func:`_stages`); the fields of later
-    stages are ``None``.  Raises ``ValueError`` if any point fails a check
-    in the stages run (non-finite coordinates or components of any field
-    built, non-Lorentzian or singular metric, jet domain errors, an
+    stages are ``None``.  The metric jets are of order 3 when ``fields``
+    names ∇C, div C, ∇E or div E, and of order 2 otherwise, so no ∂R or ∂C
+    is formed for the others.  Raises ``ValueError`` for an unknown field
+    name, and if any point fails a check in the stages run (non-finite
+    coordinates or components of any field built or of the metric jets
+    read, non-Lorentzian or singular metric, jet domain errors, an
     asymmetric Kulkarni-Nomizu factor); callers that must skip single
     points re-run a failed chunk one point at a time.
     """
@@ -441,13 +473,14 @@ def build_bundle(
     if coords.ndim != 2:
         raise ValueError(f"points must have shape (P, {model.n}), got shape {coords.shape}")
     wanted = set(fields)
+    unknown = wanted.difference(_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown bundle fields: {sorted(unknown)}")
     built: dict = {}
-    for stage in _stages(model, coords):
+    for stage in _stages(model, coords, 3 if wanted & _THIRD_ORDER_FIELDS else 2):
         built.update(stage)
         if wanted <= built.keys():
             break
-    else:
-        raise ValueError(f"unknown bundle fields: {sorted(wanted - built.keys())}")
     for name in _FIELDS:
         if isinstance(built.get(name), np.ndarray) and not np.isfinite(built[name]).all():
             raise ValueError(f"non-finite tensor components in {name}")

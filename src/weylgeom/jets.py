@@ -1,31 +1,40 @@
 """Forward-mode Taylor jets: exact mixed partials of chart functions to order 3.
 
 A :class:`Jet3` carries the value of a scalar function of the chart
-coordinates together with *all* of its partial derivatives through third
-order.  Arithmetic and elementary functions propagate that data exactly
-(truncated Taylor arithmetic), which is what lets the curvature pipeline
-consume third metric derivatives at machine precision.  No numerical
-differentiation happens anywhere in the library; finite differences exist
-only in the test suite, as an independent oracle.
+coordinates together with *all* of its partial derivatives through its
+order, 3 or 2.  Arithmetic and elementary functions propagate that data
+exactly (truncated Taylor arithmetic), which is what lets the curvature
+pipeline consume third metric derivatives at machine precision.  No
+numerical differentiation happens anywhere in the library; finite
+differences exist only in the test suite, as an independent oracle.
 
 Storage: ``coeffs[..., m]`` is the Taylor coefficient of the m-th monomial
-of degree <= 3 in the n chart variables, ``f(x + h) = sum_m coeffs[m] h^m``.
+of degree <= order in the n chart variables, ``f(x + h) = sum_m coeffs[m] h^m``.
 Monomials are index-sorted tuples ordered by degree, then lexically:
 ``()``, ``(0,)``, ..., ``(n-1,)``, ``(0, 0)``, ``(0, 1)``, ..., ``(n-1, n-1)``,
-``(0, 0, 0)``, ..., ``(n-1, n-1, n-1)`` -- C(n+3, 3) of them (35, 56, 84 and
-120 at n = 4, 5, 6, 7).  A sum is one array add; a product gathers the
-coefficient pairs whose degrees sum to at most 3 and folds them onto their
-target monomial with ``np.add.reduceat``; a function of a jet is its Taylor
-polynomial in ``u - u(x)``.
+``(0, 0, 0)``, ..., ``(n-1, n-1, n-1)``.  Order 3 has C(n+3, 3) of them (35,
+56, 84 and 120 at n = 4, 5, 6, 7); order 2 has the first C(n+2, 2) (15, 21,
+28 and 36), and a jet's order is read from its coefficient count.  A sum is
+one array add; a product gathers the coefficient pairs whose degrees sum to
+at most the order and folds them onto their target monomial with
+``np.add.reduceat``; a function of a jet is its Taylor polynomial in
+``u - u(x)``.  An operation on jets of two orders (a constant built at order
+3 and an order-2 jet, say) truncates to the lower one.
+
+An order-2 jet is bit for bit the first C(n+2, 2) coefficients of the
+order-3 jet computed the same way: a target monomial's product pairs, and
+their order, do not depend on the jet order, and the cubic term of a
+function of a jet changes its degree-3 monomials only.
 
 The raw partials are read-only accessors in the layout ``d1[..., i] = ∂_i f``,
-``d2[..., i, j] = ∂_i ∂_j f``, ``d3[..., i, j, k] = ∂_i ∂_j ∂_k f``: each entry
-is the coefficient of its index-sorted monomial α times α! (the product of
-the factorials of the index multiplicities; 1, 2 or 6).  ``d2`` and ``d3`` are
-therefore exactly symmetric: every permutation of an index reads the same
-stored number.  The leading axes ``...`` are empty for a jet at one point and
-``(P,)`` for a jet evaluated at P chart points at once.  A constant jet has
-no leading axes and broadcasts against a batched one.
+``d2[..., i, j] = ∂_i ∂_j f``, ``d3[..., i, j, k] = ∂_i ∂_j ∂_k f`` (order 3
+only): each entry is the coefficient of its index-sorted monomial α times α!
+(the product of the factorials of the index multiplicities; 1, 2 or 6).
+``d2`` and ``d3`` are therefore exactly symmetric: every permutation of an
+index reads the same stored number.  The leading axes ``...`` are empty for
+a jet at one point and ``(P,)`` for a jet evaluated at P chart points at
+once.  A constant jet has no leading axes and broadcasts against a batched
+one.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,16 +52,19 @@ __all__ = ["Jet3", "variables", "constant", "exp", "log", "sin", "cos", "power"]
 
 @dataclass(frozen=True)
 class Basis:
-    """Index tables of the degree <= 3 monomials in n variables.
+    """Index tables of the degree <= ``order`` monomials in n variables.
 
-    ``partials[k]`` and ``weights[k]`` map the raw order-k partials, flattened
-    over their n**k index tuples in lexical order, to the position of the
-    index-sorted monomial and its α!.  ``left``, ``right`` and ``starts`` list
-    every ordered pair of monomials whose product has degree <= 3, grouped by
-    product monomial, for ``np.add.reduceat``.
+    ``top`` is the position of the first monomial of degree ``order``.
+    ``partials[k]`` and ``weights[k]`` (k <= order) map the raw order-k
+    partials, flattened over their n**k index tuples in lexical order, to the
+    position of the index-sorted monomial and its α!.  ``left``, ``right``
+    and ``starts`` list every ordered pair of monomials whose product has
+    degree <= order, grouped by product monomial, for ``np.add.reduceat``.
     """
 
+    order: int
     size: int
+    top: int
     partials: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
     left: np.ndarray
@@ -66,14 +78,38 @@ def _readonly(values, dtype) -> np.ndarray:
     return array
 
 
+def basis(n: int, order: int = 3) -> Basis:
+    """The monomial tables for n variables at order 3 or 2, built on first use."""
+    if order not in (2, 3):
+        raise ValueError(f"jet order must be 2 or 3, got {order!r}")
+    tables, size = _tables(n), math.comb(n + order, order)
+    if size not in tables:
+        tables[size] = _build(n, order)
+    return tables[size]
+
+
 @functools.cache
-def basis(n: int) -> Basis:
-    """The monomial tables for n variables, built on first use."""
-    monomials = [m for k in range(4) for m in itertools.combinations_with_replacement(range(n), k)]
+def _tables(n: int) -> dict[int, Basis]:
+    """The tables for n variables built so far, by monomial count (C(n+3, 3)
+    and C(n+2, 2) differ for every n >= 1); :func:`basis` adds them."""
+    return {}
+
+
+def _table_for(n: int, shape: tuple) -> Basis:
+    """The table for jet coefficients of ``shape``, built if need be."""
+    for order in (3, 2):
+        if shape and shape[-1] == math.comb(n + order, order):
+            return basis(n, order)
+    sizes = " or ".join(f"(..., {math.comb(n + order, order)})" for order in (3, 2))
+    raise ValueError(f"jet coefficients must have shape {sizes} for n = {n}, got {shape}")
+
+
+def _build(n: int, order: int) -> Basis:
+    monomials = [m for k in range(order + 1) for m in itertools.combinations_with_replacement(range(n), k)]
     position = {m: i for i, m in enumerate(monomials)}
     factorials = np.array([math.prod(map(math.factorial, Counter(m).values())) for m in monomials])
     partials, weights = [], []
-    for k in range(4):
+    for k in range(order + 1):
         grid = [position[tuple(sorted(idx))] for idx in itertools.product(range(n), repeat=k)]
         partials.append(_readonly(grid, np.intp))
         weights.append(_readonly(factorials[grid], float))
@@ -86,7 +122,9 @@ def basis(n: int) -> Basis:
             left.append(position[alpha])
             right.append(position[beta])
     return Basis(
+        order=order,
         size=len(monomials),
+        top=math.comb(n + order - 1, order - 1),
         partials=tuple(partials),
         weights=tuple(weights),
         left=_readonly(left, np.intp),
@@ -95,37 +133,40 @@ def basis(n: int) -> Basis:
     )
 
 
-def _times(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+def _times(a: np.ndarray, b: np.ndarray, t: Basis) -> np.ndarray:
     """Coefficients of the truncated product of two coefficient arrays."""
-    t = basis(n)
     return np.add.reduceat(a[..., t.left] * b[..., t.right], t.starts, axis=-1)
 
 
-def _constant_coeffs(value: float, n: int) -> np.ndarray:
-    coeffs = np.zeros(basis(n).size)
+def _constant_coeffs(value: float, t: Basis) -> np.ndarray:
+    coeffs = np.zeros(t.size)
     coeffs[0] = value
     return coeffs
 
 
 @dataclass(frozen=True, eq=False)
 class Jet3:
-    """Taylor coefficients through order 3 of a scalar function of n variables.
+    """Taylor coefficients through order 3 or 2 of a scalar function of n variables.
 
-    ``coeffs`` has shape ``(..., C(n+3, 3))``, one coefficient per monomial in
-    the order of :func:`basis`.
+    ``coeffs`` has shape ``(..., C(n+3, 3))`` at order 3 and
+    ``(..., C(n+2, 2))`` at order 2, one coefficient per monomial in the
+    order of :func:`basis`; ``table`` is that order's :class:`Basis`, found
+    from the count.
     """
 
     coeffs: np.ndarray
     n: int
+    table: Basis = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.ndim == 0 or coeffs.shape[-1] != basis(self.n).size:
-            raise ValueError(
-                f"jet coefficients must have shape (..., {basis(self.n).size}) for n = {self.n}, "
-                f"got {coeffs.shape}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
+        try:
+            table = _tables(self.n)[coeffs.shape[-1]]
+        except (IndexError, KeyError):
+            table = _table_for(self.n, coeffs.shape)
+        object.__setattr__(self, "table", table)
+        if coeffs is not self.coeffs:
+            object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_partials(cls, value, d1, d2, d3) -> "Jet3":
@@ -148,7 +189,7 @@ class Jet3:
     # -- raw partials ------------------------------------------------------
 
     def _partials(self, k: int) -> np.ndarray:
-        t = basis(self.n)
+        t = self.table
         flat = self.coeffs[..., t.partials[k]] * t.weights[k]
         return flat.reshape(self.coeffs.shape[:-1] + (self.n,) * k)
 
@@ -166,19 +207,28 @@ class Jet3:
 
     @property
     def d3(self) -> np.ndarray:
+        if self.table.order < 3:
+            raise ValueError("an order-2 jet has no third partials")
         return self._partials(3)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _lift(self, other) -> np.ndarray:
-        if isinstance(other, Jet3):
-            if other.n != self.n:
-                raise ValueError("jets have different numbers of variables")
-            return other.coeffs
-        return _constant_coeffs(float(other), self.n)
+    def _lift(self, other) -> tuple[np.ndarray, np.ndarray, Basis]:
+        """The coefficients of ``self`` and ``other`` at the lower of their
+        orders, and that order's table."""
+        t = self.table
+        if not isinstance(other, Jet3):
+            return self.coeffs, _constant_coeffs(float(other), t), t
+        if other.table is t:
+            return self.coeffs, other.coeffs, t
+        if other.n != self.n:
+            raise ValueError("jets have different numbers of variables")
+        low = min(t, other.table, key=lambda table: table.order)
+        return self.coeffs[..., : low.size], other.coeffs[..., : low.size], low
 
     def __add__(self, other) -> "Jet3":
-        return Jet3(self.coeffs + self._lift(other), self.n)
+        a, b, _ = self._lift(other)
+        return Jet3(a + b, self.n)
 
     __radd__ = __add__
 
@@ -186,20 +236,22 @@ class Jet3:
         return Jet3(-self.coeffs, self.n)
 
     def __sub__(self, other) -> "Jet3":
-        return Jet3(self.coeffs - self._lift(other), self.n)
+        a, b, _ = self._lift(other)
+        return Jet3(a - b, self.n)
 
     def __rsub__(self, other) -> "Jet3":
-        return Jet3(self._lift(other) - self.coeffs, self.n)
+        a, b, _ = self._lift(other)
+        return Jet3(b - a, self.n)
 
     def __mul__(self, other) -> "Jet3":
         if not isinstance(other, Jet3):
             return Jet3(float(other) * self.coeffs, self.n)
-        return Jet3(_times(self.coeffs, self._lift(other), self.n), self.n)
+        return Jet3(_times(*self._lift(other)), self.n)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet3":
-        divisor = other if isinstance(other, Jet3) else constant(float(other), self.n)
+        divisor = other if isinstance(other, Jet3) else constant(float(other), self.n, self.table.order)
         return self * _reciprocal(divisor)
 
     def __rtruediv__(self, other) -> "Jet3":
@@ -210,13 +262,23 @@ class Jet3:
 
 
 def _compose(u: Jet3, f0, f1, f2, f3) -> Jet3:
-    """F(u) from F, F', F'', F''' at u.value: f0 + f1 h + f2/2 h² + f3/6 h³, h = u - u(x)."""
+    """F(u) from F, F', F'', F''' at u.value: f0 + f1 h + f2/2 h² + f3/6 h³, h = u - u(x).
+
+    h³ (order 3 only) starts at degree 3, and its lower entries are exact
+    zeros.  They are set to -0.0, which leaves every entry it is added to as
+    it is (-0.0 + -0.0 is -0.0), so the lower entries are those of the
+    order-2 jet bit for bit."""
+    t = u.table
     h = u.coeffs.copy()
     h[..., 0] = 0.0
-    h2 = _times(h, h, u.n)
-    h3 = _times(h2, h, u.n)
+    h2 = _times(h, h, t)
+    h3 = _times(h2, h, t) if t.order == 3 else None
     g1, g2, g3 = (np.asarray(f)[..., None] for f in (f1, 0.5 * f2, f3 / 6.0))
-    coeffs = g1 * h + g2 * h2 + g3 * h3
+    coeffs = g1 * h + g2 * h2
+    if h3 is not None:
+        cubic = g3 * h3
+        cubic[..., : t.top] = -0.0
+        coeffs = coeffs + cubic
     coeffs[..., 0] = f0
     return Jet3(coeffs, u.n)
 
@@ -231,22 +293,24 @@ def _reciprocal(u: Jet3) -> Jet3:
 # -- constructors ----------------------------------------------------------
 
 
-def constant(value: float, n: int) -> Jet3:
+def constant(value: float, n: int, order: int = 3) -> Jet3:
     """Jet of a constant: all derivatives vanish (no leading point axes)."""
-    return Jet3(_constant_coeffs(value, n), n)
+    return Jet3(_constant_coeffs(value, basis(n, order)), n)
 
 
-def variables(coords) -> list[Jet3]:
-    """Coordinate jets: the i-th jet has value ``coords[..., i]`` and d1 = e_i.
+def variables(coords, order: int = 3) -> list[Jet3]:
+    """Coordinate jets of the given order: the i-th jet has value
+    ``coords[..., i]`` and d1 = e_i.
 
     ``coords`` of shape ``(n,)`` gives jets at one point; shape ``(P, n)``
     gives jets at P points, with a leading point axis.
     """
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[-1]
+    size = basis(n, order).size
     out = []
     for i in range(n):
-        coeffs = np.zeros(coords.shape[:-1] + (basis(n).size,))
+        coeffs = np.zeros(coords.shape[:-1] + (size,))
         coeffs[..., 0] = coords[..., i]
         coeffs[..., 1 + i] = 1.0
         out.append(Jet3(coeffs, n))

@@ -1,10 +1,11 @@
 """Catalog of explicit chart-level metrics and deterministic point sampling.
 
-Every model is a named, parameterized recipe that produces third-order Taylor
-data (:class:`~weylgeom.jets.Jet3`) for each metric component at a chart
-point, together with a declared comoving velocity field ``u^a = (1, 0, ..., 0)``
-and an ``expected_class`` tag that the identity suite uses to decide which
-checks are assertions, which are expected failures, and which do not apply.
+Every model is a named, parameterized recipe that produces third- or
+second-order Taylor data (:class:`~weylgeom.jets.Jet3`) for each metric
+component at a chart point, together with a declared comoving velocity
+field ``u^a = (1, 0, ..., 0)`` and an ``expected_class`` tag that the
+identity suite uses to decide which checks are assertions, which are
+expected failures, and which do not apply.
 A model's metric is one function of the coordinate jets that returns the jet
 of each stored component; a factor several components share (a scale factor
 f²) is a local value in it, computed once per call.
@@ -86,13 +87,14 @@ class MetricJets:
     ``d3[..., p, q, r, a, b] = ∂_p ∂_q ∂_r g_ab``; the leading axes ``...``
     are those of the chart points (none for one point, ``(P,)`` for P).
     All arrays are exactly symmetric in (a, b) and in the derivative slots.
+    ``d3`` is ``None`` for jets of order 2.
     """
 
     n: int
     value: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    d3: np.ndarray
+    d3: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,17 +133,19 @@ class MetricModel:
         u[0] = 1.0
         return u
 
-    def metric_jets(self, points: ChartPoint) -> MetricJets:
-        """Evaluate all g_ab jets at one point ``(n,)`` or at points ``(P, n)``.
+    def metric_jets(self, points: ChartPoint, order: int = 3) -> MetricJets:
+        """Evaluate all g_ab jets of the given order (3 or 2) at one point
+        ``(n,)`` or at points ``(P, n)``.
 
         Raises ``ValueError`` naming the first point whose coordinates or
-        metric components are not finite, or whose metric is not Lorentzian
-        or is too ill-conditioned to invert reliably.
+        metric components (through the order's partials) are not finite, or
+        whose metric is not Lorentzian or is too ill-conditioned to invert
+        reliably.
         """
-        mj = evaluate_metric_jets(self.entries, self.n, points)
+        mj = evaluate_metric_jets(self.entries, self.n, points, order)
         coords = np.reshape(points, (-1, self.n))
         finite = np.ones(len(coords), dtype=bool)
-        for array in (mj.value, mj.d1, mj.d2, mj.d3):
+        for array in (mj.value, mj.d1, mj.d2, mj.d3)[: order + 1]:
             finite &= np.isfinite(array).reshape(len(coords), -1).all(axis=1)
         if not finite.all():
             bad = coords[np.argmin(finite)].tolist()
@@ -166,15 +170,17 @@ def coordinate_names(n: int) -> tuple[str, ...]:
     return ("t",) + tuple(f"x{i}" for i in range(1, n))
 
 
-def evaluate_metric_jets(entries: MetricFn, n: int, points: ChartPoint) -> MetricJets:
-    """Evaluate a metric's jets at one point ``(n,)`` or at points ``(P, n)``.
+def evaluate_metric_jets(entries: MetricFn, n: int, points: ChartPoint, order: int = 3) -> MetricJets:
+    """Evaluate a metric's jets of the given order (3 or 2) at one point
+    ``(n,)`` or at points ``(P, n)``.
 
     ``entries`` runs once per call, on the coordinate jets of all points, so
     a factor that several of its components share is computed once.  A
-    constant component broadcasts.  Each order of partials is one gather
-    from the components' Taylor coefficients, written to (a, b) and exactly
-    mirrored to (b, a).  Non-finite coordinates are rejected before
-    ``entries`` runs, naming the coordinate.
+    constant component broadcasts, and one built at order 3 is truncated to
+    the order.  Each order of partials is one gather from the components'
+    Taylor coefficients, written to (a, b) and exactly mirrored to (b, a);
+    at order 2, ``d3`` is ``None``.  Non-finite coordinates are rejected
+    before ``entries`` runs, naming the coordinate.
     """
     coords = np.asarray(points, dtype=float)
     if coords.ndim not in (1, 2) or coords.shape[-1] != n:
@@ -191,21 +197,21 @@ def evaluate_metric_jets(entries: MetricFn, n: int, points: ChartPoint) -> Metri
     # which metric_jets rejects point by point; numpy's warnings would only
     # repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        components = entries(jets.variables(coords))
+        components = entries(jets.variables(coords, order))
     # Column k of `stack` holds the Taylor coefficients of the k-th component.
-    table = jets.basis(n)
+    table = jets.basis(n, order)
     stack = np.empty(lead + (table.size, len(components)))
     for k, jet in enumerate(components.values()):
-        stack[..., k] = jet.coeffs
+        stack[..., k] = jet.coeffs[..., : table.size]
     # Each component is written at (a, b) and, off the diagonal, at (b, a).
     placed = {(*ab, k) for k, key in enumerate(components) for ab in (key, key[::-1])}
     rows, cols, source = np.array(sorted(placed), dtype=np.intp).reshape(-1, 3).T
     orders = []
-    for order, (monomials, weights) in enumerate(zip(table.partials, table.weights)):
+    for degree, (monomials, weights) in enumerate(zip(table.partials, table.weights)):
         partials = np.zeros(lead + (len(monomials), n, n))
         partials[..., rows, cols] = (stack[..., monomials, :] * weights[:, None])[..., source]
-        orders.append(partials.reshape(lead + (n,) * (order + 2)))
-    return MetricJets(n, *orders)
+        orders.append(partials.reshape(lead + (n,) * (degree + 2)))
+    return MetricJets(n, *orders, *[None] * (3 - order))
 
 
 def sample_points(model: MetricModel, count: int, seed: int) -> np.ndarray:

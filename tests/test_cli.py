@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, determinism, dumps, config handling."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
@@ -12,12 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylgeom import builtin_model, cli, curvature, sample_points
 from weylgeom.cli import default_config, load_config, main, run, serialize_structured
 from weylgeom.curvature import FIELD_VARIANCE, CurvatureBundle, build_bundle
 from weylgeom.identities import IdentityReport
-from weylgeom.models import default_model_specs
+from weylgeom.models import CATALOG_NAMES, MetricModel, default_model_specs
 
 
 def _verify_args(*extra):
@@ -378,21 +381,39 @@ def test_the_shared_parser_keeps_nothing_between_calls(capsys):
 
 
 def _count_kernel_calls(monkeypatch):
-    """Record each curvature kernel call; covariant_derivative with its slot count."""
-    calls = []
+    """Record each curvature kernel call (covariant_derivative with its slot
+    count), and the ∂ arrays that the Riemann and Weyl kernels return."""
+    calls, derivatives = [], []
     for name in ("christoffel_from_jets", "riemann_ricci_scalar", "weyl", "covariant_derivative"):
 
-        def counted(*args, _name=name, _kernel=getattr(curvature, name)):
+        def counted(*args, _name=name, _kernel=getattr(curvature, name), **kwargs):
             calls.append(f"{_name}/{len(args[0])}" if _name == "covariant_derivative" else _name)
-            return _kernel(*args)
+            result = _kernel(*args, **kwargs)
+            if _name in ("riemann_ricci_scalar", "weyl"):
+                formed = [f.name for f in dataclasses.fields(result) if getattr(result, f.name) is not None]
+                derivatives.extend(name for name in formed if name.startswith("d_"))
+            return result
 
         monkeypatch.setattr(curvature, name, counted)
-    return calls
+    return calls, derivatives
+
+
+def _record_jet_orders(monkeypatch):
+    """Record the order that each ``metric_jets`` call asks for."""
+    orders = []
+
+    def recorded(self, points, order=3, _metric_jets=MetricModel.metric_jets):
+        orders.append(order)
+        return _metric_jets(self, points, order)
+
+    monkeypatch.setattr(MetricModel, "metric_jets", recorded)
+    return orders
 
 
 _CONNECTION_STAGE = ["christoffel_from_jets", "covariant_derivative/1", "covariant_derivative/1"]
 _CURVATURE_STAGE = _CONNECTION_STAGE + ["riemann_ricci_scalar"]
 _WEYL_STAGE = _CURVATURE_STAGE + ["weyl"]
+_DERIVATIVE_STAGE = _WEYL_STAGE + ["covariant_derivative/2", "covariant_derivative/4"]
 
 
 @pytest.mark.parametrize(
@@ -404,15 +425,25 @@ _WEYL_STAGE = _CURVATURE_STAGE + ["weyl"]
         ("ricci", _CURVATURE_STAGE),
         ("weyl", _WEYL_STAGE),
         ("E", _WEYL_STAGE),
-        ("nablaC", _WEYL_STAGE + ["covariant_derivative/2", "covariant_derivative/4"]),
+        ("nablaC", _DERIVATIVE_STAGE),
+        ("divC", _DERIVATIVE_STAGE),
+        ("weyl_remainder", _WEYL_STAGE),
     ],
 )
 def test_a_dump_runs_only_the_stages_its_field_needs(monkeypatch, capsys, field_name, kernels):
-    calls = _count_kernel_calls(monkeypatch)
+    calls, derivatives = _count_kernel_calls(monkeypatch)
+    orders = _record_jet_orders(monkeypatch)
     argv = ["tensor-dump", field_name, "--model", "twisted_generic", "--point", "0.5,0.1,0.2,0.3,0.4"]
     assert main(argv) == 0
     capsys.readouterr()
     assert sorted(calls) == sorted(kernels)
+    # Only the derivative stage reads the 3-jet, and only a dump that reads
+    # it forms ∂Riemann, ∂Ricci, ∂R and ∂C.
+    third = kernels == _DERIVATIVE_STAGE
+    assert orders == [3 if third else 2]
+    formed = {"riemann_ricci_scalar": ["d_riemann", "d_ricci", "d_scalar"], "weyl": ["d_weyl"]}
+    expected = [name for kernel in kernels if kernel in formed for name in formed[kernel]] if third else []
+    assert derivatives == expected
 
 
 def test_a_dump_fails_only_when_a_stage_it_needs_fails(monkeypatch, capsys):
@@ -614,6 +645,18 @@ def test_skips_warn_in_sample_order_and_error_after_the_last_chunk(monkeypatch, 
         assert bool(result["reports"]) == (failing == 1)
 
 
+def test_an_empty_sample_is_one_model_error(monkeypatch):
+    # sample_points rejects an empty sample, so this drives the chunk loop
+    # with an empty points array: it yields no bundle, and the suite rejects
+    # that as the model's error.
+    monkeypatch.setattr(cli, "sample_points", lambda model, count, seed: np.empty((0, model.n)))
+    config = default_config()
+    config.models = config.models[:1]
+    result = run(config)
+    assert result["errors"] == ["at least one curvature bundle is required"]
+    assert result["reports"] == [] and result["warnings"] == [] and result["exit_code"] == 1
+
+
 def test_a_failing_point_in_the_last_chunk_warns_when_that_chunk_is_built():
     model = builtin_model("twisted_generic", 5)
     size = cli.chunk_size(5)
@@ -787,6 +830,59 @@ def test_tensor_dump_rejects_bad_parameter(capsys, param, message):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+_FUZZ_FIELDS = cli._DUMP_FIELDS + tuple(cli._FIELD_ALIASES) + ("", "Weyl", "points", "n", "d_christoffel")
+_FUZZ_PARAMS = ("alpha", "beta", "eps", "H", "f", "k", "delta", "r1", "g_diag", "junk", "")
+_FUZZ_VALUES = ("0.1", "-0.5", "0.95", "0", "nan", "-inf", "1e400", "10**400", "abc", "", "power", "[1, 2]")
+_FUZZ_FINITE = ("0.5", "0.3", "1.1", "-0.4", "2", "0.05", "1e-3")
+_FUZZ_COORDINATES = _FUZZ_FINITE + ("", " ", "nan", "inf", "-inf", "1e400", "1e300", "1e-300", "abc")
+
+
+@st.composite
+def _dump_argv(draw):
+    """tensor-dump argv: every field name and alias, and junk names; --n
+    3..8; --point lists of finite numbers of the right length (half the
+    draws, so that some dumps succeed), or of any length with empty,
+    non-finite and overflowing items; --param values that are junk or out
+    of range."""
+    n = draw(st.integers(3, 8))
+    argv = ["tensor-dump", draw(st.sampled_from(_FUZZ_FIELDS))]
+    argv += ["--model", draw(st.sampled_from(CATALOG_NAMES + ("schwarzschild",)))]
+    argv += draw(st.sampled_from([["--n", str(n)], ["--n", str(n)], []]))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        key, value = draw(st.sampled_from(_FUZZ_PARAMS)), draw(st.sampled_from(_FUZZ_VALUES))
+        argv += ["--param", draw(st.sampled_from([f"{key}={value}", key]))]
+    items = draw(
+        st.one_of(
+            st.lists(st.sampled_from(_FUZZ_FINITE), min_size=n, max_size=n),
+            st.lists(st.sampled_from(_FUZZ_COORDINATES), max_size=9),
+        )
+    )
+    point = ",".join(items)
+    # After "--point", a value that starts with "-" reads as an option.
+    return argv + draw(st.sampled_from([["--point", point], [f"--point={point}"]]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_dump_argv())
+def test_tensor_dump_prints_one_json_object_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+        warnings.catch_warnings(record=True) as caught,
+    ):
+        warnings.simplefilter("always")
+        code = main(argv)
+    # A numpy warning would be one more stderr line.
+    assert caught == []
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().endswith("}\n")
+        assert isinstance(json.loads(out.getvalue()), dict)
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def load_config_from_dict(data):

@@ -7,6 +7,7 @@ from weylgeom import builtin_model, sample_points
 from weylgeom.curvature import christoffel_from_jets, riemann_ricci_scalar
 from weylgeom.models import (
     CATALOG_NAMES,
+    MetricModel,
     compile_expression,
     default_model_specs,
     evaluate_metric_jets,
@@ -163,6 +164,58 @@ def test_metric_jets_do_not_depend_on_an_earlier_call():
     fresh = builtin_model("twisted_generic", 6).metric_jets(chunk_b)
     for order in ("value", "d1", "d2", "d3"):
         assert np.array_equal(getattr(after_a, order), getattr(fresh, order))
+
+
+def _mixed_constant_model() -> MetricModel:
+    """A metric whose entries mix order-3 constants with the coordinate jets."""
+
+    def entries(xj):
+        n = len(xj)
+        two, half = jets.constant(2.0, n), jets.constant(0.5, n)
+        return {
+            (0, 0): jets.constant(-1.0, n),
+            (0, 1): half * jets.cos(xj[2]) * 0.1,
+            (1, 1): two + half * xj[1] * xj[0],
+            (2, 2): jets.exp(half * xj[2]) / two,
+            (3, 3): two - jets.sin(xj[3]) * half,
+        }
+
+    return MetricModel(
+        name="mixed_constants",
+        n=4,
+        parameters={},
+        expected_class="non_twisted",
+        entries=entries,
+        bounds=((0.1, 2.0),) + ((-1.2, 1.2),) * 3,
+        description="order-3 constants combined with coordinate jets",
+    )
+
+
+def _order_cases() -> list[MetricModel]:
+    models = [builtin_model(name, n, params) for name, n, params in default_model_specs()]
+    models += [builtin_model("twisted_generic", 7), builtin_model("non_twisted_perturbed", 6)]
+    # Over most of the interval 0.5*x1 + 2 lies in the second quadrant, where
+    # a cubic term added to the lower monomials of sin would turn its -0.0
+    # partials (in t, x2, x3, x4) into 0.0.
+    g_diag = [
+        "-1",
+        "sin(0.5*x1 + 2)",
+        "(2 + log(3 + t*x2))/(1.5 + cos(x3))",
+        "pow(1 + t*t, 1.5) + x1**2",
+        "(1 + 0.1*x4)**-2*exp(-t) + cos(-x2)**2/(2 + x3)",
+    ]
+    models.append(builtin_model("custom_diagonal", 5, {"g_diag": g_diag}))
+    return models + [_mixed_constant_model()]
+
+
+@pytest.mark.parametrize("model", _order_cases(), ids=lambda model: model.label)
+def test_order_two_jets_are_the_order_three_jets_without_d3(model):
+    points = sample_points(model, 40, 5)
+    for at in (points, points[7]):
+        third, second = model.metric_jets(at), model.metric_jets(at, order=2)
+        assert second.d3 is None and third.d3.shape == third.d2.shape[:-2] + (model.n,) * 3
+        for order in ("value", "d1", "d2"):
+            assert getattr(second, order).tobytes() == getattr(third, order).tobytes(), order
 
 
 def test_grw_requires_five_dimensions():
