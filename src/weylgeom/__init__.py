@@ -12,14 +12,7 @@ __version__ = "0.1.0"
 from .jets import Jet3, constant, variables
 from .models import ChartPoint, MetricModel, builtin_model, sample_points
 from .curvature import CurvatureBundle, build_bundle, covariant_derivative
-from .tensors import (
-    TensorValue,
-    contract,
-    generalized_curvature_check,
-    kulkarni_nomizu,
-    norm_squared,
-    raise_lower,
-)
+from .tensors import generalized_curvature_check, kulkarni_nomizu, norm_squared
 from .identities import IdentityReport, run_model_suite
 
 __all__ = [
@@ -34,9 +27,6 @@ __all__ = [
     "CurvatureBundle",
     "build_bundle",
     "covariant_derivative",
-    "TensorValue",
-    "contract",
-    "raise_lower",
     "kulkarni_nomizu",
     "generalized_curvature_check",
     "norm_squared",

@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import numbers
 import os
 import reprlib
 import sys
-from dataclasses import dataclass, field as dataclass_field, fields
+from dataclasses import dataclass, field as dataclass_field, fields, replace
 from typing import Iterator
 
 import numpy as np
@@ -34,7 +35,8 @@ from .identities import (
     report_ok,
     run_model_suite,
 )
-from .models import CATALOG_NAMES, MetricModel, builtin_model, default_model_specs, sample_points
+from .models import CATALOG_NAMES, MetricModel, builtin_model, check_dimension, default_model_specs
+from .models import is_finite_real, model_dimensions, sample_points
 
 __all__ = [
     "RunConfig",
@@ -61,15 +63,12 @@ CHUNK_ELEMENTS = 2**17
 # the run time, about 2 ms a point at n = 7.
 MAX_POINTS = 10_000
 
-_CONFIG_KEYS = {"models", "points", "seed", "tolerances", "output_format", "output_path"}
 _MODEL_KEYS = {"name", "n", "parameters", "label"}
 _FORMATS = ("text", "structured")
 
 # Bundle fields that tensor-dump may print (every field but the chart
-# points, the dimension and ∂Γ), plus short aliases.
-_DUMP_FIELDS = tuple(
-    f.name for f in fields(CurvatureBundle) if f.name not in ("points", "n", "d_christoffel")
-)
+# points and the dimension), plus short aliases.
+_DUMP_FIELDS = tuple(f.name for f in fields(CurvatureBundle) if f.name not in ("points", "n"))
 _FIELD_ALIASES = {
     "phi": "hubble_rate",
     "E": "electric",
@@ -103,19 +102,16 @@ def default_config() -> RunConfig:
     return RunConfig(models=models)
 
 
-def _check_int(value, name: str, low: int, high: int | None = None) -> None:
-    """Reject anything but an integer in [low, high] (JSON booleans included)."""
-    is_int = isinstance(value, int) and not isinstance(value, bool)
-    if not is_int or value < low or (high is not None and value > high):
-        bounds = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{name} must be an integer {bounds}, got {reprlib.repr(value)}")
+def _check_int(value, name: str, low: int) -> None:
+    """Reject anything but an integer >= low (JSON booleans included)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {reprlib.repr(value)}")
 
 
 def _check_tolerance(identity_id: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"tolerance for {identity_id} must be a number, got {reprlib.repr(value)}")
-    # False for NaN too, and exact for an integer too large for a float.
-    if not 0 < value <= sys.float_info.max:
+    if not (is_finite_real(value) and value > 0):
         raise ValueError(
             f"tolerance for {identity_id} must be finite and positive, got {reprlib.repr(value)}"
         )
@@ -152,7 +148,7 @@ def _validate_config(config: RunConfig) -> RunConfig:
         if not isinstance(entry["name"], str):
             raise ValueError(f"model-entry 'name' must be a string, got {entry['name']!r}")
         if entry.get("n") is not None:
-            _check_int(entry["n"], "model dimension n", 4, 7)
+            check_dimension(entry["n"], what="model dimension n")
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise ValueError(f"model-entry 'label' must be a string, got {label!r}")
@@ -176,29 +172,20 @@ def _parse_int(text: str) -> int:
 def load_config(path: str) -> RunConfig:
     """Read and validate a JSON run config; unknown fields are rejected.
 
-    A file that is not JSON, or holds an unreadable integer, is an error
-    that names the file.
+    A file that is not JSON, or holds an unreadable integer or nesting too
+    deep to read, is an error that names the file.
     """
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle, parse_int=_parse_int)
-        except ValueError as err:
+        except (ValueError, RecursionError) as err:
             raise ValueError(f"{path}: {err}") from None
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    base = default_config()
-    config = RunConfig(
-        models=data.get("models", base.models),
-        points=data.get("points", base.points),
-        seed=data.get("seed", base.seed),
-        tolerances=data.get("tolerances", {}),
-        output_format=data.get("output_format", base.output_format),
-        output_path=data.get("output_path"),
-    )
-    return _validate_config(config)
+    return _validate_config(replace(default_config(), **data))
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +376,19 @@ def _parse_tolerance_flags(pairs: list[str]) -> dict:
 
 
 def _parse_param_flags(pairs: list[str]) -> dict:
+    """``--param KEY=VALUE`` flags as model parameters: each ``VALUE`` is read as
+    in a config's ``parameters`` (JSON), or as a bare string if it is not JSON."""
     out = {}
     for item in pairs:
         if "=" not in item:
             raise ValueError(f"--param expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         try:
-            out[key.strip()] = float(value)
-        except ValueError:
+            out[key.strip()] = json.loads(value, parse_int=_parse_int)
+        except json.JSONDecodeError:
             out[key.strip()] = value
+        except RecursionError as err:
+            raise ValueError(f"--param {key.strip()}: {err}") from None
     return out
 
 
@@ -536,19 +527,15 @@ def _json_separators(shape: tuple, depth: int) -> tuple:
 def cmd_models_list(args: argparse.Namespace) -> int:
     lines = []
     for name in CATALOG_NAMES:
+        dims = f"n={model_dimensions(name)}"
         if name == "custom_diagonal":
-            lines.append(f"{name}  [class declared by config]  n=4..7")
+            lines.append(f"{name}  [class declared by config]  {dims}")
             lines.append(
                 "    user-defined diagonal metric from the expression grammar "
-                "(config-only; entries over t, x1.., exp/log/sin/cos/pow)"
+                "(entries over t, x1.., exp/log/sin/cos/pow)"
             )
             continue
         model = builtin_model(name)
-        dims = (
-            "n=5"
-            if name == "grw_product_spheres"
-            else ("n=4" if name == "twisted_n4" else "n=4..7")
-        )
         lines.append(f"{name}  [{model.expected_class}]  {dims}")
         lines.append(f"    {model.description}")
         if model.parameters:

@@ -57,6 +57,7 @@ __all__ = [
     "weyl",
     "covariant_derivative",
     "weyl_remainder_tensor",
+    "remainder_weights",
     "build_bundle",
 ]
 
@@ -282,22 +283,25 @@ def covariant_derivative(
     return nabla
 
 
+def remainder_weights(n: int) -> tuple[float, float]:
+    """The weights (n-2)/(n-3) of ``(u⊗u) ∧ E`` and 1/(n-3) of ``g ∧ E`` in
+    the electric-part reconstruction of the Weyl tensor."""
+    return (n - 2.0) / (n - 3.0), 1.0 / (n - 3.0)
+
+
 def weyl_remainder_tensor(
     g: np.ndarray, u_down: np.ndarray, weyl_c: np.ndarray, electric: np.ndarray, n: int
 ) -> np.ndarray:
     """Weyl tensor minus its electric-part reconstruction.
 
     Subtracts the Kulkarni-Nomizu products of the electric tensor with
-    ``u⊗u`` (weight (n-2)/(n-3)) and with the metric (weight 1/(n-3)) from
+    ``u⊗u`` and with the metric, weighted by :func:`remainder_weights`, from
     the Weyl tensor.  The result is a totally traceless generalized curvature
     tensor annihilated by u; it vanishes identically in n = 4.
     """
     uu = u_down[..., :, None] * u_down[..., None, :]
-    return (
-        weyl_c
-        - ((n - 2.0) / (n - 3.0)) * kulkarni_nomizu(uu, electric)
-        - (1.0 / (n - 3.0)) * kulkarni_nomizu(g, electric)
-    )
+    k_uu, k_g = remainder_weights(n)
+    return weyl_c - k_uu * kulkarni_nomizu(uu, electric) - k_g * kulkarni_nomizu(g, electric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,11 +313,10 @@ class CurvatureBundle:
     the point axis, of length P (the chunk size); row ``k`` belongs to the
     chart point ``points[k]``.  The remaining axes are tensor slots in the
     order of the field's name, covariant or contravariant as listed in
-    :data:`FIELD_VARIANCE`; scalar fields have shape ``(P,)``.  Coordinate
-    derivatives put the derivative index first after the point axis
-    (``d_christoffel[k, p, a, b, c] = ∂_p Γ^a_bc``), and covariant
-    derivatives put the new covariant slot there
-    (``nabla_weyl[k, p, j, l, m, s] = ∇_p C_jlms``).
+    :data:`FIELD_VARIANCE`; scalar fields have shape ``(P,)``.  Derivatives
+    put the derivative index first after the point axis: the coordinate
+    derivative ``d_hubble_rate[k, p] = ∂_p φ``, and the new covariant slot of
+    ``nabla_weyl[k, p, j, l, m, s] = ∇_p C_jlms``.
 
     Chunks: the command-line runner builds a model's bundles a chunk of
     points at a time, with ``P = max(1, CHUNK_ELEMENTS // n**5)`` (see
@@ -329,7 +332,6 @@ class CurvatureBundle:
     g: np.ndarray
     g_inv: np.ndarray
     christoffel: np.ndarray
-    d_christoffel: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
     scalar_curvature: np.ndarray
@@ -410,7 +412,6 @@ def _stages(model: MetricModel, coords: np.ndarray, order: int) -> Iterator[dict
         g=mj.value,
         g_inv=conn.g_inv,
         christoffel=gamma,
-        d_christoffel=conn.d_gamma,
         u_down=u_down,
         u_up=u_up,
         nabla_u_down=nabla_u_down,

@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .curvature import CurvatureBundle
+from .curvature import CurvatureBundle, remainder_weights
 from .models import TORSE_CLASSES, MetricModel
 from .tensors import generalized_curvature_check, kulkarni_nomizu, max_abs, norm_squared, raise_all
 
@@ -247,7 +247,7 @@ class _Chunk:
         duu = _outer(acc, u) + _outer(u, acc)
         d_kn_uu = kulkarni_nomizu(duu, e) + kulkarni_nomizu(uu, de)
         d_kn_g = kulkarni_nomizu(b.g, de)
-        k_uu, k_g = (n - 2.0) / (n - 3.0), 1.0 / (n - 3.0)
+        k_uu, k_g = remainder_weights(n)
         transport = self.weyl_along_u - k_uu * d_kn_uu - k_g * d_kn_g
 
         two_phi = _slots(2.0 * b.hubble_rate, 4)

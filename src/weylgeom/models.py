@@ -49,6 +49,9 @@ __all__ = [
     "CATALOG_NAMES",
     "MODEL_CLASSES",
     "default_model_specs",
+    "check_dimension",
+    "model_dimensions",
+    "is_finite_real",
 ]
 
 # A chart point is a plain 1-D float array, x^0 = t first; P points stack
@@ -340,29 +343,45 @@ _SPATIAL_BOUNDS = (-1.2, 1.2)
 _ANGLE_BOUNDS = (0.3, math.pi - 0.3)
 
 
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, of finite magnitude.
+    The comparison is False for NaN too, and exact for an integer too large
+    for a float."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
+
+
 def _number(params: dict, key: str, default: float) -> float:
     """The finite real parameter ``key``, or ``default`` when it is absent.
 
     Booleans, strings and non-finite values are rejected, not converted.
     """
     value = params.get(key, default)
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    # False for NaN too, and exact for an integer too large for a float.
-    if not (real and abs(value) <= sys.float_info.max):
+    if not is_finite_real(value):
         raise ValueError(f"parameter {key!r} must be a finite number, got {reprlib.repr(value)}")
     return float(value)
 
 
-def _check_n(n: int) -> int:
-    n = int(n)
-    if not 4 <= n <= 7:
-        raise ValueError(f"dimension n must be in 4..7, got {reprlib.repr(n)}")
-    return n
+# The dimensions the catalog builds: the paper's statements hold for n > 3.
+DIMENSIONS = range(4, 8)
 
 
-def _minkowski(n: int | None, params: dict) -> MetricModel:
-    n = _check_n(4 if n is None else n)
+def _span(dimensions: range) -> str:
+    """``4..7`` for a range of dimensions, ``5`` for a single one."""
+    return f"{dimensions[0]}..{dimensions[-1]}" if len(dimensions) > 1 else str(dimensions[0])
 
+
+def check_dimension(n, dimensions: range = DIMENSIONS, what: str = "dimension n") -> int:
+    """``n`` as an ``int`` when it is an integer (not a bool) in ``dimensions``;
+    anything else, a float such as 5.0 or a string such as ``"5"`` included,
+    is a ``ValueError`` naming ``what``."""
+    if isinstance(n, numbers.Integral) and not isinstance(n, bool) and int(n) in dimensions:
+        return int(n)
+    bound = f"an integer in {_span(dimensions)}" if len(dimensions) > 1 else _span(dimensions)
+    raise ValueError(f"{what} must be {bound}, got {reprlib.repr(n)}")
+
+
+def _minkowski(n: int, params: dict) -> MetricModel:
     def entries(xj: Sequence[Jet3]) -> dict:
         minus_one, one = jets.constant(-1.0, n), jets.constant(1.0, n)
         return {(0, 0): minus_one, **{(mu, mu): one for mu in range(1, n)}}
@@ -381,8 +400,7 @@ def _minkowski(n: int | None, params: dict) -> MetricModel:
 _RW_SCALE_CHOICES = ("exp", "power", "one_plus_t2")
 
 
-def _rw_flat(n: int | None, params: dict) -> MetricModel:
-    n = _check_n(4 if n is None else n)
+def _rw_flat(n: int, params: dict) -> MetricModel:
     choice = params.get("f", "exp")
     if choice not in _RW_SCALE_CHOICES:
         raise ValueError(f"rw_flat scale choice must be one of {_RW_SCALE_CHOICES}")
@@ -413,10 +431,7 @@ def _rw_flat(n: int | None, params: dict) -> MetricModel:
     )
 
 
-def _grw_product_spheres(n: int | None, params: dict) -> MetricModel:
-    n = 5 if n is None else int(n)
-    if n != 5:
-        raise ValueError("grw_product_spheres is a five-dimensional model (n=5)")
+def _grw_product_spheres(n: int, params: dict) -> MetricModel:
     r1 = _number(params, "r1", 1.0)
     r2 = _number(params, "r2", 1.0)
     h = _number(params, "H", 0.3)
@@ -427,7 +442,7 @@ def _grw_product_spheres(n: int | None, params: dict) -> MetricModel:
         f_sq = jets.exp((2.0 * h) * xj[0])
         g11, g33 = r1 * r1 * f_sq, r2 * r2 * f_sq
         return {
-            (0, 0): jets.constant(-1.0, 5),
+            (0, 0): jets.constant(-1.0, n),
             (1, 1): g11,
             (2, 2): g11 * jets.power(jets.sin(xj[1]), 2),
             (3, 3): g33,
@@ -436,7 +451,7 @@ def _grw_product_spheres(n: int | None, params: dict) -> MetricModel:
 
     return MetricModel(
         name="grw_product_spheres",
-        n=5,
+        n=n,
         parameters={"r1": r1, "r2": r2, "H": h},
         expected_class="grw",
         entries=entries,
@@ -464,8 +479,7 @@ def _twisted_entries(n: int, alpha: float, beta: float, eps: float) -> MetricFn:
     return entries
 
 
-def _twisted_generic(n: int | None, params: dict) -> MetricModel:
-    n = _check_n(5 if n is None else n)
+def _twisted_generic(n: int, params: dict) -> MetricModel:
     alpha = _number(params, "alpha", 0.2)
     beta = _number(params, "beta", 0.1)
     eps = _number(params, "eps", 0.05)
@@ -486,18 +500,15 @@ def _twisted_generic(n: int | None, params: dict) -> MetricModel:
     )
 
 
-def _twisted_n4(n: int | None, params: dict) -> MetricModel:
-    if n not in (None, 4):
-        raise ValueError("twisted_n4 is the four-dimensional member of the twisted family")
+def _twisted_n4(n: int, params: dict) -> MetricModel:
     return replace(
-        _twisted_generic(4, params),
+        _twisted_generic(n, params),
         name="twisted_n4",
         description="four-dimensional member of the twisted family",
     )
 
 
-def _non_twisted_perturbed(n: int | None, params: dict) -> MetricModel:
-    n = _check_n(4 if n is None else n)
+def _non_twisted_perturbed(n: int, params: dict) -> MetricModel:
     delta = _number(params, "delta", 0.1)
     alpha = _number(params, "alpha", 0.2)
     beta = _number(params, "beta", 0.1)
@@ -527,10 +538,7 @@ def _non_twisted_perturbed(n: int | None, params: dict) -> MetricModel:
     )
 
 
-def _custom_diagonal(n: int | None, params: dict) -> MetricModel:
-    if n is None:
-        raise ValueError("custom_diagonal requires an explicit dimension n")
-    n = _check_n(n)
+def _custom_diagonal(n: int, params: dict) -> MetricModel:
     exprs = params.get("g_diag")
     if not isinstance(exprs, (list, tuple)) or len(exprs) != n:
         raise ValueError("custom_diagonal needs a list 'g_diag' of n expression strings")
@@ -563,30 +571,42 @@ def _custom_diagonal(n: int | None, params: dict) -> MetricModel:
     )
 
 
-_BUILDERS: dict[str, Callable[[int | None, dict], MetricModel]] = {
-    "minkowski": _minkowski,
-    "rw_flat": _rw_flat,
-    "grw_product_spheres": _grw_product_spheres,
-    "twisted_generic": _twisted_generic,
-    "twisted_n4": _twisted_n4,
-    "non_twisted_perturbed": _non_twisted_perturbed,
-    "custom_diagonal": _custom_diagonal,
+# Each catalog entry: its builder, the dimension it builds when none is
+# given (None: the entry must name one) and the dimensions it can build.
+_BUILDERS: dict[str, tuple[Callable[[int, dict], MetricModel], int | None, range]] = {
+    "minkowski": (_minkowski, 4, DIMENSIONS),
+    "rw_flat": (_rw_flat, 4, DIMENSIONS),
+    "grw_product_spheres": (_grw_product_spheres, 5, range(5, 6)),
+    "twisted_generic": (_twisted_generic, 5, DIMENSIONS),
+    "twisted_n4": (_twisted_n4, 4, range(4, 5)),
+    "non_twisted_perturbed": (_non_twisted_perturbed, 4, DIMENSIONS),
+    "custom_diagonal": (_custom_diagonal, None, DIMENSIONS),
 }
 
 CATALOG_NAMES = tuple(_BUILDERS)
 
 
+def model_dimensions(name: str) -> str:
+    """The dimensions the catalog model ``name`` builds: ``4..7`` or ``5``."""
+    return _span(_BUILDERS[name][2])
+
+
 def builtin_model(name: str, n: int | None = None, parameters: dict | None = None) -> MetricModel:
     """Instantiate a catalog model by name.
 
-    Raises ``ValueError`` for unknown names, invalid parameters, or parameter
+    Raises ``ValueError`` for unknown names, a dimension the model does not
+    build (see :func:`check_dimension`), invalid parameters, or parameter
     keys the model does not read (each builder records the keys it reads in
     the model's ``parameters``).
     """
     if name not in _BUILDERS:
         raise ValueError(f"unknown model {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
+    build, default_n, dimensions = _BUILDERS[name]
+    if n is None and default_n is None:
+        raise ValueError(f"{name} requires an explicit dimension n")
+    n = check_dimension(default_n if n is None else n, dimensions, f"{name} dimension n")
     params = dict(parameters or {})
-    model = _BUILDERS[name](n, params)
+    model = build(n, params)
     unread = sorted(set(params) - set(model.parameters))
     if unread:
         raise ValueError(

@@ -320,8 +320,9 @@ def test_tensor_dump_unknown_field_exits_two(capsys):
         (["verify", "--format", "xml"], "error: argument --format: invalid choice: 'xml'"),
         (["tensor-dump", "C", "--model", "rw_flat"], "error: the following arguments are required: --point"),
         (["frobnicate"], "error: argument command: invalid choice: 'frobnicate'"),
+        (["tensor-dump", "C", "--model", "rw_flat", "--n", "5.0", "--point", "1,0,0,0"], "error: argument --n: "),
     ],
-    ids=["points", "seed", "n", "format", "missing-point", "subcommand"],
+    ids=["points", "seed", "n", "format", "missing-point", "subcommand", "n-float"],
 )
 def test_usage_error_is_one_line(capsys, argv, line):
     assert main(argv) == 2
@@ -334,18 +335,33 @@ def test_help_still_prints_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: weylgeom verify")
 
 
+# A user-defined twisted metric: f² = exp(0.4 t) over a curved diagonal fiber.
+_CUSTOM_ENTRY = {
+    "name": "custom_diagonal",
+    "n": 5,
+    "parameters": {
+        "g_diag": ["-1"] + [f"exp(0.4*t)*(1 + 0.1*cos(x{1 + mu % 4}))" for mu in range(1, 5)],
+        "expected_class": "twisted",
+    },
+}
+
+
 def _dump_cases():
     models = [builtin_model(name, n, params) for name, n, params in default_model_specs()]
-    return models + [builtin_model("twisted_generic", 7)]
+    [(_, custom)] = cli._labelled_models([_CUSTOM_ENTRY])
+    return models + [builtin_model("twisted_generic", 7), custom]
 
 
 @pytest.mark.parametrize("model", _dump_cases(), ids=lambda model: model.label)
 def test_tensor_dump_text_equals_json_dumps(capsys, model):
+    """Every field a dump prints equals json.dumps of the bundle of the same
+    model, built from a config entry for the custom metric; each parameter
+    is passed as ``--param KEY=`` its JSON text."""
     point = sample_points(model, 1, 3)[0]
     bundle = build_bundle(model, point[None])
     argv = ["--model", model.name, "--n", str(model.n), "--point", ",".join(map(repr, point.tolist()))]
     for name, value in model.parameters.items():
-        argv += ["--param", f"{name}={value}"]
+        argv += ["--param", f"{name}={json.dumps(value)}"]
     for field_name in cli._DUMP_FIELDS:
         assert main(["tensor-dump", field_name, *argv]) == 0
         value = getattr(bundle, field_name)[0]
@@ -757,6 +773,12 @@ def _long_sum_config(terms):
             id="integer-of-5001-digits",
         ),
         pytest.param('{"points": 3,', "bad.json: Expecting property name", id="not-json"),
+        pytest.param('{"models": ' + "[" * 100_000 + "}", "bad.json: maximum recursion depth", id="nested-too-deep"),
+        # The dimensions builtin_model rejects: not integers, or outside 4..7.
+        *[
+            ({"models": [{"name": "rw_flat", "n": n}]}, f"model dimension n must be an integer in 4..7, got {n!r}")
+            for n in (4.7, "5", True, 5.0, 3, 8)
+        ],
     ],
 )
 def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, config, message):
@@ -832,9 +854,32 @@ def test_tensor_dump_rejects_bad_parameter(capsys, param, message):
     assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("value", [".5", "5.", "+0.5", "0.5x"])
+def test_a_param_value_that_is_not_json_is_a_string(capsys, value):
+    argv = ["tensor-dump", "phi", "--model", "rw_flat", "--param", f"H={value}", "--point", "1.0,0.2,0.4,0.1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: parameter 'H' must be a finite number, got {value!r}\n"
+
+
+def test_a_param_value_reads_as_in_a_config(capsys):
+    dump = ["tensor-dump", "phi", "--model", "rw_flat", "--point", "1.0,0.2,0.4,0.1"]
+    assert main(dump + ["--param", 'f="power"', "--param", "k=2"]) == 0
+    # f = t^k at t = 1: φ = k / t = 2.
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(2.0, abs=1e-12)
+    assert main(dump + ["--param", "H=true"]) == 2
+    assert capsys.readouterr().err == "error: parameter 'H' must be a finite number, got True\n"
+    assert main(dump + ["--param", "H=1" + "0" * 5000]) == 2
+    assert capsys.readouterr().err == "error: an integer of 5001 digits is too long to read\n"
+    assert main(dump + ["--param", "H=" + "[" * 100_000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --param H: maximum recursion depth") and err.count("\n") == 1
+
+
 _FUZZ_FIELDS = cli._DUMP_FIELDS + tuple(cli._FIELD_ALIASES) + ("", "Weyl", "points", "n", "d_christoffel")
 _FUZZ_PARAMS = ("alpha", "beta", "eps", "H", "f", "k", "delta", "r1", "g_diag", "junk", "")
-_FUZZ_VALUES = ("0.1", "-0.5", "0.95", "0", "nan", "-inf", "1e400", "10**400", "abc", "", "power", "[1, 2]")
+_FUZZ_VALUES = ("0.1", "-0.5", "0.95", "0", "nan", "-inf", "1e400", "10**400", "abc", "", "power", "[1, 2]") + (
+    '"power"', "true", ".5", "null", '{"a": 1}', '["-1", "exp(t)", "exp(t)", "exp(t)"]'
+)
 _FUZZ_FINITE = ("0.5", "0.3", "1.1", "-0.4", "2", "0.05", "1e-3")
 _FUZZ_COORDINATES = _FUZZ_FINITE + ("", " ", "nan", "inf", "-inf", "1e400", "1e300", "1e-300", "abc")
 
@@ -844,8 +889,8 @@ def _dump_argv(draw):
     """tensor-dump argv: every field name and alias, and junk names; --n
     3..8; --point lists of finite numbers of the right length (half the
     draws, so that some dumps succeed), or of any length with empty,
-    non-finite and overflowing items; --param values that are junk or out
-    of range."""
+    non-finite and overflowing items; --param values that are junk, out
+    of range or JSON of any type."""
     n = draw(st.integers(3, 8))
     argv = ["tensor-dump", draw(st.sampled_from(_FUZZ_FIELDS))]
     argv += ["--model", draw(st.sampled_from(CATALOG_NAMES + ("schwarzschild",)))]

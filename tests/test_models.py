@@ -11,6 +11,7 @@ from weylgeom.models import (
     compile_expression,
     default_model_specs,
     evaluate_metric_jets,
+    model_dimensions,
 )
 from weylgeom import jets
 
@@ -219,7 +220,7 @@ def test_order_two_jets_are_the_order_three_jets_without_d3(model):
 
 
 def test_grw_requires_five_dimensions():
-    with pytest.raises(ValueError, match="five-dimensional"):
+    with pytest.raises(ValueError, match="grw_product_spheres dimension n must be 5, got 6"):
         builtin_model("grw_product_spheres", 6)
     with pytest.raises(ValueError, match="radii"):
         builtin_model("grw_product_spheres", 5, {"r1": -1.0})
@@ -227,7 +228,7 @@ def test_grw_requires_five_dimensions():
 
 def test_twisted_n4_pins_dimension():
     assert builtin_model("twisted_n4").n == 4
-    with pytest.raises(ValueError, match="four-dimensional"):
+    with pytest.raises(ValueError, match="twisted_n4 dimension n must be 4, got 5"):
         builtin_model("twisted_n4", 5)
 
 
@@ -236,6 +237,33 @@ def test_dimension_range_enforced():
         builtin_model("twisted_generic", 3)
     with pytest.raises(ValueError, match="4..7"):
         builtin_model("minkowski", 8)
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("rw_flat", 4.7), ("rw_flat", "5"), ("rw_flat", True), ("rw_flat", 5.0), ("grw_product_spheres", 5.9)],
+)
+def test_a_dimension_that_is_not_an_integer_is_rejected(name, n):
+    with pytest.raises(ValueError, match=f"{name} dimension n must be"):
+        builtin_model(name, n)
+
+
+def test_a_numpy_integer_dimension_builds_the_model():
+    model = builtin_model("rw_flat", np.int64(5))
+    assert model.n == 5 and type(model.n) is int and model.label == "rw_flat_n5"
+
+
+def test_each_model_builds_exactly_the_dimensions_it_lists():
+    for name in CATALOG_NAMES:
+        first, _, last = model_dimensions(name).partition("..")
+        listed = range(int(first), int(last or first) + 1)
+        for n in range(2, 10):
+            params = {"g_diag": ["-1"] + ["1"] * (n - 1)} if name == "custom_diagonal" else {}
+            if n in listed:
+                assert builtin_model(name, n, params).n == n
+            else:
+                with pytest.raises(ValueError, match=f"{name} dimension n must be"):
+                    builtin_model(name, n, params)
 
 
 # -- expression grammar -----------------------------------------------------
