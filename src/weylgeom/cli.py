@@ -362,15 +362,26 @@ def render_text(result: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _flag_json(flag: str, key: str, value: str):
+    """The ``VALUE`` of a ``KEY=VALUE`` flag read as JSON, as the same value in a
+    config is; raises ``json.JSONDecodeError`` for text that is not JSON."""
+    try:
+        return json.loads(value, parse_int=_parse_int)
+    except RecursionError as err:
+        raise ValueError(f"{flag} {key}: {err}") from None
+
+
 def _parse_tolerance_flags(pairs: list[str]) -> dict:
+    """``--tolerance ID=VALUE`` flags: each ``VALUE`` is read as JSON, so the
+    numbers a config's ``tolerances`` rejects are rejected here too."""
     out = {}
     for item in pairs:
         if "=" not in item:
             raise ValueError(f"--tolerance expects ID=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         try:
-            out[key.strip()] = float(value)
-        except ValueError:
+            out[key.strip()] = _flag_json("--tolerance", key.strip(), value)
+        except json.JSONDecodeError:
             raise ValueError(f"--tolerance ID=VALUE needs a number for VALUE, got {item!r}") from None
     return out
 
@@ -384,11 +395,9 @@ def _parse_param_flags(pairs: list[str]) -> dict:
             raise ValueError(f"--param expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         try:
-            out[key.strip()] = json.loads(value, parse_int=_parse_int)
+            out[key.strip()] = _flag_json("--param", key.strip(), value)
         except json.JSONDecodeError:
             out[key.strip()] = value
-        except RecursionError as err:
-            raise ValueError(f"--param {key.strip()}: {err}") from None
     return out
 
 

@@ -18,6 +18,11 @@ Conventions (validated by the identity suite during bring-up):
 * Weyl: ``C_jklm = R_jklm - (g_jl R_km - g_jm R_kl + g_km R_jl - g_kl R_jm)/(n-2)
   + R (g_jl g_km - g_jm g_kl)/((n-1)(n-2))`` for n >= 4.
 
+No ∂Riemann array is formed.  Riemann is the (c, d) exchange
+``R_abcd = (B_abcd - B_abdc) / 2`` of a tensor B that one matrix product
+gives (see :func:`riemann_ricci_scalar`); :func:`weyl` adds the metric terms
+to ∂B in ∂B's own layout and takes one exchange to reach ∂C.
+
 The comoving velocity, its covariant derivative, the expansion-type scalar
 ``hubble_rate = (∇_k u^k)/(n-1)``, the electric part of the Weyl tensor and
 the traceless "Weyl remainder" tensor (Weyl minus its electric-part
@@ -33,7 +38,10 @@ reshaped views, with the summed index as the inner dimension and the other
 slots flattened into rows or columns.  The point axes and the derivative
 slots (p, q) are batch axes of ``@``, or join the rows when they belong to
 the factor that is not broadcast.  Index permutations and outer products,
-which sum nothing, stay ``np.einsum`` views and broadcasts.
+which sum nothing, stay ``np.einsum`` views and broadcasts.  A product that
+fills an n**5 array writes it in the layout that the next elementwise step
+reads, so most such steps run over contiguous memory; the (c, d) exchanges
+and the permuted views of ∂³g cannot.
 """
 
 from __future__ import annotations
@@ -82,10 +90,16 @@ class Connection:
 @dataclass(frozen=True, eq=False)
 class Curvature:
     """Covariant Riemann tensor, Ricci tensor and scalar, with ∂ data
-    (derivative index first after the point axes; ``None`` without ∂³g)."""
+    (derivative index first after the point axes; ``None`` without ∂³g).
+
+    The ∂ data of Riemann is ∂B, not ∂Riemann: ``d_b[..., p, b, c, a, d] =
+    ∂_p B_abcd``, in the layout of its matrix product, where ``R_abcd =
+    (B_abcd - B_abdc) / 2`` (see :func:`riemann_ricci_scalar`).  B is not
+    antisymmetric in (a, b).
+    """
 
     riemann: np.ndarray
-    d_riemann: np.ndarray | None
+    d_b: np.ndarray | None
     ricci: np.ndarray
     d_ricci: np.ndarray | None
     scalar: np.ndarray
@@ -95,7 +109,7 @@ class Curvature:
 @dataclass(frozen=True, eq=False)
 class WeylData:
     """Covariant Weyl tensor and its coordinate derivatives (``None``
-    without ∂Riemann)."""
+    without ∂B)."""
 
     weyl: np.ndarray
     d_weyl: np.ndarray | None
@@ -131,9 +145,10 @@ def christoffel_from_jets(mj: MetricJets) -> Connection:
     return Connection(g_inv, d_g_inv, gamma, d_gamma, gamma_low, d_gamma_low)
 
 
-def _exchange_cd(b: np.ndarray) -> np.ndarray:
-    """``(B_abcd - B_abdc) / 2``, C-ordered, from B held as ``b[..., b, c, a, d]``."""
-    out = np.subtract(np.einsum("...bcad->...abcd", b), np.einsum("...bdac->...abcd", b), out=np.empty(b.shape))
+def _exchange_cd(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``(B_abcd - B_abdc) / 2``, C-ordered, from B held as ``b[..., b, c, a, d]``;
+    written into ``out`` (a new array by default), which must not overlap ``b``."""
+    out = np.subtract(np.einsum("...bcad->...abcd", b), np.einsum("...bdac->...abcd", b), out=out)
     return np.multiply(out, 0.5, out=out)
 
 
@@ -194,12 +209,12 @@ def riemann_ricci_scalar(mj: MetricJets, conn: Connection) -> Curvature:
         d_g_inv.reshape(lead + (n, n * n)) @ ricci_col
         + d_ricci.reshape(lead + (n, n * n)) @ g_inv_col
     )[..., 0]
-    return Curvature(_exchange_cd(b), _exchange_cd(d_b), ricci, d_ricci, scalar, d_scalar)
+    return Curvature(_exchange_cd(b), d_b, ricci, d_ricci, scalar, d_scalar)
 
 
 def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
     """Totally traceless part of the Riemann tensor, with its coordinate ∂'s
-    when ``curv`` holds ∂Riemann."""
+    when ``curv`` holds ∂B.  Neither input array is written."""
     n = mj.n
     if n < 4:
         raise ValueError("Weyl undefined for n < 4")
@@ -207,10 +222,10 @@ def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
     # C_jklm = R_jklm - A_jklm, where A is g_jl S_km with l, m and then j, k
     # exchanged, S the Schouten tensor (R_km - R g_km / (2(n-1))) / (n-2).
     # This is the docstring's formula with its two metric terms folded into
-    # one, so ∂C is ∂Riemann less one product-rule pair (slot p first).
-    # Without ∂Riemann the ∂ half is skipped.  With it, value and ∂ steps
-    # interleave in one fixed order, as in riemann_ricci_scalar.
-    third = curv.d_riemann is not None
+    # one: A = g ∧ S, the Kulkarni-Nomizu product.  Without ∂B the ∂ half is
+    # skipped.  With it, value and ∂ steps interleave in one fixed order, as
+    # in riemann_ricci_scalar.
+    third = curv.d_b is not None
     c = 0.5 / (n - 1)
     scalar = curv.scalar[..., None, None]
     schouten = (curv.ricci - c * scalar * g) / (n - 2)
@@ -219,28 +234,44 @@ def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
         d_schouten = curv.d_ricci - c * (d_scalar * g[..., None, :, :] + scalar[..., None] * dg)
         d_schouten /= n - 2
 
-    # The products g_jl S_km and ∂_p(g_jl S_km) are outer products over the
-    # flattened pairs (j, l) and (k, m), so they are held as [..., (p,) j, l, k, m].
+    # The product g_jl S_km is an outer product over the flattened pairs
+    # (j, l) and (k, m), so it is held as [..., j, l, k, m].
     lead, nn = g.shape[:-2], n * n
     product = g.reshape(lead + (nn, 1)) * schouten.reshape(lead + (1, nn))
-    if third:
-        d_product = dg.reshape(lead + (n, nn, 1)) * schouten.reshape(lead + (1, 1, nn))
-        scratch = g.reshape(lead + (1, nn, 1)) * d_schouten.reshape(lead + (n, 1, nn))
-        d_product += scratch
     weyl_c = _minus_exchanged(curv.riemann, product.reshape(lead + (n,) * 4), np.empty(curv.riemann.shape))
     if not third:
         return WeylData(weyl_c, None)
-    d_weyl_c = _minus_exchanged(curv.d_riemann, d_product.reshape(lead + (n,) * 5), scratch.reshape(lead + (n,) * 5))
-    return WeylData(weyl_c, d_weyl_c)
+    # ∂C is formed from ∂B, not from ∂Riemann.  W_abcd = ∂B_abcd
+    # + 2 ∂(g_bc S_ad - g_ac S_bd), held as ∂B is, has (W_abcd - W_abdc) / 2
+    # = ∂R_abcd - ∂(g ∧ S)_abcd = ∂C_abcd: one exchange, as for Riemann.
+    # Each metric term is one matrix product over its two product-rule terms
+    # [∂_p g, g] and [2 S; 2 ∂_p S], written in ∂B's layout [..., p, b, c, a, d]
+    # so that W is summed with every operand contiguous: 2 ∂_p(g_bc S_ad) with
+    # rows (b, c) and columns (a, d), 2 ∂_p(g_ac S_bd) batched over b with
+    # rows (c, a) and columns d.  The exchange goes into the products' buffer.
+    # W, dropped on return, is allocated before that buffer, which is
+    # returned: the other order cost about 4k more minor faults and 4-6%
+    # more time per default verify (where glibc places the arrays).
+    rows = np.stack((dg.reshape(lead + (n, nn)), np.broadcast_to(g.reshape(lead + (1, nn)), lead + (n, nn))), axis=-1)
+    cols = 2.0 * np.stack((np.broadcast_to(schouten.reshape(lead + (1, nn)), lead + (n, nn)), d_schouten.reshape(lead + (n, nn))), axis=-2)
+    w = np.empty(curv.d_b.shape)
+    term = np.matmul(rows, cols).reshape(w.shape)
+    np.add(curv.d_b, term, out=w)
+    by_b = cols.reshape(lead + (n, 2, n, n)).swapaxes(-3, -2)
+    np.matmul(rows[..., None, :, :], by_b, out=term.reshape(lead + (n, n, nn, n)))
+    w -= term
+    return WeylData(weyl_c, _exchange_cd(w, out=term))
 
 
 def _minus_exchanged(r: np.ndarray, jlkm: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``R_jklm - ((A_jklm - A_jkml) - (A_kjlm - A_kjml))`` into ``out``, for A
     held as ``jlkm[..., j, l, k, m]``.  Both ``jlkm`` and ``out`` (C-ordered,
-    the shape of ``r``) are overwritten; ``out`` is returned."""
+    the shape of ``r``) are overwritten; ``out`` is returned.  Once A is read,
+    its buffer holds the exchanged term in C order, so the last two steps
+    run over contiguous (l, m) blocks."""
     a = jlkm.swapaxes(-3, -2)
     b = np.subtract(a, a.swapaxes(-1, -2), out=out)
-    exchanged = np.subtract(b, b.swapaxes(-4, -3), out=a)
+    exchanged = np.subtract(b, b.swapaxes(-4, -3), out=jlkm)
     return np.subtract(r, exchanged, out=out)
 
 
@@ -262,24 +293,27 @@ def covariant_derivative(
     if not variance:
         return d1.copy()
     lead, n = gamma.shape[:-3], gamma.shape[-1]
-    first = len(lead)  # axis of the first tensor slot
-    # Γ as a matrix whose columns contract the slot: rows (p, a) from Γ^z_pa
-    # for a down slot, rows (a, p) from Γ^a_pz for an up slot.
-    down = np.swapaxes(gamma.reshape(lead + (n, n * n)), -1, -2)
-    up = gamma.reshape(lead + (n * n, n))
-    # Each slot's Γ-term is built in one scratch buffer; the first is
-    # combined with d1 into the result, the others in place.
-    scratch = np.empty(lead + (n,) * (len(variance) + 1))
+    rank = len(variance)
+    # For each p, Γ as a matrix [a, z] that contracts the slot: Γ^z_pa for a
+    # down slot, Γ^a_pz for an up slot.
+    down, up = np.moveaxis(gamma, -3, -1), np.swapaxes(gamma, -3, -2)
+    # Each slot's Γ-term is built in one scratch buffer in the layout of the
+    # result, [..., p, pre, a, post] with pre and post the slots before and
+    # after it, so every combine is contiguous; the first is combined with d1
+    # into the result, the others in place.  The term is the matrix product
+    # [a, z] @ [z, post], batched over (p, pre); for the last slot it is taken
+    # transposed, [pre, z] @ [z, a], batched over p only.
+    term = np.empty(lead + (n,) * (rank + 1))
     nabla = np.empty_like(d1)
     for slot, flag in enumerate(variance):
-        moved = np.moveaxis(comp, first + slot, first)
-        cols = moved.reshape(lead + (n, -1))
-        np.matmul(down if flag == DOWN else up, cols, out=scratch.reshape(lead + (n * n, cols.shape[-1])))
-        if flag == DOWN:
-            term, combine = np.moveaxis(scratch, first + 1, first + 1 + slot), np.subtract
+        pre, post = n**slot, n ** (rank - 1 - slot)
+        matrix = down if flag == DOWN else up
+        if post == 1:
+            np.matmul(comp.reshape(lead + (1, pre, n)), np.swapaxes(matrix, -1, -2), out=term.reshape(lead + (n, pre, n)))
         else:
-            term, combine = np.moveaxis(scratch.swapaxes(first, first + 1), first + 1, first + 1 + slot), np.add
-        combine(nabla if slot else d1, term, out=nabla)
+            out = term.reshape(lead + (n, pre, n, post))
+            np.matmul(matrix[..., :, None, :, :], comp.reshape(lead + (1, pre, n, post)), out=out)
+        (np.subtract if flag == DOWN else np.add)(nabla if slot else d1, term, out=nabla)
     return nabla
 
 
@@ -390,7 +424,7 @@ def _stages(model: MetricModel, coords: np.ndarray, order: int) -> Iterator[dict
     Riemann tensor and its traces, the Weyl tensor with E, the Weyl
     remainder, then the covariant derivatives.  The metric jets have the
     given order; at order 2 no ∂ data is formed past ∂Γ, so the derivative
-    stage needs order 3.  Kernel data the next stage needs (∂Γ, ∂R, ∂C, ...)
+    stage needs order 3.  Kernel data the next stage needs (∂Γ, ∂B, ∂C, ...)
     stays in this generator's frame."""
     n = model.n
     mj = model.metric_jets(coords, order=order)
@@ -427,7 +461,7 @@ def _stages(model: MetricModel, coords: np.ndarray, order: int) -> Iterator[dict
     yield dict(riemann=curv.riemann, ricci=curv.ricci, scalar_curvature=curv.scalar)
 
     wd = weyl(mj, curv)
-    del curv  # ∂R is not needed again
+    del curv  # ∂B is not needed again
     # E_kl = u^j C_jklm u^m: u contracted into the last slot, then the first.
     lead = coords.shape[:1]
     electric = u @ (wd.weyl.reshape(lead + (n**3, n)) @ u).reshape(lead + (n, n * n))
@@ -462,7 +496,7 @@ def build_bundle(
     Only the stages up to the last one that ``fields`` (default: every
     field) depends on are run (see :func:`_stages`); the fields of later
     stages are ``None``.  The metric jets are of order 3 when ``fields``
-    names ∇C, div C, ∇E or div E, and of order 2 otherwise, so no ∂R or ∂C
+    names ∇C, div C, ∇E or div E, and of order 2 otherwise, so no ∂B or ∂C
     is formed for the others.  Raises ``ValueError`` for an unknown field
     name, and if any point fails a check in the stages run (non-finite
     coordinates or components of any field built or of the metric jets

@@ -454,10 +454,10 @@ def test_a_dump_runs_only_the_stages_its_field_needs(monkeypatch, capsys, field_
     capsys.readouterr()
     assert sorted(calls) == sorted(kernels)
     # Only the derivative stage reads the 3-jet, and only a dump that reads
-    # it forms ∂Riemann, ∂Ricci, ∂R and ∂C.
+    # it forms ∂B (whose (c, d) exchange is ∂Riemann), ∂Ricci, ∂R and ∂C.
     third = kernels == _DERIVATIVE_STAGE
     assert orders == [3 if third else 2]
-    formed = {"riemann_ricci_scalar": ["d_riemann", "d_ricci", "d_scalar"], "weyl": ["d_weyl"]}
+    formed = {"riemann_ricci_scalar": ["d_b", "d_ricci", "d_scalar"], "weyl": ["d_weyl"]}
     expected = [name for kernel in kernels if kernel in formed for name in formed[kernel]] if third else []
     assert derivatives == expected
 
@@ -708,41 +708,47 @@ def _long_sum_config(terms):
     return {"models": [{"name": "custom_diagonal", "n": 4, "parameters": {"g_diag": g_diag}}], "points": 2}
 
 
+def _case(index, config, message):
+    """A malformed-config case under the id pytest once gave it by position:
+    the ids are pinned, so a case added anywhere renames no other test."""
+    return pytest.param(config, message, id=f"config{index}-{message}")
+
+
 @pytest.mark.parametrize(
     "config, message",
     [
-        ({"models": [{"name": "twisted_generic", "parameters": [1, 2]}]}, "'parameters' must be an object"),
-        ({"models": "twisted_generic"}, "models must be a list"),
-        ({"models": ["twisted_generic"]}, "every model entry must be an object"),
-        ({"models": [{"name": "twisted_generic", "n": [5]}]}, "model dimension n must be an integer"),
-        ({"seed": -1}, "seed must be an integer >= 0"),
-        ({"points": 0}, "points must be an integer >= 1"),
-        ({"tolerances": {"torse_forming": -1e-9}}, "must be finite and positive"),
-        ({"tolerances": {"torse_forming": float("nan")}}, "must be finite and positive"),
-        ({"tolerances": {"torse_forming": "tight"}}, "must be a number"),
-        ({"tolerances": [1e-9]}, "tolerances must be an object"),
-        ({"models": []}, "models must list at least one model entry"),
-        ({"models": [{"name": ["twisted_generic"]}]}, "model-entry 'name' must be a string"),
-        ({"output_path": 1}, "output_path must be a file path string, got 1"),
-        (
+        _case(0, {"models": [{"name": "twisted_generic", "parameters": [1, 2]}]}, "'parameters' must be an object"),
+        _case(1, {"models": "twisted_generic"}, "models must be a list"),
+        _case(2, {"models": ["twisted_generic"]}, "every model entry must be an object"),
+        _case(3, {"models": [{"name": "twisted_generic", "n": [5]}]}, "model dimension n must be an integer"),
+        _case(4, {"seed": -1}, "seed must be an integer >= 0"),
+        _case(5, {"points": 0}, "points must be an integer >= 1"),
+        _case(6, {"tolerances": {"torse_forming": -1e-9}}, "must be finite and positive"),
+        _case(7, {"tolerances": {"torse_forming": float("nan")}}, "must be finite and positive"),
+        _case(8, {"tolerances": {"torse_forming": "tight"}}, "must be a number"),
+        _case(9, {"tolerances": [1e-9]}, "tolerances must be an object"),
+        _case(10, {"models": []}, "models must list at least one model entry"),
+        _case(11, {"models": [{"name": ["twisted_generic"]}]}, "model-entry 'name' must be a string"),
+        _case(12, {"output_path": 1}, "output_path must be a file path string, got 1"),
+        _case(13,
             {"models": [{"name": "minkowski", "label": "a"}, {"name": "rw_flat", "label": 5}]},
             "model-entry 'label' must be a string, got 5",
         ),
-        (
+        _case(14,
             {"models": [{"name": "minkowski", "label": "a"}, {"name": "rw_flat", "label": "a"}]},
             "model labels must be unique; repeated: ['a']",
         ),
-        (
+        _case(15,
             {"models": [{"name": "twisted_generic", "n": 5}, {"name": "minkowski", "label": "twisted_generic_n5"}]},
             "model labels must be unique; repeated: ['twisted_generic_n5']",
         ),
-        ({"models": [{"name": "twisted_generic", "parameters": {"alhpa": 0.5}}]}, "unknown parameters ['alhpa']"),
-        ({"models": [{"name": "rw_flat", "parameters": {"f": "power", "H": 0.3}}]}, "unknown parameters ['H']"),
-        ({"models": [{"name": "twisted_generic", "parameters": {"alpha": float("nan")}}]}, "'alpha' must be a finite number"),
-        ({"models": [{"name": "grw_product_spheres", "parameters": {"H": float("inf")}}]}, "'H' must be a finite number"),
-        ({"models": [{"name": "non_twisted_perturbed", "parameters": {"delta": True}}]}, "'delta' must be a finite number"),
-        ({"models": [{"name": "twisted_generic", "parameters": {"eps": "0.05"}}]}, "'eps' must be a finite number"),
-        (
+        _case(16, {"models": [{"name": "twisted_generic", "parameters": {"alhpa": 0.5}}]}, "unknown parameters ['alhpa']"),
+        _case(17, {"models": [{"name": "rw_flat", "parameters": {"f": "power", "H": 0.3}}]}, "unknown parameters ['H']"),
+        _case(18, {"models": [{"name": "twisted_generic", "parameters": {"alpha": float("nan")}}]}, "'alpha' must be a finite number"),
+        _case(19, {"models": [{"name": "grw_product_spheres", "parameters": {"H": float("inf")}}]}, "'H' must be a finite number"),
+        _case(20, {"models": [{"name": "non_twisted_perturbed", "parameters": {"delta": True}}]}, "'delta' must be a finite number"),
+        _case(21, {"models": [{"name": "twisted_generic", "parameters": {"eps": "0.05"}}]}, "'eps' must be a finite number"),
+        _case(22,
             {
                 "models": [
                     {
@@ -754,17 +760,17 @@ def _long_sum_config(terms):
             },
             "'expected_failures' must be a list of identity ids, got 'torse_forming'",
         ),
-        ({"models": [{"name": "minkowski", "label": ""}]}, "model-entry 'label' must not be empty"),
+        _case(23, {"models": [{"name": "minkowski", "label": ""}]}, "model-entry 'label' must not be empty"),
         # Too deep to compile and evaluate by recursion (5000 terms fail in ast.parse itself).
-        (_long_sum_config(1200), "metric expression '1+1+1+"),
-        (_long_sum_config(5000), "nests deeper than 700 levels"),
+        _case(24, _long_sum_config(1200), "metric expression '1+1+1+"),
+        _case(25, _long_sum_config(5000), "nests deeper than 700 levels"),
         # Integers too large for a float are not finite.
-        ({"tolerances": {"torse_forming": 10**400}}, "must be finite and positive"),
-        ({"models": [{"name": "rw_flat", "parameters": {"f": "exp", "H": 10**400}}]}, "'H' must be a finite number"),
-        ({"models": [{"name": "rw_flat", "parameters": {"f": "power", "k": -(10**400)}}]}, "'k' must be a finite number"),
-        ({"models": [{"name": "grw_product_spheres", "parameters": {"r1": 10**400}}]}, "'r1' must be a finite number"),
+        _case(26, {"tolerances": {"torse_forming": 10**400}}, "must be finite and positive"),
+        _case(27, {"models": [{"name": "rw_flat", "parameters": {"f": "exp", "H": 10**400}}]}, "'H' must be a finite number"),
+        _case(28, {"models": [{"name": "rw_flat", "parameters": {"f": "power", "k": -(10**400)}}]}, "'k' must be a finite number"),
+        _case(29, {"models": [{"name": "grw_product_spheres", "parameters": {"r1": 10**400}}]}, "'r1' must be a finite number"),
         # More points than numpy can allocate; refused before sampling.
-        ({"points": 10**15}, "points must be at most 10000, got 1000000000000000"),
+        _case(30, {"points": 10**15}, "points must be at most 10000, got 1000000000000000"),
         # Config text that json.dumps cannot write: more digits than Python
         # converts to an integer, and text that is not JSON.
         pytest.param(
@@ -776,8 +782,8 @@ def _long_sum_config(terms):
         pytest.param('{"models": ' + "[" * 100_000 + "}", "bad.json: maximum recursion depth", id="nested-too-deep"),
         # The dimensions builtin_model rejects: not integers, or outside 4..7.
         *[
-            ({"models": [{"name": "rw_flat", "n": n}]}, f"model dimension n must be an integer in 4..7, got {n!r}")
-            for n in (4.7, "5", True, 5.0, 3, 8)
+            _case(34 + i, {"models": [{"name": "rw_flat", "n": n}]}, f"model dimension n must be an integer in 4..7, got {n!r}")
+            for i, n in enumerate((4.7, "5", True, 5.0, 3, 8))
         ],
     ],
 )
@@ -841,6 +847,22 @@ def test_malformed_flags_exit_two(capsys, flags):
     assert main(["verify", "--points", "2", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "value, code",
+    [(".5", 2), (" +5e-1", 2), ("1e-9", 0), ("1", 0)],
+    ids=["leading-point", "plus-sign", "float", "integer"],
+)
+def test_a_tolerance_flag_is_read_as_json_like_a_config(capsys, value, code):
+    # ".5" and "+5e-1" are not JSON numbers, so a config cannot hold them.
+    argv = ["verify", "--points", "2", "--model", "minkowski", "--tolerance", f"torse_forming={value}"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"error: --tolerance ID=VALUE needs a number for VALUE, got 'torse_forming={value}'\n"
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ from conftest import fd_tensor_partials
 from weylgeom import build_bundle, builtin_model, sample_points
 from weylgeom import jets
 from weylgeom.curvature import (
+    Curvature,
+    _exchange_cd,
     christoffel_from_jets,
     covariant_derivative,
     riemann_ricci_scalar,
@@ -113,10 +115,10 @@ def test_covariant_derivative_requires_derivative_data():
 def test_second_bianchi_identity(small_bundles):
     model, bundles = small_bundles["twisted_generic_n5"]
     for b in bundles:
-        # The bundle keeps no ∂Riemann; the kernels give it.
+        # The bundle keeps no ∂Riemann; it is formed from the kernel's ∂B.
         mj = model.metric_jets(b.points)
         curv = riemann_ricci_scalar(mj, christoffel_from_jets(mj))
-        nr = covariant_derivative((DOWN,) * 4, curv.riemann, curv.d_riemann, b.christoffel)
+        nr = covariant_derivative((DOWN,) * 4, curv.riemann, _exchange_cd(curv.d_b), b.christoffel)
         cyc = nr + np.einsum("...cabde->...eabcd", nr) + np.einsum("...dabec->...eabcd", nr)
         assert _pointwise_below(cyc, nr, 1e-9)
 
@@ -360,9 +362,10 @@ def _einsum_curvature(mj, g_inv, d_g_inv, gamma, d_gamma, d2_gamma):
     return riemann, d_riemann, ricci, d_ricci, scalar, d_scalar
 
 
-def _einsum_weyl(mj, curv):
-    """C = Riemann - s/(n-2) + R w2/((n-1)(n-2)) and ∂C by the product rule, with
-    s_jklm = g_jl R_km - g_jm R_kl + g_km R_jl - g_kl R_jm, w2_jklm = g_jl g_km - g_jm g_kl."""
+def _einsum_weyl(mj, curv, d_riemann):
+    """C = Riemann - s/(n-2) + R w2/((n-1)(n-2)) and ∂C by the product rule from
+    ``d_riemann``, with s_jklm = g_jl R_km - g_jm R_kl + g_km R_jl - g_kl R_jm,
+    w2_jklm = g_jl g_km - g_jm g_kl."""
     n = mj.n
     g, dg, ric, d_ric = mj.value, mj.d1, curv.ricci, curv.d_ricci
 
@@ -385,7 +388,7 @@ def _einsum_weyl(mj, curv):
     r = curv.scalar[..., None, None, None, None]
     weyl_c = curv.riemann - c1 * s + c2 * r * w2
     d_weyl_c = (
-        curv.d_riemann
+        d_riemann
         - c1 * d_s
         + c2 * (np.einsum("...p,...jklm->...pjklm", curv.d_scalar, w2) + r[..., None] * d_w2)
     )
@@ -426,11 +429,14 @@ def test_kernels_match_einsum_oracle(spec):
 
     # The kernel builds the covariant tensor from first-kind symbols; the
     # oracle takes the second-kind route through ∂∂Γ and lowers the index.
+    # The kernel holds ∂B, whose (c, d) exchange is ∂Riemann.
     curv = riemann_ricci_scalar(mj, conn)
+    d_riemann = _exchange_cd(curv.d_b)
     want = _einsum_curvature(mj, conn.g_inv, conn.d_g_inv, gamma, d_gamma, d2_gamma)
+    got = (curv.riemann, d_riemann, curv.ricci, curv.d_ricci, curv.scalar, curv.d_scalar)
     names = ("riemann", "d_riemann", "ricci", "d_ricci", "scalar", "d_scalar")
-    for field, expected in zip(names, want):
-        assert _oracle_close(getattr(curv, field), expected), field
+    for field, value, expected in zip(names, got, want):
+        assert _oracle_close(value, expected), field
 
     # weyl() folds the two metric terms into one product with the Schouten
     # tensor, another grouping of the sum.  Where C vanishes analytically
@@ -438,8 +444,8 @@ def test_kernels_match_einsum_oracle(spec):
     # Riemann terms, so the bound also scales with M, the point's largest
     # component of Riemann or ∂Riemann.
     wd = weyl(mj, curv)
-    want = _einsum_weyl(mj, curv)
-    m = np.maximum(max_abs(curv.riemann, per_point=True), max_abs(curv.d_riemann, per_point=True))
+    want = _einsum_weyl(mj, curv, d_riemann)
+    m = np.maximum(max_abs(curv.riemann, per_point=True), max_abs(d_riemann, per_point=True))
     assert _oracle_close(wd.weyl, want[0], np.maximum(1.0, m)[:, None, None, None, None])
     assert _oracle_close(wd.d_weyl, want[1], np.maximum(1.0, m)[:, None, None, None, None, None])
 
@@ -453,16 +459,34 @@ def test_kernels_match_einsum_oracle(spec):
         assert _oracle_close(got, want), variance
 
 
+def test_weyl_derivative_keeps_a_first_pair_defect_of_its_input():
+    # ∂C is formed from ∂B without passing through ∂Riemann, so a ∂B whose
+    # first pair is not antisymmetric must give the ∂C, and the first-pair
+    # defect, that ∂Riemann formed from it gives.
+    model = builtin_model("twisted_generic", 5)
+    mj = model.metric_jets(sample_points(model, 3, 2))
+    curv = riemann_ricci_scalar(mj, christoffel_from_jets(mj))
+    d_b = np.random.default_rng(5).uniform(-1.0, 1.0, curv.d_b.shape)
+    synthetic = Curvature(curv.riemann, d_b, curv.ricci, curv.d_ricci, curv.scalar, curv.d_scalar)
+    got = weyl(mj, synthetic).d_weyl
+    want = _einsum_weyl(mj, synthetic, _exchange_cd(d_b))[1]
+    m = np.maximum(1.0, max_abs(d_b, per_point=True))[:, None, None, None, None, None]
+    assert _oracle_close(got, want, m)
+    defect, want_defect = (max_abs(t + t.swapaxes(-4, -3), per_point=True) for t in (got, want))
+    assert np.all(want_defect > 0.1)
+    assert np.all(np.abs(defect - want_defect) <= ORACLE_RTOL * want_defect)
+
+
 def test_weyl_and_covariant_derivative_leave_their_inputs_alone():
     # Both kernels fill scratch buffers in place; none of them may be an input.
     model = builtin_model("twisted_generic", 6)
     mj = model.metric_jets(sample_points(model, 3, 5))
     conn = christoffel_from_jets(mj)
     curv = riemann_ricci_scalar(mj, conn)
-    riemann, d_riemann = curv.riemann.copy(), curv.d_riemann.copy()
+    riemann, d_b = curv.riemann.copy(), curv.d_b.copy()
     wd = weyl(mj, curv)
-    assert np.array_equal(curv.riemann, riemann) and np.array_equal(curv.d_riemann, d_riemann)
-    assert not np.shares_memory(wd.d_weyl, curv.d_riemann)
+    assert np.array_equal(curv.riemann, riemann) and np.array_equal(curv.d_b, d_b)
+    assert not np.shares_memory(wd.d_weyl, curv.d_b)
 
     rng = np.random.default_rng(0)
     for variance in ("", "d", "u", "du", "dddd"):
