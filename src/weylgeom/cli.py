@@ -364,10 +364,13 @@ def render_text(result: dict) -> str:
 
 def _flag_json(flag: str, key: str, value: str):
     """The ``VALUE`` of a ``KEY=VALUE`` flag read as JSON, as the same value in a
-    config is; raises ``json.JSONDecodeError`` for text that is not JSON."""
+    config is; raises ``json.JSONDecodeError`` for text that is not JSON, and a
+    ``ValueError`` that names the flag and key for JSON it cannot read."""
     try:
         return json.loads(value, parse_int=_parse_int)
-    except RecursionError as err:
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as err:
         raise ValueError(f"{flag} {key}: {err}") from None
 
 

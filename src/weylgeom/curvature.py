@@ -16,7 +16,8 @@ Conventions (validated by the identity suite during bring-up):
 * ``R_bd = g^ac R_abcd = R^a_bad``, ``R = g^bd R_bd`` (unit two-sphere blocks
   come out with ``R_θφθφ = sin²θ > 0``);
 * Weyl: ``C_jklm = R_jklm - (g_jl R_km - g_jm R_kl + g_km R_jl - g_kl R_jm)/(n-2)
-  + R (g_jl g_km - g_jm g_kl)/((n-1)(n-2))`` for n >= 4.
+  + R (g_jl g_km - g_jm g_kl)/((n-1)(n-2))`` for n >= 4; :func:`weyl` forms it
+  as ``R + g ∧ S``, S the Schouten tensor, with :func:`.tensors.kulkarni_nomizu`.
 
 No ∂Riemann array is formed.  Riemann is the (c, d) exchange
 ``R_abcd = (B_abcd - B_abdc) / 2`` of a tensor B that one matrix product
@@ -219,12 +220,11 @@ def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
     if n < 4:
         raise ValueError("Weyl undefined for n < 4")
     g, dg = mj.value, mj.d1
-    # C_jklm = R_jklm - A_jklm, where A is g_jl S_km with l, m and then j, k
-    # exchanged, S the Schouten tensor (R_km - R g_km / (2(n-1))) / (n-2).
-    # This is the docstring's formula with its two metric terms folded into
-    # one: A = g ∧ S, the Kulkarni-Nomizu product.  Without ∂B the ∂ half is
-    # skipped.  With it, value and ∂ steps interleave in one fixed order, as
-    # in riemann_ricci_scalar.
+    # C = R + g ∧ S, with S the Schouten tensor (R_km - R g_km / (2(n-1))) / (n-2)
+    # and ∧ the Kulkarni-Nomizu product of tensors.kulkarni_nomizu: the module
+    # docstring's formula with its two metric terms folded into one.  Without
+    # ∂B the ∂ half is skipped.  With it, value and ∂ steps interleave in one
+    # fixed order, as in riemann_ricci_scalar.
     third = curv.d_b is not None
     c = 0.5 / (n - 1)
     scalar = curv.scalar[..., None, None]
@@ -234,11 +234,9 @@ def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
         d_schouten = curv.d_ricci - c * (d_scalar * g[..., None, :, :] + scalar[..., None] * dg)
         d_schouten /= n - 2
 
-    # The product g_jl S_km is an outer product over the flattened pairs
-    # (j, l) and (k, m), so it is held as [..., j, l, k, m].
-    lead, nn = g.shape[:-2], n * n
-    product = g.reshape(lead + (nn, 1)) * schouten.reshape(lead + (1, nn))
-    weyl_c = _minus_exchanged(curv.riemann, product.reshape(lead + (n,) * 4), np.empty(curv.riemann.shape))
+    # kulkarni_nomizu returns a new array, so R is added in place.
+    weyl_c = kulkarni_nomizu(g, schouten)
+    weyl_c += curv.riemann
     if not third:
         return WeylData(weyl_c, None)
     # ∂C is formed from ∂B, not from ∂Riemann.  W_abcd = ∂B_abcd
@@ -252,6 +250,7 @@ def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
     # W, dropped on return, is allocated before that buffer, which is
     # returned: the other order cost about 4k more minor faults and 4-6%
     # more time per default verify (where glibc places the arrays).
+    lead, nn = g.shape[:-2], n * n
     rows = np.stack((dg.reshape(lead + (n, nn)), np.broadcast_to(g.reshape(lead + (1, nn)), lead + (n, nn))), axis=-1)
     cols = 2.0 * np.stack((np.broadcast_to(schouten.reshape(lead + (1, nn)), lead + (n, nn)), d_schouten.reshape(lead + (n, nn))), axis=-2)
     w = np.empty(curv.d_b.shape)
@@ -261,18 +260,6 @@ def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
     np.matmul(rows[..., None, :, :], by_b, out=term.reshape(lead + (n, n, nn, n)))
     w -= term
     return WeylData(weyl_c, _exchange_cd(w, out=term))
-
-
-def _minus_exchanged(r: np.ndarray, jlkm: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``R_jklm - ((A_jklm - A_jkml) - (A_kjlm - A_kjml))`` into ``out``, for A
-    held as ``jlkm[..., j, l, k, m]``.  Both ``jlkm`` and ``out`` (C-ordered,
-    the shape of ``r``) are overwritten; ``out`` is returned.  Once A is read,
-    its buffer holds the exchanged term in C order, so the last two steps
-    run over contiguous (l, m) blocks."""
-    a = jlkm.swapaxes(-3, -2)
-    b = np.subtract(a, a.swapaxes(-1, -2), out=out)
-    exchanged = np.subtract(b, b.swapaxes(-4, -3), out=jlkm)
-    return np.subtract(r, exchanged, out=out)
 
 
 def covariant_derivative(

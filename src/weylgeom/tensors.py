@@ -165,7 +165,9 @@ def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
         (a ^ b)_iklm = a_im b_kl - a_km b_il - a_il b_km + a_kl b_im
 
-    The result carries all generalized-curvature-tensor symmetries.  Raises
+    The result carries all generalized-curvature-tensor symmetries.  It is a
+    new C-ordered array: the function's own outer-product buffer, which
+    receives the final exchange.  Neither factor is written.  Raises
     ``ValueError`` if either factor is asymmetric beyond 1e-10 anywhere.
     """
     for t in (a, b):
@@ -173,12 +175,13 @@ def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise ValueError("asymmetric factor")
     # a_im b_kl - a_il b_km, then the same with i and k exchanged.  The outer
     # product is taken over the flattened pairs (i, m) and (k, l), then viewed
-    # with its slots in (i, k, l, m) order.
+    # with its slots in (i, k, l, m) order.  Once read into ``half`` its
+    # buffer is free, and takes the result in C order.
     n = a.shape[-1]
     outer = a.reshape(a.shape[:-2] + (n * n, 1)) * b.reshape(b.shape[:-2] + (1, n * n))
     half = np.moveaxis(outer.reshape(outer.shape[:-2] + (n,) * 4), -3, -1)
     half = half - np.swapaxes(half, -1, -2)
-    return half - np.swapaxes(half, -3, -4)
+    return np.subtract(half, np.swapaxes(half, -3, -4), out=outer.reshape(half.shape))
 
 
 def generalized_curvature_check(c: np.ndarray) -> dict[str, np.ndarray]:

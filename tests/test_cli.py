@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from weylgeom import builtin_model, cli, curvature, sample_points
 from weylgeom.cli import default_config, load_config, main, run, serialize_structured
@@ -841,12 +841,20 @@ def test_overflowing_entry_is_one_model_error_without_warnings(tmp_path, capsys)
         ["--tolerance", "torse_forming=nan"],
         ["--tolerance", "torse_forming=-1"],
         ["--points", str(10**15)],
+        ["--tolerance", "torse_forming=1" + "0" * 5000],
+        ["--param", "H=1" + "0" * 5000],
     ],
 )
 def test_malformed_flags_exit_two(capsys, flags):
-    assert main(["verify", "--points", "2", *flags]) == 2
+    # --param belongs to tensor-dump, the other flags to verify.
+    command = {"--param": ["tensor-dump", "phi", "--model", "rw_flat", "--point", "1.0,0.2,0.4,0.1"]}
+    assert main(command.get(flags[0], ["verify", "--points", "2"]) + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if flags[1].endswith("0" * 5000):
+        # An integer too long to read names the flag and key it came in.
+        key = flags[1].split("=")[0]
+        assert err == f"error: {flags[0]} {key}: an integer of 5001 digits is too long to read\n"
 
 
 @pytest.mark.parametrize(
@@ -891,7 +899,7 @@ def test_a_param_value_reads_as_in_a_config(capsys):
     assert main(dump + ["--param", "H=true"]) == 2
     assert capsys.readouterr().err == "error: parameter 'H' must be a finite number, got True\n"
     assert main(dump + ["--param", "H=1" + "0" * 5000]) == 2
-    assert capsys.readouterr().err == "error: an integer of 5001 digits is too long to read\n"
+    assert capsys.readouterr().err == "error: --param H: an integer of 5001 digits is too long to read\n"
     assert main(dump + ["--param", "H=" + "[" * 100_000]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --param H: maximum recursion depth") and err.count("\n") == 1
@@ -947,6 +955,85 @@ def test_tensor_dump_prints_one_json_object_or_one_error_line(argv):
     if code == 0:
         assert err.getvalue() == "" and out.getvalue().endswith("}\n")
         assert isinstance(json.loads(out.getvalue()), dict)
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# JSON values of any shape; json.dumps writes NaN and Infinity, which json.load reads.
+_FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_FUZZ_NUMBERS = st.sampled_from([0, 1, 3, -1, 10**15, 10**400, 1.0, 0.5, 1e-9, float("nan"), float("inf"), True, "1", None])
+_ONE_IN_TEN = st.sampled_from([False] * 9 + [True])
+_FUZZ_IDENTITY_IDS = st.sampled_from(["torse_forming", "weyl_compatibility", "lovelock_n4", "no_such_identity", ""])
+
+
+@st.composite
+def _model_entry(draw):
+    """A default model entry, mostly left valid; else with one key dropped,
+    replaced by a bad or random value, or an unknown key added."""
+    name, n, params = draw(st.sampled_from(default_model_specs()))
+    entry = {"name": name, "n": n, "parameters": dict(params)}
+    key = draw(st.sampled_from(["", "", "", "", "name", "n", "parameters", "label", "extra"]))
+    if key:
+        bad = {
+            "name": st.sampled_from(["schwarzschild", "", 5, None]),
+            "n": st.sampled_from([3, 8, 4.7, "5", True, None, 10**400]),
+            "parameters": st.dictionaries(st.sampled_from(["alpha", "H", "r1", "eps", "junk"]), _FUZZ_NUMBERS, max_size=2),
+            "label": st.sampled_from(["", "twisted_n4", "mine", 7]),
+        }.get(key, _FUZZ_JSON)
+        entry[key] = draw(st.one_of(bad, _FUZZ_JSON))
+        if draw(st.booleans()):
+            del entry[key]
+    return entry
+
+
+@st.composite
+def _config_json(draw):
+    """A verify config: a JSON value of any shape, or an object that holds
+    each known key (or not) with a value that is valid two times in three,
+    and now and then an unknown key."""
+    if draw(_ONE_IN_TEN):
+        return draw(_FUZZ_JSON)
+
+    def mostly(valid, bad):
+        return st.one_of(valid, valid, bad)
+
+    values = {
+        "models": mostly(st.lists(_model_entry(), min_size=1, max_size=3), _FUZZ_JSON),
+        "points": mostly(st.sampled_from([1, 3, 50]), _FUZZ_NUMBERS),
+        "seed": mostly(st.integers(0, 2**32), _FUZZ_NUMBERS),
+        "tolerances": mostly(
+            st.dictionaries(_FUZZ_IDENTITY_IDS, mostly(st.sampled_from([1e-9, 0.5, 1]), _FUZZ_NUMBERS), max_size=2),
+            _FUZZ_JSON,
+        ),
+        "output_format": mostly(st.sampled_from(["text", "structured"]), st.sampled_from(["json", "", None, 1])),
+    }
+    config = {key: draw(value) for key, value in values.items() if draw(st.booleans())}
+    if draw(_ONE_IN_TEN):
+        config[draw(st.sampled_from(["junk", "Models", "output", ""]))] = draw(_FUZZ_JSON)
+    return config
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_config_json())
+def test_verify_config_reports_or_fails_in_one_error_line(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+        warnings.catch_warnings(record=True) as caught,
+    ):
+        warnings.simplefilter("always")
+        code = main(["verify", "--config", str(path), "--points", "1"])
+    assert caught == []
+    if code in (0, 1):
+        assert err.getvalue() == "" and out.getvalue()
     else:
         assert code == 2 and out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

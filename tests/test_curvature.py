@@ -256,6 +256,30 @@ def test_non_lorentzian_signature_rejected():
         bad.metric_jets(np.zeros(4))
 
 
+def test_weyl_at_high_curvature_fails_only_on_the_metric():
+    # weyl() forms g ∧ S with kulkarni_nomizu, which rejects a factor whose
+    # asymmetry exceeds 1e-10.  S grows with the curvature, yet its rounding
+    # asymmetry must never trip that check: a point either gives C or fails
+    # on its metric.
+    cases = [("grw_product_spheres", 5, {"r1": 0.01})] * 10
+    for value in np.geomspace(1.0, 250.0, 10):
+        cases += [
+            ("rw_flat", 4, {"H": value}),
+            ("twisted_generic", 6, {"alpha": value}),
+            ("non_twisted_perturbed", 5, {"alpha": value}),
+        ]
+    built = 0
+    for seed, (name, n, params) in enumerate(cases):
+        model = builtin_model(name, n, params)
+        try:
+            build_bundle(model, sample_points(model, 1, seed), fields=("weyl",))
+        except ValueError as err:
+            assert str(err).startswith(("singular metric", "non-finite metric components")), (name, params)
+        else:
+            built += 1
+    assert built >= len(cases) // 2
+
+
 def test_nabla_u_matches_finite_differences():
     # Cross-check the connection assembly: FD the covector field u_a(x) and
     # correct with the center-point Christoffels.
@@ -460,21 +484,25 @@ def test_kernels_match_einsum_oracle(spec):
 
 
 def test_weyl_derivative_keeps_a_first_pair_defect_of_its_input():
-    # ∂C is formed from ∂B without passing through ∂Riemann, so a ∂B whose
-    # first pair is not antisymmetric must give the ∂C, and the first-pair
-    # defect, that ∂Riemann formed from it gives.
+    # C is R + g ∧ S and ∂C is formed from ∂B without passing through
+    # ∂Riemann, so a Riemann tensor and a ∂B whose first pairs are not
+    # antisymmetric must give the C and ∂C, and the first-pair defects, that
+    # the einsum formula gives from them.
     model = builtin_model("twisted_generic", 5)
     mj = model.metric_jets(sample_points(model, 3, 2))
     curv = riemann_ricci_scalar(mj, christoffel_from_jets(mj))
-    d_b = np.random.default_rng(5).uniform(-1.0, 1.0, curv.d_b.shape)
-    synthetic = Curvature(curv.riemann, d_b, curv.ricci, curv.d_ricci, curv.scalar, curv.d_scalar)
-    got = weyl(mj, synthetic).d_weyl
-    want = _einsum_weyl(mj, synthetic, _exchange_cd(d_b))[1]
-    m = np.maximum(1.0, max_abs(d_b, per_point=True))[:, None, None, None, None, None]
-    assert _oracle_close(got, want, m)
-    defect, want_defect = (max_abs(t + t.swapaxes(-4, -3), per_point=True) for t in (got, want))
-    assert np.all(want_defect > 0.1)
-    assert np.all(np.abs(defect - want_defect) <= ORACLE_RTOL * want_defect)
+    rng = np.random.default_rng(5)
+    riemann = rng.uniform(-1.0, 1.0, curv.riemann.shape)
+    d_b = rng.uniform(-1.0, 1.0, curv.d_b.shape)
+    synthetic = Curvature(riemann, d_b, curv.ricci, curv.d_ricci, curv.scalar, curv.d_scalar)
+    wd = weyl(mj, synthetic)
+    want_weyl, want_d_weyl = _einsum_weyl(mj, synthetic, _exchange_cd(d_b))
+    for got, want, source in ((wd.weyl, want_weyl, riemann), (wd.d_weyl, want_d_weyl, d_b)):
+        m = np.maximum(1.0, max_abs(source, per_point=True)).reshape((-1,) + (1,) * (got.ndim - 1))
+        assert _oracle_close(got, want, m)
+        defect, want_defect = (max_abs(t + t.swapaxes(-4, -3), per_point=True) for t in (got, want))
+        assert np.all(want_defect > 0.1)
+        assert np.all(np.abs(defect - want_defect) <= ORACLE_RTOL * want_defect)
 
 
 def test_weyl_and_covariant_derivative_leave_their_inputs_alone():
@@ -486,6 +514,7 @@ def test_weyl_and_covariant_derivative_leave_their_inputs_alone():
     riemann, d_b = curv.riemann.copy(), curv.d_b.copy()
     wd = weyl(mj, curv)
     assert np.array_equal(curv.riemann, riemann) and np.array_equal(curv.d_b, d_b)
+    assert not np.shares_memory(wd.weyl, curv.riemann)
     assert not np.shares_memory(wd.d_weyl, curv.d_b)
 
     rng = np.random.default_rng(0)

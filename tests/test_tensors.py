@@ -148,6 +148,18 @@ def test_kulkarni_nomizu_sign_pattern_term_by_term():
     batched = kulkarni_nomizu(np.stack([a, b]), np.stack([b, a]))
     assert np.array_equal(batched[0], prod)
     assert np.array_equal(batched[1], kulkarni_nomizu(b, a))
+    # An unbatched factor broadcasts against a batched one.  The product is
+    # written into the function's own buffer: a new C-ordered array that
+    # shares no memory with a factor, which is left unchanged.
+    g, e = np.diag([-1.0, 1.0, 2.0, 3.0]), np.stack([a, b, a + b])
+    for x, y in ((g, e), (e, g), (e, np.swapaxes(e, -1, -2))):
+        before = x.copy(), y.copy()
+        prod = kulkarni_nomizu(x, y)
+        assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
+        assert prod.shape == (3, 4, 4, 4, 4) and prod.flags.c_contiguous
+        assert not np.shares_memory(prod, x) and not np.shares_memory(prod, y)
+        for k, (x_k, y_k) in enumerate(zip(*np.broadcast_arrays(x, y))):
+            assert np.array_equal(prod[k], kulkarni_nomizu(x_k, y_k))
 
 
 @settings(max_examples=20, deadline=None)
