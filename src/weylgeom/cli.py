@@ -17,6 +17,7 @@ import functools
 import json
 import numbers
 import os
+import re
 import reprlib
 import sys
 from dataclasses import dataclass, field as dataclass_field, fields, replace
@@ -65,6 +66,11 @@ MAX_POINTS = 10_000
 
 _MODEL_KEYS = {"name", "n", "parameters", "label"}
 _FORMATS = ("text", "structured")
+
+# A --point coordinate: a plain decimal number, or a non-finite word that the
+# chart-coordinate check then rejects.  float() alone would also read "1_0"
+# and non-ASCII digits.
+_COORDINATE = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|nan|inf|infinity)", re.IGNORECASE)
 
 # Bundle fields that tensor-dump may print (every field but the chart
 # points and the dimension), plus short aliases.
@@ -459,10 +465,10 @@ def cmd_tensor_dump(args: argparse.Namespace) -> int:
             f"or aliases {', '.join(_FIELD_ALIASES)}"
         )
     model = builtin_model(args.model, args.n, _parse_param_flags(args.param))
-    try:
-        point = np.array([float(x) for x in args.point.split(",")])
-    except ValueError:
-        raise ValueError(f"--point expects comma-separated numbers, got {args.point!r}") from None
+    items = args.point.split(",")
+    if not all(_COORDINATE.fullmatch(x) for x in items):
+        raise ValueError(f"--point expects comma-separated numbers, got {args.point!r}")
+    point = np.array([float(x) for x in items])
     if point.size != model.n:
         raise ValueError(f"--point needs {model.n} coordinates for {model.label}, got {point.size}")
     value = getattr(build_bundle(model, point[None], (field_name,)), field_name)[0]

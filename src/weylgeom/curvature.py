@@ -65,8 +65,7 @@ __all__ = [
     "riemann_ricci_scalar",
     "weyl",
     "covariant_derivative",
-    "weyl_remainder_tensor",
-    "remainder_weights",
+    "electric_reconstruction",
     "build_bundle",
 ]
 
@@ -304,25 +303,15 @@ def covariant_derivative(
     return nabla
 
 
-def remainder_weights(n: int) -> tuple[float, float]:
-    """The weights (n-2)/(n-3) of ``(u⊗u) ∧ E`` and 1/(n-3) of ``g ∧ E`` in
-    the electric-part reconstruction of the Weyl tensor."""
-    return (n - 2.0) / (n - 3.0), 1.0 / (n - 3.0)
-
-
-def weyl_remainder_tensor(
-    g: np.ndarray, u_down: np.ndarray, weyl_c: np.ndarray, electric: np.ndarray, n: int
-) -> np.ndarray:
-    """Weyl tensor minus its electric-part reconstruction.
-
-    Subtracts the Kulkarni-Nomizu products of the electric tensor with
-    ``u⊗u`` and with the metric, weighted by :func:`remainder_weights`, from
-    the Weyl tensor.  The result is a totally traceless generalized curvature
-    tensor annihilated by u; it vanishes identically in n = 4.
-    """
-    uu = u_down[..., :, None] * u_down[..., None, :]
-    k_uu, k_g = remainder_weights(n)
-    return weyl_c - k_uu * kulkarni_nomizu(uu, electric) - k_g * kulkarni_nomizu(g, electric)
+def electric_reconstruction(g: np.ndarray, u_down: np.ndarray, electric: np.ndarray, n: int) -> np.ndarray:
+    """The electric-part reconstruction ``h ∧ E`` of the Weyl tensor, with
+    ``h = (n-2)/(n-3) u⊗u + 1/(n-3) g``: by bilinearity of the
+    Kulkarni-Nomizu product, the paper's ``(n-2)/(n-3) (u⊗u) ∧ E
+    + 1/(n-3) g ∧ E`` in one product.  The Weyl remainder is ``C - h ∧ E``,
+    a totally traceless generalized curvature tensor annihilated by u; it
+    vanishes identically in n = 4, where ``h = 2 u⊗u + g``."""
+    h = (n - 2.0) / (n - 3.0) * (u_down[..., :, None] * u_down[..., None, :]) + g / (n - 3.0)
+    return kulkarni_nomizu(h, electric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,7 +444,7 @@ def _stages(model: MetricModel, coords: np.ndarray, order: int) -> Iterator[dict
     electric = electric.reshape(lead + (n, n))
     yield dict(weyl=wd.weyl, electric=electric)
 
-    yield dict(weyl_remainder=weyl_remainder_tensor(mj.value, u_down, wd.weyl, electric, n))
+    yield dict(weyl_remainder=wd.weyl - electric_reconstruction(mj.value, u_down, electric, n))
 
     d_electric = u @ (wd.d_weyl.reshape(lead + (n**4, n)) @ u).reshape(lead + (n, n, n * n))
     d_electric = d_electric.reshape(lead + (n,) * 3)

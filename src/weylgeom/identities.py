@@ -16,10 +16,11 @@ asserted.  One rule (``_is_zero``) judges every measured hypothesis.
 
 A model's suite is one pass over its chunks, then one judge per report.  The
 pass builds a view of each chunk (``_Chunk``), which forwards its bundle's
-fields and computes each shared block at most once: the Kulkarni-Nomizu
-blocks (u⊗u) ∧ E and g ∧ E of the Weyl decomposition, transports along u,
-the squared norms, and the per-point maxima ``max_<name>`` of any field or
-block.  Every applicable check measures its per-point arrays on that view
+fields and computes each shared block at most once: the electric-part
+reconstruction h ∧ E of the Weyl tensor (one Kulkarni-Nomizu product, see
+:func:`.curvature.electric_reconstruction`), transports along u, the squared
+norms, and the per-point maxima ``max_<name>`` of any field or block.  Every
+applicable check measures its per-point arrays on that view
 (``evaluate_check``), and the view is dropped before the next chunk's is
 built, so one chunk's blocks at most are alive.  Each report is then judged
 from its check's arrays over all chunks (``_report``); ``check_report`` runs
@@ -54,7 +55,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .curvature import CurvatureBundle, remainder_weights
+from .curvature import CurvatureBundle, electric_reconstruction
 from .models import TORSE_CLASSES, MetricModel
 from .tensors import generalized_curvature_check, kulkarni_nomizu, max_abs, norm_squared, raise_all
 
@@ -210,14 +211,9 @@ class _Chunk:
         return _first_pair_defect(self.b.weyl, 1)
 
     @cached_property
-    def kn_uu(self) -> np.ndarray:
-        """The Kulkarni-Nomizu block (u⊗u) ∧ E of the Weyl decomposition."""
-        return kulkarni_nomizu(_outer(self.b.u_down, self.b.u_down), self.b.electric)
-
-    @cached_property
-    def kn_g(self) -> np.ndarray:
-        """The Kulkarni-Nomizu block g ∧ E of the Weyl decomposition."""
-        return kulkarni_nomizu(self.b.g, self.b.electric)
+    def reconstruction(self) -> np.ndarray:
+        """The electric-part reconstruction h ∧ E of the Weyl tensor."""
+        return electric_reconstruction(self.b.g, self.b.u_down, self.b.electric, self.b.n)
 
     @cached_property
     def weyl_sq(self) -> np.ndarray:
@@ -236,23 +232,25 @@ class _Chunk:
         """The Weyl-remainder transport u^p ∇_p Γ, and both sides of the
         master recurrence as stated.
 
-        The transport is assembled by the product rule from ∇(Weyl), ∇E and
-        ∇u through the two Kulkarni-Nomizu blocks (u⊗u) ∧ E and g ∧ E.
+        Γ = C - h ∧ E with h = (n-2)/(n-3) u⊗u + 1/(n-3) g, so by the product
+        rule and ∇g = 0 the transport is u^p ∇_p C - (u^p ∇_p h) ∧ E
+        - h ∧ u^p ∇_p E, where u^p ∇_p h = (n-2)/(n-3) (a⊗u + u⊗a) and a is
+        the acceleration.  The Kulkarni-Nomizu product is bilinear, so the
+        master recurrence's right side, (n-2)[u^p ∇_p + 2φ](u⊗u ∧ E)
+        + [u^p ∇_p + 2φ](g ∧ E) as the paper states it, is
+        (n-3) [u^p ∇_p + 2φ](h ∧ E).
         """
         b = self.b
         n = b.n
-        u, e, acc = b.u_down, b.electric, self.acceleration
-        de = self.electric_along_u
-        uu = _outer(u, u)
-        duu = _outer(acc, u) + _outer(u, acc)
-        d_kn_uu = kulkarni_nomizu(duu, e) + kulkarni_nomizu(uu, de)
-        d_kn_g = kulkarni_nomizu(b.g, de)
-        k_uu, k_g = remainder_weights(n)
-        transport = self.weyl_along_u - k_uu * d_kn_uu - k_g * d_kn_g
+        u, acc = b.u_down, self.acceleration
+        d_h = (n - 2.0) / (n - 3.0) * (_outer(acc, u) + _outer(u, acc))
+        d_reconstruction = kulkarni_nomizu(d_h, b.electric)
+        d_reconstruction += electric_reconstruction(b.g, u, self.electric_along_u, n)
+        transport = self.weyl_along_u - d_reconstruction
 
         two_phi = _slots(2.0 * b.hubble_rate, 4)
         lhs = (n - 3.0) * (self.weyl_along_u + two_phi * b.weyl)
-        rhs = (n - 2.0) * (d_kn_uu + two_phi * self.kn_uu) + (d_kn_g + two_phi * self.kn_g)
+        rhs = (n - 3.0) * (d_reconstruction + two_phi * self.reconstruction)
         return transport, lhs, rhs
 
 
@@ -337,11 +335,12 @@ def _reconstruction_n4(b: _Chunk) -> PointPairs:
         rest = letters.replace(s, "")
         q = _into_last(np.moveaxis(c, 1 + slot, -1), b.u_up)
         u_terms = u_terms + np.einsum(f"...{s},...{rest}->...{letters}", b.u_down, q)
-    return _pair(c, b.kn_g - u_terms)
+    return _pair(c, kulkarni_nomizu(b.g, b.electric) - u_terms)
 
 
 def _electric_rep_n4(b: _Chunk) -> PointPairs:
-    return _pair(b.weyl, 2.0 * b.kn_uu + b.kn_g)
+    """At n = 4, h = 2 u⊗u + g: the paper's pattern is the reconstruction."""
+    return _pair(b.weyl, b.reconstruction)
 
 
 def _weyl_sq_8_electric_sq(b: _Chunk) -> PointPairs:

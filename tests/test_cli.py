@@ -93,8 +93,11 @@ def test_closed_pipe_ends_quietly(argv, lines_read, unbuffered):
         (["verify", "--tolerance", "weyl_divergence_formula=abc"], "--tolerance ID=VALUE"),
         (["tensor-dump", "phi", "--model", "rw_flat", "--point", "1,0,x,0"], "--point"),
         (["tensor-dump", "phi", "--model", "rw_flat", "--point", ","], "--point"),
+        # float() reads both as a number: 10.0 and 1.0.
+        (["tensor-dump", "phi", "--model", "rw_flat", "--point", "1_0,0.1,0.2,0.3"], "--point"),
+        (["tensor-dump", "phi", "--model", "rw_flat", "--point", "\u0661,0.1,0.2,0.3"], "--point"),
     ],
-    ids=["tolerance", "point", "empty-point"],
+    ids=["tolerance", "point", "empty-point", "underscore-point", "arabic-indic-digit-point"],
 )
 def test_unparsable_flag_value_names_the_flag(capsys, argv, flag):
     assert main(argv) == 2

@@ -11,6 +11,7 @@ from weylgeom.curvature import (
     _exchange_cd,
     christoffel_from_jets,
     covariant_derivative,
+    electric_reconstruction,
     riemann_ricci_scalar,
     weyl,
 )
@@ -21,6 +22,7 @@ from weylgeom.tensors import (
     TensorValue,
     contract,
     generalized_curvature_check,
+    kulkarni_nomizu,
     max_abs,
     raise_lower,
 )
@@ -526,3 +528,16 @@ def test_weyl_and_covariant_derivative_leave_their_inputs_alone():
         nabla = covariant_derivative(variance, comp, d1, conn.gamma)
         assert np.array_equal(comp, comp_before) and np.array_equal(d1, d1_before), variance
         assert not np.shares_memory(nabla, d1), variance
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_electric_reconstruction_is_the_paper_form(n):
+    # h ∧ E with h = (n-2)/(n-3) u⊗u + 1/(n-3) g is the paper's two
+    # Kulkarni-Nomizu blocks, (n-2)/(n-3) (u⊗u) ∧ E + 1/(n-3) g ∧ E.
+    rng = np.random.default_rng(n)
+    g, e = (x + np.swapaxes(x, -1, -2) for x in rng.normal(size=(2, 5, n, n)))
+    u = rng.normal(size=(5, n))
+    got = electric_reconstruction(g, u, e, n)
+    uu = u[:, :, None] * u[:, None, :]
+    want = (n - 2) / (n - 3) * kulkarni_nomizu(uu, e) + 1 / (n - 3) * kulkarni_nomizu(g, e)
+    assert _oracle_close(got, want)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylgeom import build_bundle, builtin_model, identities, sample_points
+from weylgeom import build_bundle, builtin_model, curvature, identities, sample_points
+from weylgeom.curvature import electric_reconstruction
 from weylgeom.models import default_model_specs
 from weylgeom.identities import (
     FAIL,
@@ -462,7 +463,8 @@ def test_collection_checks_verdicts_and_extras(small_bundles):
 
 def test_kulkarni_nomizu_matches_n4_paper_patterns():
     # The paper_refs of electric_rep_n4 and reconstruction_n4 spell out
-    # 2 (u⊗u)∧E + g∧E and g∧E index by index; the evaluators use the product.
+    # 2 (u⊗u)∧E + g∧E and g∧E index by index; the evaluators use the product,
+    # electric_rep_n4 as the electric reconstruction h∧E, h = 2 u⊗u + g at n = 4.
     rng = np.random.default_rng(11)
     u = rng.normal(size=4)
     g = rng.normal(size=(4, 4))
@@ -472,6 +474,7 @@ def test_kulkarni_nomizu_matches_n4_paper_patterns():
     kn_uu = kulkarni_nomizu(np.outer(u, u), e)
     kn_g = kulkarni_nomizu(g, e)
     rep = 2.0 * kn_uu + kn_g
+    recon = electric_reconstruction(g, u, e, 4)
     for a, b, c, d in itertools.product(range(4), repeat=4):
         uu_part = (
             u[a] * u[d] * e[b, c]
@@ -482,7 +485,26 @@ def test_kulkarni_nomizu_matches_n4_paper_patterns():
         g_rep = g[a, d] * e[b, c] - g[a, c] * e[b, d] + g[b, c] * e[a, d] - g[b, d] * e[a, c]
         g_recon = g[a, d] * e[b, c] - g[b, d] * e[a, c] - g[a, c] * e[b, d] + g[b, c] * e[a, d]
         assert abs(rep[a, b, c, d] - (2.0 * uu_part + g_rep)) < 1e-13
+        assert abs(recon[a, b, c, d] - (2.0 * uu_part + g_rep)) < 1e-13
         assert abs(kn_g[a, b, c, d] - g_recon) < 1e-13
+
+
+@pytest.mark.parametrize("name, n, limit", [("twisted_generic", 5, 5), ("twisted_generic", 6, 5), ("twisted_n4", 4, 6)])
+def test_each_reconstruction_block_is_built_once(monkeypatch, name, n, limit):
+    # A chunk's Kulkarni-Nomizu products: C = R + g∧S and the remainder's h∧E
+    # in the bundle; h∧E, the two halves of its transport and, at n = 4,
+    # reconstruction_n4's own g∧E in the suite.
+    model = builtin_model(name, n)
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return kulkarni_nomizu(a, b)
+
+    monkeypatch.setattr(curvature, "kulkarni_nomizu", counted)
+    monkeypatch.setattr(identities, "kulkarni_nomizu", counted)
+    run_model_suite(model, [build_bundle(model, sample_points(model, 3, 1))])
+    assert len(calls) <= limit
 
 
 def test_wedge_matches_divergence_formula_patterns():
