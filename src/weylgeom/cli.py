@@ -175,6 +175,21 @@ def _parse_int(text: str) -> int:
         raise ValueError(f"an integer of {len(text.lstrip('-'))} digits is too long to read") from None
 
 
+def _flag_int(text: str) -> int:
+    """An integer flag value (--points, --seed, --n): ASCII digits, with an
+    optional leading minus that the range checks then reject.  int() alone
+    would also read "1_0", " 7 " and non-ASCII digits.  A rejected value is
+    a usage error that names the flag, worded as argparse words a value
+    int() rejects."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    try:
+        return _parse_int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def load_config(path: str) -> RunConfig:
     """Read and validate a JSON run config; unknown fields are rejected.
 
@@ -583,8 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the identity suite and report residuals")
     verify.add_argument("--config", help="JSON run config path")
-    verify.add_argument("--points", type=int, help="sampled chart points per model")
-    verify.add_argument("--seed", type=int, help="sampling seed")
+    verify.add_argument("--points", type=_flag_int, help="sampled chart points per model")
+    verify.add_argument("--seed", type=_flag_int, help="sampling seed")
     verify.add_argument("--format", choices=_FORMATS, help="output format")
     verify.add_argument("--output", help="write the report to a file instead of stdout")
     verify.add_argument(
@@ -604,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump = sub.add_parser("tensor-dump", help="print one bundle field at one chart point")
     dump.add_argument("field", help="bundle field name (aliases: phi, E, xi, v, C, nablaC, divC, scalarR, gamma)")
     dump.add_argument("--model", required=True, help="catalog model name")
-    dump.add_argument("--n", type=int, help="dimension (model default when omitted)")
+    dump.add_argument("--n", type=_flag_int, help="dimension (model default when omitted)")
     dump.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     dump.add_argument(
         "--point",

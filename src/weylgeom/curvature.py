@@ -25,10 +25,11 @@ gives (see :func:`riemann_ricci_scalar`); :func:`weyl` adds the metric terms
 to ∂B in ∂B's own layout and takes one exchange to reach ∂C.
 
 The comoving velocity, its covariant derivative, the expansion-type scalar
-``hubble_rate = (∇_k u^k)/(n-1)``, the electric part of the Weyl tensor and
-the traceless "Weyl remainder" tensor (Weyl minus its electric-part
-reconstruction) are bundled alongside, since the identity suite consumes all
-of them at every sampled point.
+``hubble_rate = (∇_k u^k)/(n-1)``, the electric part of the Weyl tensor, its
+reconstruction h ∧ E (see :func:`electric_reconstruction`) and the
+traceless "Weyl remainder" tensor (Weyl minus that reconstruction) are
+bundled alongside, since the identity suite consumes all of them at every
+sampled point.
 
 Every kernel works on arrays with leading point axes (written ``...`` in the
 index notation below), so one call evaluates a whole chunk of points; see
@@ -357,6 +358,7 @@ class CurvatureBundle:
     electric: np.ndarray
     nabla_electric: np.ndarray
     div_electric: np.ndarray
+    electric_reconstruction: np.ndarray
     weyl_remainder: np.ndarray
     raychaudhuri_scalar: np.ndarray
     hubble_gradient_up: np.ndarray
@@ -382,6 +384,7 @@ FIELD_VARIANCE = {
     "electric": "dd",
     "nabla_electric": "ddd",
     "div_electric": "d",
+    "electric_reconstruction": "dddd",
     "weyl_remainder": "dddd",
     "raychaudhuri_scalar": "",
     "hubble_gradient_up": "u",
@@ -397,11 +400,11 @@ _THIRD_ORDER_FIELDS = frozenset({"nabla_weyl", "div_weyl", "nabla_electric", "di
 def _stages(model: MetricModel, coords: np.ndarray, order: int) -> Iterator[dict]:
     """The bundle's fields at points of shape (P, n), one stage at a time in
     dependency order: the jets and connection (with u, φ, ξ and v), the
-    Riemann tensor and its traces, the Weyl tensor with E, the Weyl
-    remainder, then the covariant derivatives.  The metric jets have the
-    given order; at order 2 no ∂ data is formed past ∂Γ, so the derivative
-    stage needs order 3.  Kernel data the next stage needs (∂Γ, ∂B, ∂C, ...)
-    stays in this generator's frame."""
+    Riemann tensor and its traces, the Weyl tensor with E, the electric
+    reconstruction h ∧ E with the Weyl remainder, then the covariant
+    derivatives.  The metric jets have the given order; at order 2 no ∂ data
+    is formed past ∂Γ, so the derivative stage needs order 3.  Kernel data
+    the next stage needs (∂Γ, ∂B, ∂C, ...) stays in this generator's frame."""
     n = model.n
     mj = model.metric_jets(coords, order=order)
     conn = christoffel_from_jets(mj)
@@ -444,7 +447,8 @@ def _stages(model: MetricModel, coords: np.ndarray, order: int) -> Iterator[dict
     electric = electric.reshape(lead + (n, n))
     yield dict(weyl=wd.weyl, electric=electric)
 
-    yield dict(weyl_remainder=wd.weyl - electric_reconstruction(mj.value, u_down, electric, n))
+    reconstruction = electric_reconstruction(mj.value, u_down, electric, n)
+    yield dict(electric_reconstruction=reconstruction, weyl_remainder=wd.weyl - reconstruction)
 
     d_electric = u @ (wd.d_weyl.reshape(lead + (n**4, n)) @ u).reshape(lead + (n, n, n * n))
     d_electric = d_electric.reshape(lead + (n,) * 3)

@@ -16,9 +16,9 @@ asserted.  One rule (``_is_zero``) judges every measured hypothesis.
 
 A model's suite is one pass over its chunks, then one judge per report.  The
 pass builds a view of each chunk (``_Chunk``), which forwards its bundle's
-fields and computes each shared block at most once: the electric-part
-reconstruction h ∧ E of the Weyl tensor (one Kulkarni-Nomizu product, see
-:func:`.curvature.electric_reconstruction`), transports along u, the squared
+fields, the electric-part reconstruction h ∧ E of the Weyl tensor among them
+(one Kulkarni-Nomizu product, see :func:`.curvature.electric_reconstruction`),
+and computes each shared block at most once: transports along u, the squared
 norms, and the per-point maxima ``max_<name>`` of any field or block.  Every
 applicable check measures its per-point arrays on that view
 (``evaluate_check``), and the view is dropped before the next chunk's is
@@ -211,11 +211,6 @@ class _Chunk:
         return _first_pair_defect(self.b.weyl, 1)
 
     @cached_property
-    def reconstruction(self) -> np.ndarray:
-        """The electric-part reconstruction h ∧ E of the Weyl tensor."""
-        return electric_reconstruction(self.b.g, self.b.u_down, self.b.electric, self.b.n)
-
-    @cached_property
     def weyl_sq(self) -> np.ndarray:
         return norm_squared(self.b.weyl, self.b.g_inv)
 
@@ -250,7 +245,7 @@ class _Chunk:
 
         two_phi = _slots(2.0 * b.hubble_rate, 4)
         lhs = (n - 3.0) * (self.weyl_along_u + two_phi * b.weyl)
-        rhs = (n - 3.0) * (d_reconstruction + two_phi * self.reconstruction)
+        rhs = (n - 3.0) * (d_reconstruction + two_phi * b.electric_reconstruction)
         return transport, lhs, rhs
 
 
@@ -340,7 +335,7 @@ def _reconstruction_n4(b: _Chunk) -> PointPairs:
 
 def _electric_rep_n4(b: _Chunk) -> PointPairs:
     """At n = 4, h = 2 u⊗u + g: the paper's pattern is the reconstruction."""
-    return _pair(b.weyl, b.reconstruction)
+    return _pair(b.weyl, b.electric_reconstruction)
 
 
 def _weyl_sq_8_electric_sq(b: _Chunk) -> PointPairs:

@@ -21,6 +21,15 @@ at most the order and folds them onto their target monomial with
 ``u - u(x)``.  An operation on jets of two orders (a constant built at order
 3 and an order-2 jet, say) truncates to the lower one.
 
+A jet that is an affine function ``c x_i + a`` of one coordinate carries
+that coordinate as its ``axis``: :func:`variables` tags each coordinate jet,
+and multiplying by, adding or subtracting a finite number, or negating,
+keeps the tag, while every other operation drops it.  A function of a
+tagged jet has nonzero coefficients on 1, x_i, x_i² and x_i³ only, written
+directly, with no product of jets; those coefficients are bit for bit the
+ones the general composition gives, since they are formed from the same
+factors in the same order.
+
 An order-2 jet is bit for bit the first C(n+2, 2) coefficients of the
 order-3 jet computed the same way: a target monomial's product pairs, and
 their order, do not depend on the jet order, and the cubic term of a
@@ -70,6 +79,7 @@ class Basis:
     left: np.ndarray
     right: np.ndarray
     starts: np.ndarray
+    powers: np.ndarray
 
 
 def _readonly(values, dtype) -> np.ndarray:
@@ -130,6 +140,7 @@ def _build(n: int, order: int) -> Basis:
         left=_readonly(left, np.intp),
         right=_readonly(right, np.intp),
         starts=_readonly(starts, np.intp),
+        powers=_readonly([[position[(i,) * k] for k in range(1, order + 1)] for i in range(n)], np.intp),
     )
 
 
@@ -151,11 +162,13 @@ class Jet3:
     ``coeffs`` has shape ``(..., C(n+3, 3))`` at order 3 and
     ``(..., C(n+2, 2))`` at order 2, one coefficient per monomial in the
     order of :func:`basis`; ``table`` is that order's :class:`Basis`, found
-    from the count.
+    from the count.  ``axis`` is i when the jet is known to be ``c x_i + a``
+    (see the module docstring), and ``None`` otherwise.
     """
 
     coeffs: np.ndarray
     n: int
+    axis: int | None = None
     table: Basis = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -226,26 +239,33 @@ class Jet3:
         low = min(t, other.table, key=lambda table: table.order)
         return self.coeffs[..., : low.size], other.coeffs[..., : low.size], low
 
+    def _kept(self, other) -> int | None:
+        """The axis a sum, difference or product with ``other`` keeps: this
+        jet's when ``other`` is a finite number."""
+        if self.axis is None or isinstance(other, Jet3) or not math.isfinite(float(other)):
+            return None
+        return self.axis
+
     def __add__(self, other) -> "Jet3":
         a, b, _ = self._lift(other)
-        return Jet3(a + b, self.n)
+        return Jet3(a + b, self.n, self._kept(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet3":
-        return Jet3(-self.coeffs, self.n)
+        return Jet3(-self.coeffs, self.n, self.axis)
 
     def __sub__(self, other) -> "Jet3":
         a, b, _ = self._lift(other)
-        return Jet3(a - b, self.n)
+        return Jet3(a - b, self.n, self._kept(other))
 
     def __rsub__(self, other) -> "Jet3":
         a, b, _ = self._lift(other)
-        return Jet3(b - a, self.n)
+        return Jet3(b - a, self.n, self._kept(other))
 
     def __mul__(self, other) -> "Jet3":
         if not isinstance(other, Jet3):
-            return Jet3(float(other) * self.coeffs, self.n)
+            return Jet3(float(other) * self.coeffs, self.n, self._kept(other))
         return Jet3(_times(*self._lift(other)), self.n)
 
     __rmul__ = __mul__
@@ -267,8 +287,23 @@ def _compose(u: Jet3, f0, f1, f2, f3) -> Jet3:
     h³ (order 3 only) starts at degree 3, and its lower entries are exact
     zeros.  They are set to -0.0, which leaves every entry it is added to as
     it is (-0.0 + -0.0 is -0.0), so the lower entries are those of the
-    order-2 jet bit for bit."""
+    order-2 jet bit for bit.
+
+    For a jet tagged with an axis i, h = c x_i, so h² = c² x_i² and h³ = c³ x_i³:
+    the three coefficients are written directly, as f1 c, (f2/2) c² and
+    (f3/6)(c² c), the products in the order the general case forms them."""
     t = u.table
+    if u.axis is not None:
+        c = u.coeffs[..., 1 + u.axis]
+        c2 = c * c
+        coeffs = np.zeros(u.coeffs.shape)
+        coeffs[..., 0] = f0
+        powers = t.powers[u.axis]
+        coeffs[..., powers[0]] = f1 * c
+        coeffs[..., powers[1]] = 0.5 * f2 * c2
+        if t.order == 3:
+            coeffs[..., powers[2]] = f3 / 6.0 * (c2 * c)
+        return Jet3(coeffs, u.n)
     h = u.coeffs.copy()
     h[..., 0] = 0.0
     h2 = _times(h, h, t)
@@ -300,7 +335,7 @@ def constant(value: float, n: int, order: int = 3) -> Jet3:
 
 def variables(coords, order: int = 3) -> list[Jet3]:
     """Coordinate jets of the given order: the i-th jet has value
-    ``coords[..., i]`` and d1 = e_i.
+    ``coords[..., i]``, d1 = e_i and axis i.
 
     ``coords`` of shape ``(n,)`` gives jets at one point; shape ``(P, n)``
     gives jets at P points, with a leading point axis.
@@ -313,7 +348,7 @@ def variables(coords, order: int = 3) -> list[Jet3]:
         coeffs = np.zeros(coords.shape[:-1] + (size,))
         coeffs[..., 0] = coords[..., i]
         coeffs[..., 1 + i] = 1.0
-        out.append(Jet3(coeffs, n))
+        out.append(Jet3(coeffs, n, i))
     return out
 
 

@@ -211,24 +211,30 @@ def raise_all(t: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     """Every slot of a covariant tensor raised with the inverse metric.
 
     ``g_inv`` has shape ``(..., n, n)`` and ``t`` the same leading axes
-    followed by ``rank >= 2`` slots.  One slot is raised at a time (a
-    pairwise contraction per slot, never one many-operand product).
+    followed by ``rank >= 2`` slots.  One slot is raised at a time, from the
+    last to the first, each as a matrix product on the tensor in its own
+    layout: the last slot is ``[pre, a] @ g⁻¹``, and a slot with ``post``
+    slots after it is ``g⁻¹ @ [pre, a, post]``, batched over ``pre``.  Every
+    operand is C-contiguous and the result is a new C-ordered array.
     """
-    lead = g_inv.ndim - 2
-    rank = t.ndim - lead
+    lead = g_inv.shape[:-2]
+    n = g_inv.shape[-1]
+    rank = t.ndim - len(lead)
     if rank < 2:
         raise ValueError("raise_all needs a tensor of rank >= 2")
-    g = np.expand_dims(g_inv, tuple(range(lead, lead + rank - 2)))
-    out = t
-    for _ in range(rank):
-        out = np.moveaxis(out @ g, -1, lead)
-    return out
+    out = t.reshape(lead + (-1, n)) @ g_inv
+    g = g_inv[..., None, :, :]
+    for slot in range(rank - 2, -1, -1):
+        post = n ** (rank - 1 - slot)
+        out = g @ out.reshape(lead + (-1, n, post))
+    return out.reshape(t.shape)
 
 
 def norm_squared(t: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     """Full self-contraction of a covariant tensor, every slot raised with
-    ``g_inv``: one value per point (the leading axes of ``g_inv``).  May take
-    either sign for a Lorentzian metric."""
-    lead = g_inv.ndim - 2
+    ``g_inv``: one value per point (the leading axes of ``g_inv``), the sum
+    taken as one matrix product per point.  May take either sign for a
+    Lorentzian metric."""
+    lead = g_inv.shape[:-2]
     dual = raise_all(t, g_inv)
-    return np.sum((t * dual).reshape(t.shape[:lead] + (-1,)), axis=-1)
+    return (t.reshape(lead + (1, -1)) @ dual.reshape(lead + (-1, 1)))[..., 0, 0]

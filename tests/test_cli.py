@@ -96,8 +96,21 @@ def test_closed_pipe_ends_quietly(argv, lines_read, unbuffered):
         # float() reads both as a number: 10.0 and 1.0.
         (["tensor-dump", "phi", "--model", "rw_flat", "--point", "1_0,0.1,0.2,0.3"], "--point"),
         (["tensor-dump", "phi", "--model", "rw_flat", "--point", "\u0661,0.1,0.2,0.3"], "--point"),
+        # int() reads these as 10, 7 and 5.
+        (["verify", "--model", "minkowski", "--points", "1_0"], "--points"),
+        (["verify", "--model", "minkowski", "--points", "1", "--seed", " 7 "], "--seed"),
+        (["tensor-dump", "phi", "--model", "twisted_generic", "--n", "\u0665", "--point", "0.5,0.1,0.2,0.3,0.4"], "--n"),
     ],
-    ids=["tolerance", "point", "empty-point", "underscore-point", "arabic-indic-digit-point"],
+    ids=[
+        "tolerance",
+        "point",
+        "empty-point",
+        "underscore-point",
+        "arabic-indic-digit-point",
+        "underscore-points",
+        "padded-seed",
+        "arabic-indic-digit-n",
+    ],
 )
 def test_unparsable_flag_value_names_the_flag(capsys, argv, flag):
     assert main(argv) == 2
@@ -447,6 +460,7 @@ _DERIVATIVE_STAGE = _WEYL_STAGE + ["covariant_derivative/2", "covariant_derivati
         ("nablaC", _DERIVATIVE_STAGE),
         ("divC", _DERIVATIVE_STAGE),
         ("weyl_remainder", _WEYL_STAGE),
+        ("electric_reconstruction", _WEYL_STAGE),
     ],
 )
 def test_a_dump_runs_only_the_stages_its_field_needs(monkeypatch, capsys, field_name, kernels):

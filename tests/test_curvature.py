@@ -541,3 +541,14 @@ def test_electric_reconstruction_is_the_paper_form(n):
     uu = u[:, :, None] * u[:, None, :]
     want = (n - 2) / (n - 3) * kulkarni_nomizu(uu, e) + 1 / (n - 3) * kulkarni_nomizu(g, e)
     assert _oracle_close(got, want)
+
+
+@pytest.mark.parametrize("spec", default_model_specs(), ids=lambda spec: f"{spec[0]}_n{spec[1]}")
+def test_the_bundle_hands_on_its_electric_reconstruction(spec):
+    # The remainder is formed from the bundle's own h ∧ E, so both are exact.
+    name, n, params = spec
+    model = builtin_model(name, n, params)
+    b = build_bundle(model, sample_points(model, 3, 4))
+    want = electric_reconstruction(b.g, b.u_down, b.electric, n)
+    assert b.electric_reconstruction.tobytes() == want.tobytes()
+    assert b.weyl_remainder.tobytes() == (b.weyl - b.electric_reconstruction).tobytes()

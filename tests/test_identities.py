@@ -489,11 +489,11 @@ def test_kulkarni_nomizu_matches_n4_paper_patterns():
         assert abs(kn_g[a, b, c, d] - g_recon) < 1e-13
 
 
-@pytest.mark.parametrize("name, n, limit", [("twisted_generic", 5, 5), ("twisted_generic", 6, 5), ("twisted_n4", 4, 6)])
+@pytest.mark.parametrize("name, n, limit", [("twisted_generic", 5, 4), ("twisted_generic", 6, 4), ("twisted_n4", 4, 5)])
 def test_each_reconstruction_block_is_built_once(monkeypatch, name, n, limit):
-    # A chunk's Kulkarni-Nomizu products: C = R + g∧S and the remainder's h∧E
-    # in the bundle; h∧E, the two halves of its transport and, at n = 4,
-    # reconstruction_n4's own g∧E in the suite.
+    # A chunk's Kulkarni-Nomizu products: C = R + g∧S and h∧E in the bundle,
+    # which hands h∧E on as a field; the two halves of its transport and, at
+    # n = 4, reconstruction_n4's own g∧E in the suite.
     model = builtin_model(name, n)
     calls = []
 

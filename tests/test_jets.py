@@ -199,3 +199,58 @@ def test_negative_integer_power_of_a_zero_base_raises():
 def test_mismatched_variable_counts_rejected():
     with pytest.raises(ValueError, match="different numbers of variables"):
         jets.constant(1.0, 2) + jets.constant(1.0, 3)
+
+
+_COMPOSED = {
+    "exp": jets.exp,
+    "log": jets.log,
+    "sin": jets.sin,
+    "cos": jets.cos,
+    "power": lambda u: jets.power(u, 2.5),
+    "integer-power": lambda u: jets.power(u, 3),
+    "reciprocal": lambda u: 1.0 / u,
+}
+
+# Affine functions of one coordinate, each with the sign of the coordinates
+# that keeps its value positive (log and the fractional power need it).
+_ONE_COORDINATE = {
+    "x": (lambda x: x, 1.0),
+    "c*x": (lambda x: 0.7 * x, 1.0),
+    "x+a": (lambda x: x + 1.5, 1.0),
+    "-x": (lambda x: -x, -1.0),
+}
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("batched", [False, True], ids=["one-point", "batched"])
+@pytest.mark.parametrize("form", _ONE_COORDINATE)
+@pytest.mark.parametrize("name", _COMPOSED)
+def test_a_function_of_one_coordinate_needs_no_jet_product(monkeypatch, name, form, batched, order):
+    build, sign = _ONE_COORDINATE[form]
+    rng = np.random.default_rng(3)
+    coords = sign * rng.uniform(0.3, 1.2, (4, 3) if batched else (3,))
+    fn = _COMPOSED[name]
+    tagged = build(jets.variables(coords, order)[1])
+    assert tagged.axis == 1
+    # The same jet without its axis is composed through jet products.
+    want = fn(jets.Jet3(tagged.coeffs, tagged.n))
+    products = []
+    monkeypatch.setattr(jets, "_times", lambda *args: products.append(args))
+    got = fn(tagged)
+    assert not products
+    assert got.axis is None and got.coeffs.shape == want.coeffs.shape
+    # Equal values (nonzero ones bit for bit; a zero may differ in its sign).
+    assert np.array_equal(got.coeffs, want.coeffs)
+    # Every coefficient but those of 1, x1, x1², x1³ is zero.
+    assert not np.delete(got.coeffs, [0, *jets.basis(3, order).powers[1]], axis=-1).any()
+
+
+def test_an_axis_survives_finite_numbers_only():
+    x, y = jets.variables(np.array([0.3, 0.7]))
+    assert (x.axis, y.axis) == (0, 1)
+    for kept in (2.0 * x, x * 2.0, x + 1.0, 1.0 + x, x - 1.0, 1.0 - x, -x, -(3.0 * x + 1.0)):
+        assert kept.axis == 0
+    with np.errstate(invalid="ignore"):
+        dropped = (x * y, x * x, x + y, x - x, x / 2.0, x * np.inf, x + np.nan, 1.0 - np.inf * x, jets.exp(x))
+    for jet in dropped:
+        assert jet.axis is None

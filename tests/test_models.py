@@ -219,6 +219,21 @@ def test_order_two_jets_are_the_order_three_jets_without_d3(model):
             assert getattr(second, order).tobytes() == getattr(third, order).tobytes(), order
 
 
+@pytest.mark.parametrize("model", _order_cases(), ids=lambda model: model.label)
+def test_metric_jets_are_the_same_from_untagged_coordinates(model):
+    # A function of one coordinate is composed without jet products when its
+    # argument carries the coordinate's axis; with the axes dropped every
+    # composition goes through them.  Nonzero coefficients agree bit for bit.
+    points = sample_points(model, 6, 2)
+    for at in (points, points[1]):
+        tagged = jets.variables(at)
+        untagged = [jets.Jet3(x.coeffs, x.n) for x in tagged]
+        got, want = model.entries(tagged), model.entries(untagged)
+        assert got.keys() == want.keys()
+        for key in got:
+            assert np.array_equal(got[key].coeffs, want[key].coeffs), key
+
+
 def test_grw_requires_five_dimensions():
     with pytest.raises(ValueError, match="grw_product_spheres dimension n must be 5, got 6"):
         builtin_model("grw_product_spheres", 6)

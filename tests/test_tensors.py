@@ -15,6 +15,7 @@ from weylgeom.tensors import (
     kulkarni_nomizu,
     max_abs,
     norm_squared,
+    raise_all,
     raise_lower,
 )
 
@@ -228,6 +229,53 @@ def test_norm_squared_two_ways_agree():
                 * t.components[jdx]
             )
     assert abs(fast - brute) <= 1e-10 * max(1.0, abs(brute))
+
+
+_EPS_BOUND = 64 * np.finfo(np.float64).eps
+
+
+def _einsum_raise_all(t, g_inv):
+    """Every slot of t (one point axis first) raised at once by einsum."""
+    letters = "abcde"[: t.ndim - 1]
+    raised = "vwxyz"[: t.ndim - 1]
+    factors = ",".join(f"p{a}{r}" for a, r in zip(letters, raised))
+    return np.einsum(f"p{letters},{factors}->p{raised}", t, *[g_inv] * len(letters), optimize=True)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_raise_all_and_norm_squared_match_einsum_oracle(n, rank):
+    rng = np.random.default_rng(10 * n + rank)
+    points = 3
+    g = np.stack([_random_lorentzian_metric(rng, n).components for _ in range(points)])
+    g_inv = np.linalg.inv(g)
+    t = rng.uniform(-1.0, 1.0, (points,) + (n,) * rank)
+    before = t.copy()
+    want = _einsum_raise_all(t, g_inv)
+    got = raise_all(t, g_inv)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.all(np.abs(got - want) <= _EPS_BOUND * np.maximum(1.0, np.abs(want)))
+    # The full contraction is a sum of n**rank products: its rounding scale
+    # is the sum of their magnitudes.
+    products = (t * want).reshape(points, -1)
+    magnitude = np.abs(products).sum(axis=1)
+    norms = norm_squared(t, g_inv)
+    assert norms.shape == (points,)
+    assert np.all(np.abs(norms - products.sum(axis=1)) <= _EPS_BOUND * np.maximum(1.0, magnitude))
+    assert np.array_equal(t, before)
+
+    # A view that is not C-contiguous: every other point of a longer batch,
+    # and the slots of a transposed array.
+    wide, wide_inv = np.concatenate([t, t])[::2], np.concatenate([g_inv, g_inv])[::2]
+    assert not wide.flags.c_contiguous
+    assert np.array_equal(raise_all(wide, wide_inv), raise_all(wide.copy(), wide_inv.copy()))
+    flipped = np.swapaxes(t, 1, -1)
+    assert not flipped.flags.c_contiguous
+    got = raise_all(flipped, g_inv)
+    want = _einsum_raise_all(flipped, g_inv)
+    assert got.flags.c_contiguous
+    assert np.all(np.abs(got - want) <= _EPS_BOUND * np.maximum(1.0, np.abs(want)))
+    assert np.array_equal(t, before)
 
 
 def test_components_must_be_finite():
