@@ -33,7 +33,6 @@ from .identities import (
     REGISTRY,
     expected_verdict,
     registry_ids,
-    report_ok,
     run_model_suite,
 )
 from .models import CATALOG_NAMES, MetricModel, builtin_model, check_dimension, default_model_specs
@@ -298,7 +297,7 @@ def run(config: RunConfig) -> dict:
                     "model": label,
                     "n": model.n,
                     "expected": expected,
-                    "ok": report_ok(model, report),
+                    "ok": report.verdict == expected,
                     **report.to_dict(),
                 }
             )

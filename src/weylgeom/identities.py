@@ -68,7 +68,6 @@ __all__ = [
     "check_report",
     "run_model_suite",
     "expected_verdict",
-    "report_ok",
     "POINT_EVALUATORS",
 ]
 
@@ -865,8 +864,3 @@ def expected_verdict(model: MetricModel, report: IdentityReport) -> str:
     if report.verdict == NOT_APPLICABLE:
         return NOT_APPLICABLE
     return FAIL if report.identity_id in model.expected_failures else PASS
-
-
-def report_ok(model: MetricModel, report: IdentityReport) -> bool:
-    """True when the verdict matches the catalog's expectation."""
-    return report.verdict == expected_verdict(model, report)

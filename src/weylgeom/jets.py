@@ -23,12 +23,13 @@ at most the order and folds them onto their target monomial with
 
 A jet that is an affine function ``c x_i + a`` of one coordinate carries
 that coordinate as its ``axis``: :func:`variables` tags each coordinate jet,
-and multiplying by, adding or subtracting a finite number, or negating,
-keeps the tag, while every other operation drops it.  A function of a
-tagged jet has nonzero coefficients on 1, x_i, x_i² and x_i³ only, written
-directly, with no product of jets; those coefficients are bit for bit the
-ones the general composition gives, since they are formed from the same
-factors in the same order.
+and multiplying by, adding or subtracting a finite number, dividing by a
+finite non-zero one (a scaling by its reciprocal, if that is finite), or
+negating, keeps the tag, while every other operation drops it.  A function
+of a tagged jet has nonzero coefficients on 1, x_i, x_i² and x_i³ only,
+written directly, with no product of jets; those coefficients are bit for
+bit the ones the general composition gives, since they are formed from the
+same factors in the same order.
 
 An order-2 jet is bit for bit the first C(n+2, 2) coefficients of the
 order-3 jet computed the same way: a target monomial's product pairs, and
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Jet3", "variables", "constant", "exp", "log", "sin", "cos", "power"]
+__all__ = ["Jet3", "variables", "constant", "reciprocal", "exp", "log", "sin", "cos", "power"]
 
 
 @dataclass(frozen=True)
@@ -271,11 +272,10 @@ class Jet3:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet3":
-        divisor = other if isinstance(other, Jet3) else constant(float(other), self.n, self.table.order)
-        return self * _reciprocal(divisor)
+        return self * reciprocal(other)
 
     def __rtruediv__(self, other) -> "Jet3":
-        return _reciprocal(self) * other
+        return reciprocal(self) * other
 
     def __pow__(self, exponent) -> "Jet3":
         return power(self, exponent)
@@ -318,19 +318,21 @@ def _compose(u: Jet3, f0, f1, f2, f3) -> Jet3:
     return Jet3(coeffs, u.n)
 
 
-def _reciprocal(u: Jet3) -> Jet3:
-    if np.any(u.value == 0.0):
+def reciprocal(u: Jet3 | float) -> Jet3 | float:
+    """1/u of a jet, or of a number, which stays a number; a zero value raises."""
+    value = u.value if isinstance(u, Jet3) else float(u)
+    if np.any(value == 0.0):
         raise ValueError("jet division singularity")
-    w = 1.0 / u.value
-    return _compose(u, w, -w * w, 2.0 * w**3, -6.0 * w**4)
+    w = 1.0 / value
+    return _compose(u, w, -w * w, 2.0 * w**3, -6.0 * w**4) if isinstance(u, Jet3) else w
 
 
 # -- constructors ----------------------------------------------------------
 
 
-def constant(value: float, n: int, order: int = 3) -> Jet3:
-    """Jet of a constant: all derivatives vanish (no leading point axes)."""
-    return Jet3(_constant_coeffs(value, basis(n, order)), n)
+def constant(value: float, n: int) -> Jet3:
+    """Order-3 jet of a constant: all derivatives vanish (no leading point axes)."""
+    return Jet3(_constant_coeffs(value, basis(n)), n)
 
 
 def variables(coords, order: int = 3) -> list[Jet3]:

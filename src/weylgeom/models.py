@@ -240,7 +240,8 @@ _BINOPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
     ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
+    # As a jet divides: a times 1/b, and a zero b raises ValueError, not ZeroDivisionError.
+    ast.Div: lambda a, b: a * jets.reciprocal(b),
 }
 
 # Deepest nesting a metric expression may have, in syntax-tree levels.
@@ -289,26 +290,26 @@ def compile_expression(source: str, n: int) -> EntryFn:
                 raise ValueError(f"unknown name {node.id!r} in metric expression {source!r}")
             idx = names[node.id]
             return lambda xj: xj[idx]
+        # Operands are taken as they are, so a literal stays a number; a jet is
+        # formed only for a power base, a function argument and the root.
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             inner = build(node.operand)
             sign = -1.0 if isinstance(node.op, ast.USub) else 1.0
-            return lambda xj: sign * _as_jet(inner(xj), len(xj))
+            return lambda xj: sign * inner(xj)
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
             left, right = build(node.left), build(node.right)
             op = _BINOPS[type(node.op)]
-            return lambda xj: op(_as_jet(left(xj), len(xj)), right(xj))
+            return lambda xj: op(left(xj), right(xj))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "pow":
+            if len(node.args) != 2 or node.keywords:
+                raise ValueError(f"pow() takes exactly two arguments in {source!r}")
+            node = ast.BinOp(node.args[0], ast.Pow(), node.args[1])
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             base = build(node.left)
             expo = _literal_number(node.right, source)
             return lambda xj: jets.power(_as_jet(base(xj), len(xj)), expo)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             fname = node.func.id
-            if fname == "pow":
-                if len(node.args) != 2 or node.keywords:
-                    raise ValueError(f"pow() takes exactly two arguments in {source!r}")
-                base = build(node.args[0])
-                expo = _literal_number(node.args[1], source)
-                return lambda xj: jets.power(_as_jet(base(xj), len(xj)), expo)
             if fname in _ALLOWED_CALLS and len(node.args) == 1 and not node.keywords:
                 fn = _ALLOWED_CALLS[fname]
                 arg = build(node.args[0])

@@ -23,7 +23,6 @@ from weylgeom.identities import (
     IdentityReport,
     check_report,
     expected_verdict,
-    report_ok,
     registry_ids,
     run_model_suite,
     _wedge,
@@ -150,7 +149,7 @@ def test_torse_forming_negative_control(small_bundles):
     assert report.verdict == FAIL
     assert report.max_residual > 1e-3
     assert expected_verdict(model, report) == FAIL
-    assert report_ok(model, report)
+    assert report.verdict == expected_verdict(model, report)
 
 
 def test_weyl_compatibility(small_bundles):
@@ -159,7 +158,7 @@ def test_weyl_compatibility(small_bundles):
     model, control = small_bundles["non_twisted_perturbed_n4"]
     bad = _report("weyl_compatibility", model, control)
     assert bad.verdict == FAIL
-    assert report_ok(model, bad)
+    assert bad.verdict == expected_verdict(model, bad)
 
 
 def test_electric_contraction_and_iff(small_bundles):
@@ -385,7 +384,7 @@ def test_divergence_formula(small_bundles):
     model, control = small_bundles["non_twisted_perturbed_n4"]
     bad = _report("weyl_divergence_formula", model, control)
     assert bad.verdict == FAIL
-    assert report_ok(model, bad)
+    assert bad.verdict == expected_verdict(model, bad)
 
 
 def test_master_recurrence_and_consistency(small_bundles):
@@ -560,7 +559,7 @@ def test_tolerance_override_changes_verdict(small_bundles):
     tight = run_model_suite(model, bundles, {"weyl_divergence_formula": 1e-18})
     report = next(r for r in tight if r.identity_id == "weyl_divergence_formula")
     assert report.verdict == FAIL
-    assert not report_ok(model, report)
+    assert report.verdict != expected_verdict(model, report)
 
 
 def test_point_evaluators_exposed_for_all_pointwise_checks():

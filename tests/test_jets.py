@@ -248,9 +248,14 @@ def test_a_function_of_one_coordinate_needs_no_jet_product(monkeypatch, name, fo
 def test_an_axis_survives_finite_numbers_only():
     x, y = jets.variables(np.array([0.3, 0.7]))
     assert (x.axis, y.axis) == (0, 1)
-    for kept in (2.0 * x, x * 2.0, x + 1.0, 1.0 + x, x - 1.0, 1.0 - x, -x, -(3.0 * x + 1.0)):
+    for kept in (2.0 * x, x * 2.0, x + 1.0, 1.0 + x, x - 1.0, 1.0 - x, -x, -(3.0 * x + 1.0), x / 2.0, x / -3):
         assert kept.axis == 0
+    # Dividing by a number scales by its reciprocal, bit for bit as x * (1/c).
+    assert np.array_equal((x / 3.0).coeffs, (x * (1.0 / 3.0)).coeffs)
     with np.errstate(invalid="ignore"):
-        dropped = (x * y, x * x, x + y, x - x, x / 2.0, x * np.inf, x + np.nan, 1.0 - np.inf * x, jets.exp(x))
+        dropped = (x * y, x * x, x + y, x - x, x * np.inf, x + np.nan, 1.0 - np.inf * x, x / 5e-324, jets.exp(x))
     for jet in dropped:
         assert jet.axis is None
+    for zero in (0.0, -0.0, 0):
+        with pytest.raises(ValueError, match="^jet division singularity$"):
+            x / zero

@@ -308,6 +308,43 @@ def test_grammar_supports_pow_call_and_operator():
     assert np.array_equal(squared.coeffs, compile_expression("1 + x1*x1", 2)(at_zero).coeffs)
 
 
+# When every literal operand was a constant jet, these made 3, 5, 2, 2 and 3 products.
+_LITERAL_OPERANDS = ("exp(0.6*t)", "exp(t/2)", "exp(2 - t)", "exp(1 + t)", "cos(0.5*x1 + 1)")
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The argument tuples of every jet product made while the test runs."""
+    made, times = [], jets._times
+    monkeypatch.setattr(jets, "_times", lambda *args: made.append(args) or times(*args))
+    return made
+
+
+@pytest.mark.parametrize("source", _LITERAL_OPERANDS)
+def test_a_literal_operand_makes_no_jet_product(products, source):
+    # A literal stays a number, so the coordinate keeps its axis through the
+    # scaling and shifting, and the function of it composes without products.
+    compile_expression(source, 4)(jets.variables(np.array([0.9, 0.4, -0.7, 1.1])))
+    assert not products
+
+
+def test_a_number_divided_by_a_number_is_scaled_by_its_reciprocal():
+    # As a jet divides.  3 / 5 rounds to 0.6, one unit in the last place below 3 * (1 / 5).
+    xj = jets.variables(np.array([0.9, 0.4, -0.7, 1.1]))
+    assert compile_expression("3/5", 4)(xj).value == 3 * (1 / 5) != 3 / 5
+
+
+def test_the_twisted_twin_makes_24_jet_products(products):
+    # The expression-grammar spelling of twisted_generic at n = 7, as the
+    # twisted_n7 benchmark workload gives it.  The built-in model makes 9
+    # products; the twin forms the shared factor once per entry.
+    n = 7
+    g_diag = ["-1"] + [f"exp(0.4*t + 0.2*t*sin(x1))*(1 + 0.05*cos(x{1 + mu % (n - 1)}))" for mu in range(1, n)]
+    model = builtin_model("custom_diagonal", n, {"g_diag": g_diag, "expected_class": "twisted"})
+    model.metric_jets(sample_points(model, 4, 1))
+    assert len(products) == 24
+
+
 def test_grammar_rejects_unknown_names_and_calls():
     with pytest.raises(ValueError, match="unknown name"):
         compile_expression("y + 1", 4)
