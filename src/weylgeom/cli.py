@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .curvature import FIELD_VARIANCE, CurvatureBundle, build_bundle
+from .curvature import FIELD_VARIANCE, CurvatureBundle, build_bundle, expand_pairs
 from .identities import (
     GROUPS,
     NOT_APPLICABLE,
@@ -51,10 +51,10 @@ __all__ = [
 ]
 
 # Element budget of one chunk of points built together.  The largest arrays
-# (∇C in the bundle; ∂C and third metric derivatives while a chunk is built)
-# hold n**5 entries per point, so a chunk has CHUNK_ELEMENTS // n**5 points:
-# 128 at n = 4, 16 at n = 6.  Larger chunks save little Python overhead but
-# hold more memory at once.
+# (third metric derivatives, ∂B and the Weyl kernel's sum W while a chunk is
+# built) hold n**5 entries per point, so a chunk has CHUNK_ELEMENTS // n**5
+# points: 128 at n = 4, 16 at n = 6.  ∇C in the bundle holds n**3 n(n-1)/2.
+# Larger chunks save little Python overhead but hold more memory at once.
 CHUNK_ELEMENTS = 2**17
 
 # Most sampled points per model.  Bundles are streamed a chunk at a time
@@ -486,6 +486,8 @@ def cmd_tensor_dump(args: argparse.Namespace) -> int:
     if point.size != model.n:
         raise ValueError(f"--point needs {model.n} coordinates for {model.label}, got {point.size}")
     value = getattr(build_bundle(model, point[None], (field_name,)), field_name)[0]
+    if field_name == "nabla_weyl":  # held at the pairs l < m of its last slot pair
+        value = expand_pairs(value)
     record: dict = {
         "model": model.label,
         "n": model.n,

@@ -22,7 +22,17 @@ Conventions (validated by the identity suite during bring-up):
 No ∂Riemann array is formed.  Riemann is the (c, d) exchange
 ``R_abcd = (B_abcd - B_abdc) / 2`` of a tensor B that one matrix product
 gives (see :func:`riemann_ricci_scalar`); :func:`weyl` adds the metric terms
-to ∂B in ∂B's own layout and takes one exchange to reach ∂C.
+to ∂B in ∂B's own layout and gathers ∂C from that sum at the pairs c < d.
+
+Pair layout: ∂C and ∇C are antisymmetric in their last slot pair, so they
+are held only at its N = n(n-1)/2 pairs l < m, in the order of
+``np.triu_indices(n, 1)``, as one last axis of length N (0.375 of the n**5
+entries at n = 4).  :func:`covariant_derivative` treats such a pair as one
+slot (the flag :data:`PAIR`), whose Γ-term is the connection induced on
+2-forms; :func:`expand_pairs` writes the full (l, m) block back.  R, C, h ∧ E
+and the remainder keep their n**4 entries, since the suite reads them often
+and cheaply; ∂B and its sum W with the metric terms keep n**5, since c and d
+sit on opposite sides of ∂B's matrix product.
 
 The comoving velocity, its covariant derivative, the expansion-type scalar
 ``hubble_rate = (∇_k u^k)/(n-1)``, the electric part of the Weyl tensor, its
@@ -42,14 +52,17 @@ slots (p, q) are batch axes of ``@``, or join the rows when they belong to
 the factor that is not broadcast.  Index permutations and outer products,
 which sum nothing, stay ``np.einsum`` views and broadcasts.  A product that
 fills an n**5 array writes it in the layout that the next elementwise step
-reads, so most such steps run over contiguous memory; the (c, d) exchanges
-and the permuted views of ∂³g cannot.
+reads, so most such steps run over contiguous memory; the (c, d) exchange
+of Riemann and the permuted views of ∂³g cannot.  Pair-layout steps read
+their entries through index tables built once per n, on first use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
-from typing import Collection, Iterator, Sequence
+from functools import cache
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,6 +79,8 @@ __all__ = [
     "riemann_ricci_scalar",
     "weyl",
     "covariant_derivative",
+    "PAIR",
+    "expand_pairs",
     "electric_reconstruction",
     "build_bundle",
 ]
@@ -110,7 +125,8 @@ class Curvature:
 @dataclass(frozen=True, eq=False)
 class WeylData:
     """Covariant Weyl tensor and its coordinate derivatives (``None``
-    without ∂B)."""
+    without ∂B), the latter in the pair layout: ``d_weyl[..., p, a, b, q] =
+    ∂_p C_abcd`` at the q-th pair c < d."""
 
     weyl: np.ndarray
     d_weyl: np.ndarray | None
@@ -146,11 +162,88 @@ def christoffel_from_jets(mj: MetricJets) -> Connection:
     return Connection(g_inv, d_g_inv, gamma, d_gamma, gamma_low, d_gamma_low)
 
 
-def _exchange_cd(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``(B_abcd - B_abdc) / 2``, C-ordered, from B held as ``b[..., b, c, a, d]``;
-    written into ``out`` (a new array by default), which must not overlap ``b``."""
-    out = np.subtract(np.einsum("...bcad->...abcd", b), np.einsum("...bdac->...abcd", b), out=out)
+def _exchange_cd(b: np.ndarray) -> np.ndarray:
+    """``(B_abcd - B_abdc) / 2``, a new C-ordered array, from B held as
+    ``b[..., b, c, a, d]``."""
+    out = np.einsum("...bcad->...abcd", b) - np.einsum("...bdac->...abcd", b)
     return np.multiply(out, 0.5, out=out)
+
+
+# The flag of a covariant slot pair held at its pairs l < m (see the module
+# docstring), in a variance passed to covariant_derivative.
+PAIR = "p"
+
+
+class _PairTables(NamedTuple):
+    """Index tables of the pair layout for one n.  ``expand``, ``vector`` and
+    ``connection`` index an axis laid out as :func:`_signed` lays it out, so
+    one gather reads an entry, its negative or zero."""
+
+    # [q]: the flat offset l n + m of the q-th pair l < m in an n×n block.
+    pairs: np.ndarray
+    # [l, m]: the pair (l, m) for l < m, its negative for l > m, zero for l = m.
+    expand: np.ndarray
+    # [(l, m), k]: v_m for k = l, -v_l for k = m, zero otherwise; reads
+    # Σ_s T_..ls v^s off a vector v, as V[(l, s), k] summed over the pairs.
+    vector: np.ndarray
+    # [p, (l, m), (a, b)]: the matrix of the connection induced on 2-forms,
+    # ∇_p ω_lm = ∂_p ω_lm - Σ_ab M_p[lm, ab] ω_ab with M_p[lm, ab] =
+    # δ_bm Γ^a_pl - δ_am Γ^b_pl + δ_al Γ^b_pm - δ_bl Γ^a_pm, read off Γ^a_bc
+    # flattened.  Off the diagonal at most one term is non-zero; on it the
+    # table holds Γ^l_pl, and ``trace`` [p, (l, m)] locates Γ^m_pm.
+    connection: np.ndarray
+    trace: np.ndarray
+    # [s, a, b, (c, d)]: flat offsets in an n**4 block held as [b, c, a, d] of
+    # B_abcd (s = 0) and B_abdc (s = 1).
+    exchange: np.ndarray
+
+
+@cache
+def _pair_tables(n: int) -> _PairTables:
+    """The pair layout's index tables for dimension n, built on first use."""
+    l, m = np.triu_indices(n, 1)
+    count = len(l)
+    expand = np.full((n, n), 2 * count)
+    expand[l, m], expand[m, l] = np.arange(count), count + np.arange(count)
+    vector = np.full((count, n), 2 * n)
+    vector[np.arange(count), l], vector[np.arange(count), m] = m, n + l
+    # Γ^a_bc sits at a n² + b n + c, and its negative n³ further on.
+    nn, n3 = n * n, n**3
+    single = np.full((count, count), -1)
+    for row, (x, y) in enumerate(zip(l, m)):
+        for col, (a, b) in enumerate(zip(l, m)):
+            if b == y:
+                single[row, col] = a * nn + x
+            elif a == y:
+                single[row, col] = n3 + b * nn + x
+            elif a == x:
+                single[row, col] = b * nn + y
+            elif b == x:
+                single[row, col] = n3 + a * nn + y
+    p = n * np.arange(n)
+    connection = np.where(single < 0, 2 * n3, single + p[:, None, None])
+    trace = p[:, None] + (nn + 1) * m
+    a, b = np.arange(n)[:, None, None], np.arange(n)[None, :, None]
+    exchange = np.stack((b * n3 + l * nn + a * n + m, b * n3 + m * nn + a * n + l))
+    tables = _PairTables(l * n + m, expand, vector, connection, trace, exchange)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _signed(x: np.ndarray) -> np.ndarray:
+    """``x``, ``0.0 - x`` and one ``0.0`` along the last axis (length k becomes
+    2k + 1), the layout that the tables of :class:`_PairTables` index."""
+    return np.concatenate((x, 0.0 - x, np.zeros(x.shape[:-1] + (1,))), axis=-1)
+
+
+def expand_pairs(t: np.ndarray) -> np.ndarray:
+    """The full (l, m) block of a tensor antisymmetric in its last slot pair
+    and held at the pairs l < m on its last axis: a new array with two axes of
+    length n in place of that one, holding ``0.0 - t`` at (m, l) and ``0.0``
+    on l = m (so no -0.0 that ``t`` does not hold)."""
+    n = (math.isqrt(8 * t.shape[-1] + 1) + 1) // 2
+    return np.take(_signed(t), _pair_tables(n).expand, axis=-1)
 
 
 def _trace_ac(b: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -241,15 +334,14 @@ def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
         return WeylData(weyl_c, None)
     # ∂C is formed from ∂B, not from ∂Riemann.  W_abcd = ∂B_abcd
     # + 2 ∂(g_bc S_ad - g_ac S_bd), held as ∂B is, has (W_abcd - W_abdc) / 2
-    # = ∂R_abcd - ∂(g ∧ S)_abcd = ∂C_abcd: one exchange, as for Riemann.
+    # = ∂R_abcd - ∂(g ∧ S)_abcd = ∂C_abcd, gathered at the pairs c < d only.
     # Each metric term is one matrix product over its two product-rule terms
     # [∂_p g, g] and [2 S; 2 ∂_p S], written in ∂B's layout [..., p, b, c, a, d]
     # so that W is summed with every operand contiguous: 2 ∂_p(g_bc S_ad) with
     # rows (b, c) and columns (a, d), 2 ∂_p(g_ac S_bd) batched over b with
-    # rows (c, a) and columns d.  The exchange goes into the products' buffer.
-    # W, dropped on return, is allocated before that buffer, which is
-    # returned: the other order cost about 4k more minor faults and 4-6%
-    # more time per default verify (where glibc places the arrays).
+    # rows (c, a) and columns d.  W, dropped on return, is allocated before
+    # the products' buffer: the other order cost about 4k more minor faults
+    # and 4-6% more time per default verify (where glibc places the arrays).
     lead, nn = g.shape[:-2], n * n
     rows = np.stack((dg.reshape(lead + (n, nn)), np.broadcast_to(g.reshape(lead + (1, nn)), lead + (n, nn))), axis=-1)
     cols = 2.0 * np.stack((np.broadcast_to(schouten.reshape(lead + (1, nn)), lead + (n, nn)), d_schouten.reshape(lead + (n, nn))), axis=-2)
@@ -259,7 +351,21 @@ def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
     by_b = cols.reshape(lead + (n, 2, n, n)).swapaxes(-3, -2)
     np.matmul(rows[..., None, :, :], by_b, out=term.reshape(lead + (n, n, nn, n)))
     w -= term
-    return WeylData(weyl_c, _exchange_cd(w, out=term))
+    # Each n**4 block of W (one p) gives ∂_p C_ab[cd] by two flat gathers,
+    # written side by side into the products' buffer (together they take
+    # (n-1)/n of it), which holds the returned ∂C.  The offsets are in range,
+    # so mode="clip" changes no entry; it lets take write to ``out`` directly
+    # instead of through a buffered copy.
+    blocks = w.reshape(lead + (n, nn * nn))
+    first, second = _pair_tables(n).exchange
+    shape = lead + (n,) + first.shape
+    size = math.prod(shape)
+    d_weyl, other = (term.reshape(-1)[k * size : (k + 1) * size].reshape(shape) for k in (0, 1))
+    np.take(blocks, first, axis=-1, out=d_weyl, mode="clip")
+    np.take(blocks, second, axis=-1, out=other, mode="clip")
+    d_weyl -= other
+    d_weyl *= 0.5
+    return WeylData(weyl_c, d_weyl)
 
 
 def covariant_derivative(
@@ -271,7 +377,8 @@ def covariant_derivative(
     ``d1`` holds the coordinate derivatives of ``components`` with the
     derivative index first after the point axes: ``d1[..., p, ...] = ∂_p T``.
     Signs follow variance: ``+Γ`` corrections for up slots, ``-Γ`` for down
-    slots.
+    slots and for a :data:`PAIR` slot, an antisymmetric covariant pair held
+    on one axis at its pairs l < m (see the module docstring).
     """
     if d1 is None:
         raise ValueError("missing coordinate-derivative data for covariant derivative")
@@ -280,27 +387,36 @@ def covariant_derivative(
     if not variance:
         return d1.copy()
     lead, n = gamma.shape[:-3], gamma.shape[-1]
-    rank = len(variance)
     # For each p, Γ as a matrix [a, z] that contracts the slot: Γ^z_pa for a
-    # down slot, Γ^a_pz for an up slot.
-    down, up = np.moveaxis(gamma, -3, -1), np.swapaxes(gamma, -3, -2)
+    # down slot, Γ^a_pz for an up slot, and for a pair slot the N×N matrix of
+    # the connection induced on 2-forms, gathered from Γ with its diagonal's
+    # second term added through a strided view.
+    matrices = {DOWN: np.moveaxis(gamma, -3, -1), UP: np.swapaxes(gamma, -3, -2)}
+    sizes = [n] * len(variance)
+    if PAIR in variance:
+        tables, pairs = _pair_tables(n), n * (n - 1) // 2
+        flat = gamma.reshape(lead + (n**3,))
+        induced = np.take(_signed(flat), tables.connection, axis=-1)
+        induced.reshape(lead + (n, pairs * pairs))[..., :: pairs + 1] += np.take(flat, tables.trace, axis=-1)
+        matrices[PAIR] = induced
+        sizes = [pairs if flag == PAIR else n for flag in variance]
     # Each slot's Γ-term is built in one scratch buffer in the layout of the
     # result, [..., p, pre, a, post] with pre and post the slots before and
     # after it, so every combine is contiguous; the first is combined with d1
     # into the result, the others in place.  The term is the matrix product
     # [a, z] @ [z, post], batched over (p, pre); for the last slot it is taken
     # transposed, [pre, z] @ [z, a], batched over p only.
-    term = np.empty(lead + (n,) * (rank + 1))
+    term = np.empty(d1.shape)
     nabla = np.empty_like(d1)
     for slot, flag in enumerate(variance):
-        pre, post = n**slot, n ** (rank - 1 - slot)
-        matrix = down if flag == DOWN else up
+        pre, size, post = math.prod(sizes[:slot]), sizes[slot], math.prod(sizes[slot + 1 :])
+        matrix = matrices[flag]
         if post == 1:
-            np.matmul(comp.reshape(lead + (1, pre, n)), np.swapaxes(matrix, -1, -2), out=term.reshape(lead + (n, pre, n)))
+            np.matmul(comp.reshape(lead + (1, pre, size)), np.swapaxes(matrix, -1, -2), out=term.reshape(lead + (n, pre, size)))
         else:
-            out = term.reshape(lead + (n, pre, n, post))
-            np.matmul(matrix[..., :, None, :, :], comp.reshape(lead + (1, pre, n, post)), out=out)
-        (np.subtract if flag == DOWN else np.add)(nabla if slot else d1, term, out=nabla)
+            out = term.reshape(lead + (n, pre, size, post))
+            np.matmul(matrix[..., :, None, :, :], comp.reshape(lead + (1, pre, size, post)), out=out)
+        (np.add if flag == UP else np.subtract)(nabla if slot else d1, term, out=nabla)
     return nabla
 
 
@@ -327,14 +443,18 @@ class CurvatureBundle:
     :data:`FIELD_VARIANCE`; scalar fields have shape ``(P,)``.  Derivatives
     put the derivative index first after the point axis: the coordinate
     derivative ``d_hubble_rate[k, p] = ∂_p φ``, and the new covariant slot of
-    ``nabla_weyl[k, p, j, l, m, s] = ∇_p C_jlms``.
+    ``nabla_weyl[k, p, j, l, q] = ∇_p C_jlms``.  ``nabla_weyl`` alone is held
+    in the pair layout (see the module docstring): its last axis ``q`` runs
+    over the N = n(n-1)/2 pairs m < s, so its shape is (P, n, n, n, N);
+    :func:`expand_pairs` gives the full (P, n, n, n, n, n) tensor that
+    :data:`FIELD_VARIANCE` describes.
 
     Chunks: the command-line runner builds a model's bundles a chunk of
     points at a time, with ``P = max(1, CHUNK_ELEMENTS // n**5)`` (see
-    :mod:`weylgeom.cli`), since the largest field (``nabla_weyl``) and the
-    largest intermediates hold n**5 entries per point.  Each bundle is
-    measured by the identity suite and dropped once the next one is built,
-    so a run holds at most two at once, whatever its sample size.  A
+    :mod:`weylgeom.cli`), since the largest intermediates (∂³g, ∂B and its
+    sum W with the metric terms) hold n**5 entries per point.  Each bundle
+    is measured by the identity suite and dropped once the next one is
+    built, so a run holds at most two at once, whatever its sample size.  A
     single-point evaluation is a chunk of one.
     """
 
@@ -367,6 +487,8 @@ class CurvatureBundle:
 # Slot variance of each tensor-valued bundle field ("u" up, "d" down), after
 # the point axis.  Fields absent here (Christoffel symbols, coordinate
 # derivatives, the point coordinates) are not tensors; scalars have "".
+# "nabla_weyl" names the expanded tensor, the n**5 entries that tensor-dump
+# prints, not the pair layout the bundle holds.
 FIELD_VARIANCE = {
     "g": "dd",
     "g_inv": "uu",
@@ -450,16 +572,23 @@ def _stages(model: MetricModel, coords: np.ndarray, order: int) -> Iterator[dict
     reconstruction = electric_reconstruction(mj.value, u_down, electric, n)
     yield dict(electric_reconstruction=reconstruction, weyl_remainder=wd.weyl - reconstruction)
 
-    d_electric = u @ (wd.d_weyl.reshape(lead + (n**4, n)) @ u).reshape(lead + (n, n, n * n))
+    # ∂C and ∇C are held at the pairs l < m of their last slot pair.  A vector
+    # v contracted into that pair, Σ_m T_..lm v^m, is one matrix product with
+    # the (N, n) table V[(l, m), k] = δ_kl v_m - δ_km v_l over the pairs.
+    tables = _pair_tables(n)
+    pairs = len(tables.pairs)
+    u_pairs = np.take(_signed(u), tables.vector)
+    d_electric = u @ (wd.d_weyl.reshape(lead + (n**3, pairs)) @ u_pairs).reshape(lead + (n, n, n * n))
     d_electric = d_electric.reshape(lead + (n,) * 3)
     nabla_electric = covariant_derivative((DOWN, DOWN), electric, d_electric, gamma)
-    # Divergences g^ps ∇_p T_...s: for each p, T's last slot times row p of g⁻¹,
-    # then the sum over p.
-    g_inv_rows = conn.g_inv[..., None]
-    div_electric = (nabla_electric @ g_inv_rows).sum(axis=-3)[..., 0]
+    # Divergences g^ps ∇_p T_...s: for each p, T's last slot times row p of g⁻¹
+    # (for ∇C, that row's pair table), then the sum over p.
+    div_electric = (nabla_electric @ conn.g_inv[..., None]).sum(axis=-3)[..., 0]
 
-    nabla_weyl = covariant_derivative((DOWN,) * 4, wd.weyl, wd.d_weyl, gamma)
-    div_weyl = (nabla_weyl.reshape(lead + (n, n**3, n)) @ g_inv_rows).sum(axis=-3)
+    weyl_pairs = np.take(wd.weyl.reshape(lead + (n, n, n * n)), tables.pairs, axis=-1)
+    nabla_weyl = covariant_derivative((DOWN, DOWN, PAIR), weyl_pairs, wd.d_weyl, gamma)
+    g_inv_pairs = np.take(_signed(conn.g_inv), tables.vector, axis=-1)
+    div_weyl = (nabla_weyl.reshape(lead + (n, n * n, pairs)) @ g_inv_pairs).sum(axis=-3)
     yield dict(
         nabla_weyl=nabla_weyl,
         div_weyl=div_weyl.reshape(lead + (n,) * 3),

@@ -41,6 +41,12 @@ max|D_jk. + D_kj.| for the Bianchi check.  The remainder's other traces
 follow from its pair antisymmetry and pair exchange, which
 ``remainder_curvature_symmetries`` measures.
 
+∇C comes held at the pairs l < m of its last slot pair (see
+:mod:`.curvature`), antisymmetric there by construction.  Its per-point
+maximum and first-pair defect are read off that array as it is; the Bianchi
+check expands its gather at the triples to the full (l, m) block, and the
+transport u^p ∇_p C is expanded to n**4 entries for the recurrences.
+
 The negative-control model declares which identities it is expected to fail;
 the runner treats an expected failure as a success of the suite's
 discriminating power.
@@ -55,7 +61,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .curvature import CurvatureBundle, electric_reconstruction
+from .curvature import CurvatureBundle, electric_reconstruction, expand_pairs
 from .models import TORSE_CLASSES, MetricModel
 from .tensors import generalized_curvature_check, kulkarni_nomizu, max_abs, norm_squared, raise_all
 
@@ -200,8 +206,9 @@ class _Chunk:
 
     @cached_property
     def weyl_along_u(self) -> np.ndarray:
-        """u^p ∇_p C_jklm."""
-        return _into_first(self.b.u_up, self.b.nabla_weyl)
+        """u^p ∇_p C_jklm, contracted at the pairs l < m that ∇C holds and
+        then expanded to the full (l, m) block."""
+        return expand_pairs(_into_first(self.b.u_up, self.b.nabla_weyl))
 
     @cached_property
     def weyl_first_pair_defect(self) -> np.ndarray:
@@ -400,14 +407,16 @@ def _bianchi_contraction(b: _Chunk) -> PointPairs:
     D (D_jkl = -D_kjl), and g symmetric, the difference is totally
     antisymmetric in (i, j, k), so the other triples repeat these up to sign
     and those with a repeated index vanish.  Both antisymmetries are measured
-    instead, and count as residual."""
+    instead, and count as residual.  ∇C is held at the pairs l < m of (l, m);
+    its gather at the triples is expanded to the full (l, m) block, so every
+    (l, m) entry of each cyclic sum is measured."""
     n = b.n
     i, j, k = _cyclic_triples(n)
     g, dv = b.g, b.div_weyl
     # Outer products of n-vectors: einsum writes them about twice as fast as
     # a broadcast multiply, whose inner loops are only n long.
     outer = "...l,...m->...lm"
-    terms = b.nabla_weyl[:, i, j, k] - (
+    terms = expand_pairs(b.nabla_weyl[:, i, j, k]) - (
         np.einsum(outer, dv[:, k, i], g[:, j]) + np.einsum(outer, g[:, k], dv[:, j, i])
     ) / (n - 3.0)
     residual = np.maximum(_pmax(_sum_shifts(terms)), _first_pair_defect(b.nabla_weyl, 2))

@@ -142,8 +142,9 @@ class MetricModel:
 
         Raises ``ValueError`` naming the first point whose coordinates or
         metric components (through the order's partials) are not finite, or
-        whose metric is not Lorentzian or is too ill-conditioned to invert
-        reliably.
+        whose metric has not exactly one negative eigenvalue ("not
+        Lorentzian"), or is singular: an eigenvalue of 0, or too
+        ill-conditioned to invert reliably.
         """
         mj = evaluate_metric_jets(self.entries, self.n, points, order)
         coords = np.reshape(points, (-1, self.n))
@@ -154,14 +155,18 @@ class MetricModel:
             bad = coords[np.argmin(finite)].tolist()
             raise ValueError(f"non-finite metric components at point {bad}")
         eigvals = np.linalg.eigvalsh(mj.value).reshape(-1, self.n)
-        lorentzian = (np.sum(eigvals < 0.0, axis=1) == 1) & np.all(eigvals != 0.0, axis=1)
+        magnitudes = np.abs(eigvals)
+        smallest = magnitudes.min(axis=1)
+        # An eigenvalue of exactly 0 makes the metric singular, as a tiny one
+        # does, whatever the signs of the others: the conditioning check
+        # names such a point.
+        lorentzian = (np.sum(eigvals < 0.0, axis=1) == 1) | (smallest == 0.0)
         if not lorentzian.all():
             bad = coords[np.argmin(lorentzian)].tolist()
             raise ValueError(f"metric signature is not Lorentzian at point {bad}")
         # For a symmetric matrix the 2-norm condition number is the ratio of
         # the largest to the smallest eigenvalue magnitude.
-        magnitudes = np.abs(eigvals)
-        conditioned = magnitudes.max(axis=1) <= _COND_LIMIT * magnitudes.min(axis=1)
+        conditioned = (magnitudes.max(axis=1) <= _COND_LIMIT * smallest) & (smallest > 0.0)
         if not conditioned.all():
             bad = coords[np.argmin(conditioned)].tolist()
             raise ValueError(f"singular metric at point {bad}")

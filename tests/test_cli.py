@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from weylgeom import builtin_model, cli, curvature, sample_points
 from weylgeom.cli import default_config, load_config, main, run, serialize_structured
-from weylgeom.curvature import FIELD_VARIANCE, CurvatureBundle, build_bundle
+from weylgeom.curvature import FIELD_VARIANCE, CurvatureBundle, build_bundle, expand_pairs
 from weylgeom.identities import IdentityReport
 from weylgeom.models import CATALOG_NAMES, MetricModel, default_model_specs
 
@@ -381,6 +381,8 @@ def test_tensor_dump_text_equals_json_dumps(capsys, model):
     for field_name in cli._DUMP_FIELDS:
         assert main(["tensor-dump", field_name, *argv]) == 0
         value = getattr(bundle, field_name)[0]
+        if field_name == "nabla_weyl":  # held at the pairs l < m of its last slot pair
+            value = expand_pairs(value)
         record = {"model": model.label, "n": model.n, "point": point.tolist(), "field": field_name}
         if value.ndim == 0:
             record["value"] = float(value)
@@ -389,6 +391,47 @@ def test_tensor_dump_text_equals_json_dumps(capsys, model):
             record["variance"] = None if variance is None else list(variance)
             record["components"] = value.tolist()
         assert capsys.readouterr().out == json.dumps(record, indent=2, sort_keys=True) + "\n", field_name
+
+
+@pytest.mark.parametrize("spec", default_model_specs(), ids=lambda spec: f"{spec[0]}_n{spec[1]}")
+def test_a_nabla_weyl_dump_writes_the_full_antisymmetric_pair(capsys, spec):
+    # The bundle holds ∇C at the pairs l < m of its last slot pair; the dump
+    # writes all n**5 entries: the pairs as held, 0.0 - X at (m, l) and 0.0
+    # on l = m, so it prints no -0.0 that the held pairs do not hold.
+    name, n, params = spec
+    model = builtin_model(name, n, params)
+    point = sample_points(model, 1, 5)
+    held = build_bundle(model, point, ("nabla_weyl",)).nabla_weyl[0]
+    assert held.shape == (n,) * 3 + (n * (n - 1) // 2,)
+    full = expand_pairs(held)
+    l, m = np.triu_indices(n, 1)
+    diagonal = full[..., np.arange(n), np.arange(n)]
+    assert full.shape == (n,) * 5
+    assert full[..., l, m].tobytes() == held.tobytes()
+    assert np.array_equal(full[..., m, l], -held)
+    assert np.all(diagonal == 0.0) and not np.signbit(diagonal).any()
+    assert np.signbit(full[full == 0.0]).sum() == np.signbit(held[held == 0.0]).sum()
+
+    argv = ["tensor-dump", "nablaC", "--model", name, "--n", str(n), "--point", ",".join(map(repr, point[0].tolist()))]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={json.dumps(value)}"]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out, parse_float=str)
+    spellings = np.array(record["components"])
+    assert spellings.shape == (n,) * 5 and record["variance"] == ["d"] * 5
+    assert np.array_equal(spellings.astype(float), full)
+    assert np.count_nonzero(spellings == "-0.0") == np.signbit(held[held == 0.0]).sum()
+
+
+@pytest.mark.parametrize("x1", ["0", "1e-300", "1e-9"])
+def test_a_degenerate_metric_is_called_singular(capsys, x1):
+    # g_22 carries sin²(x1), which is 0 at x1 = 0 and underflows to 0 at
+    # 1e-300: an eigenvalue of exactly 0 is a singular metric, as the tiny
+    # one at 1e-9 is, not a wrong signature.
+    point = [0.5, float(x1), 0.3, 0.2, 0.1]
+    argv = ["tensor-dump", "g", "--model", "grw_product_spheres", "--n", "5", "--point", f"0.5,{x1},0.3,0.2,0.1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: singular metric at point {point}\n")
 
 
 def test_the_shared_parser_keeps_nothing_between_calls(capsys):
@@ -445,7 +488,8 @@ def _record_jet_orders(monkeypatch):
 _CONNECTION_STAGE = ["christoffel_from_jets", "covariant_derivative/1", "covariant_derivative/1"]
 _CURVATURE_STAGE = _CONNECTION_STAGE + ["riemann_ricci_scalar"]
 _WEYL_STAGE = _CURVATURE_STAGE + ["weyl"]
-_DERIVATIVE_STAGE = _WEYL_STAGE + ["covariant_derivative/2", "covariant_derivative/4"]
+# ∇C's last slot pair counts as one slot (curvature.PAIR).
+_DERIVATIVE_STAGE = _WEYL_STAGE + ["covariant_derivative/2", "covariant_derivative/3"]
 
 
 @pytest.mark.parametrize(
@@ -523,7 +567,7 @@ def test_json_float_array_matches_json_dumps(shape):
 def test_json_float_array_matches_json_dumps_on_a_real_nabla_weyl():
     model = builtin_model("twisted_generic", 6)
     point = np.array([[0.5, 0.1, 0.2, 0.3, 0.4, 0.2]])
-    values = build_bundle(model, point, ("nabla_weyl",)).nabla_weyl[0]
+    values = expand_pairs(build_bundle(model, point, ("nabla_weyl",)).nabla_weyl[0])
     assert values.shape == (6,) * 5
     assert len(np.unique(values)) < values.size / 2
     _assert_json_float_array_matches_json_dumps(values)

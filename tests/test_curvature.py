@@ -7,11 +7,13 @@ from conftest import fd_tensor_partials
 from weylgeom import build_bundle, builtin_model, sample_points
 from weylgeom import jets
 from weylgeom.curvature import (
+    PAIR,
     Curvature,
     _exchange_cd,
     christoffel_from_jets,
     covariant_derivative,
     electric_reconstruction,
+    expand_pairs,
     riemann_ricci_scalar,
     weyl,
 )
@@ -184,7 +186,7 @@ def test_divergence_two_contraction_routes_agree(small_bundles):
     for b in bundles:
         for k in range(len(b.points)):
             direct = b.div_weyl[k]
-            nabla_weyl = TensorValue.of(b.nabla_weyl[k], (DOWN,) * 5)
+            nabla_weyl = TensorValue.of(expand_pairs(b.nabla_weyl[k]), (DOWN,) * 5)
             raised = raise_lower(nabla_weyl, 4, TensorValue.of(b.g_inv[k], (UP, UP)), UP)
             via_ops = contract(raised, 0, 4).components
             assert max_abs(direct - via_ops) < 1e-11 * max(1.0, max_abs(direct))
@@ -314,7 +316,7 @@ def test_weyl_divergence_matches_finite_differences():
             nabla_fd = covariant_derivative((DOWN,) * 4, b.weyl[0], d_weyl_fd, b.christoffel[0])
             div_fd = np.einsum("ps,pikms->ikm", b.g_inv[0], nabla_fd)
             scale = max(1.0, max_abs(b.nabla_weyl))
-            assert max_abs(nabla_fd - b.nabla_weyl[0]) < 2e-5 * scale
+            assert max_abs(nabla_fd - expand_pairs(b.nabla_weyl[0])) < 2e-5 * scale
             assert max_abs(div_fd - b.div_weyl[0]) < 2e-5 * scale
 
 
@@ -324,8 +326,13 @@ def test_weyl_divergence_matches_finite_differences():
 
 ORACLE_RTOL = 64 * np.finfo(np.float64).eps
 
-# Covariant-derivative variances: ranks 1-4, up and down slots mixed.
-ORACLE_VARIANCES = ["u", "d", "ud", "du", "dud", "uud", "dddd", "udud", "duuu"]
+# Covariant-derivative variances: ranks 1-4, up and down slots mixed, and a
+# PAIR slot (an antisymmetric covariant pair held at its pairs l < m) last,
+# first, in the middle and alone.
+ORACLE_VARIANCES = [
+    "u", "d", "ud", "du", "dud", "uud", "dddd", "udud", "duuu",
+    (DOWN, DOWN, PAIR), (PAIR, UP), (UP, PAIR, DOWN), (PAIR,),
+]
 
 
 def _einsum_d2_g_inv(mj, g_inv, d_g_inv):
@@ -433,6 +440,33 @@ def _einsum_covariant_derivative(variance, comp, d1, gamma):
     return nabla
 
 
+def _full_pair(t, axis, n):
+    """``t`` with its pair axis ``axis`` (the pairs l < m in the order of
+    ``np.triu_indices``) written out as the antisymmetric (l, m) block."""
+    l, m = np.triu_indices(n, 1)
+    t = np.moveaxis(t, axis, -1)
+    out = np.zeros(t.shape[:-1] + (n, n))
+    out[..., l, m], out[..., m, l] = t, -t
+    return np.moveaxis(out, (-2, -1), (axis, axis + 1))
+
+
+def _at_pairs(t, axis, n):
+    """The entries l < m of ``t``'s slot pair (axis, axis + 1), as one axis at ``axis``."""
+    l, m = np.triu_indices(n, 1)
+    return np.moveaxis(np.moveaxis(t, (axis, axis + 1), (-2, -1))[..., l, m], -1, axis)
+
+
+def _einsum_covariant_derivative_of(variance, comp, d1, gamma):
+    """The einsum oracle for a variance with at most one PAIR slot: that slot
+    written out as two down slots, the result read back at its pairs."""
+    if PAIR not in variance:
+        return _einsum_covariant_derivative(variance, comp, d1, gamma)
+    n, slot = gamma.shape[-1], list(variance).index(PAIR)
+    flags = "".join(DOWN + DOWN if flag == PAIR else flag for flag in variance)
+    full = _einsum_covariant_derivative(flags, _full_pair(comp, 1 + slot, n), _full_pair(d1, 2 + slot, n), gamma)
+    return _at_pairs(full, 2 + slot, n)
+
+
 def _oracle_close(got, want, magnitude=1.0):
     assert got.shape == want.shape
     return np.all(np.abs(got - want) <= ORACLE_RTOL * np.maximum(magnitude, np.abs(want)))
@@ -469,19 +503,35 @@ def test_kernels_match_einsum_oracle(spec):
     # (rw_flat is conformally flat) both sides are rounding noise of the
     # Riemann terms, so the bound also scales with M, the point's largest
     # component of Riemann or ∂Riemann.
+    # ∂C is held at the pairs c < d of its last slot pair.
     wd = weyl(mj, curv)
-    want = _einsum_weyl(mj, curv, d_riemann)
-    m = np.maximum(max_abs(curv.riemann, per_point=True), max_abs(d_riemann, per_point=True))
-    assert _oracle_close(wd.weyl, want[0], np.maximum(1.0, m)[:, None, None, None, None])
-    assert _oracle_close(wd.d_weyl, want[1], np.maximum(1.0, m)[:, None, None, None, None, None])
+    want_weyl, want_d_weyl = _einsum_weyl(mj, curv, d_riemann)
+    m = np.maximum(1.0, np.maximum(max_abs(curv.riemann, per_point=True), max_abs(d_riemann, per_point=True)))
+    m = m[:, None, None, None, None]
+    assert _oracle_close(wd.weyl, want_weyl, m), "weyl"
+    assert _oracle_close(wd.d_weyl, _at_pairs(want_d_weyl, 4, n), m), "d_weyl"
+
+    # ∇C, ∇E and div C of the bundle against the einsum formulas on the
+    # oracle's C and ∂C, with ∇C at its pairs l < m.
+    b = build_bundle(model, points)
+    u = model.u_up
+    nabla_weyl = _einsum_covariant_derivative("dddd", want_weyl, want_d_weyl, gamma)
+    electric = np.einsum("j,...jklm,m->...kl", u, want_weyl, u)
+    d_electric = np.einsum("j,...pjklm,m->...pkl", u, want_d_weyl, u)
+    nabla_electric = _einsum_covariant_derivative("dd", electric, d_electric, gamma)
+    div_weyl = np.einsum("...ps,...pjkls->...jkl", conn.g_inv, nabla_weyl)
+    assert _oracle_close(b.nabla_weyl, _at_pairs(nabla_weyl, 4, n), m), "nabla_weyl"
+    assert _oracle_close(b.nabla_electric, nabla_electric, m[..., 0]), "nabla_electric"
+    assert _oracle_close(b.div_weyl, div_weyl, m[..., 0]), "div_weyl"
 
     rng = np.random.default_rng(n)
+    pairs = n * (n - 1) // 2
     for variance in ORACLE_VARIANCES:
-        shape = (len(points),) + (n,) * len(variance)
+        shape = (len(points),) + tuple(pairs if flag == PAIR else n for flag in variance)
         comp = rng.uniform(-1.0, 1.0, shape)
         d1 = rng.uniform(-1.0, 1.0, shape[:1] + (n,) + shape[1:])
         got = covariant_derivative(variance, comp, d1, conn.gamma)
-        want = _einsum_covariant_derivative(variance, comp, d1, conn.gamma)
+        want = _einsum_covariant_derivative_of(variance, comp, d1, conn.gamma)
         assert _oracle_close(got, want), variance
 
 
@@ -497,12 +547,14 @@ def test_weyl_derivative_keeps_a_first_pair_defect_of_its_input():
     riemann = rng.uniform(-1.0, 1.0, curv.riemann.shape)
     d_b = rng.uniform(-1.0, 1.0, curv.d_b.shape)
     synthetic = Curvature(riemann, d_b, curv.ricci, curv.d_ricci, curv.scalar, curv.d_scalar)
+    # ∂C is held at the pairs c < d, so its first pair (a, b) is the axes (-3, -2).
     wd = weyl(mj, synthetic)
     want_weyl, want_d_weyl = _einsum_weyl(mj, synthetic, _exchange_cd(d_b))
-    for got, want, source in ((wd.weyl, want_weyl, riemann), (wd.d_weyl, want_d_weyl, d_b)):
+    cases = ((wd.weyl, want_weyl, riemann, -4), (wd.d_weyl, _at_pairs(want_d_weyl, 4, 5), d_b, -3))
+    for got, want, source, first in cases:
         m = np.maximum(1.0, max_abs(source, per_point=True)).reshape((-1,) + (1,) * (got.ndim - 1))
         assert _oracle_close(got, want, m)
-        defect, want_defect = (max_abs(t + t.swapaxes(-4, -3), per_point=True) for t in (got, want))
+        defect, want_defect = (max_abs(t + t.swapaxes(first, first + 1), per_point=True) for t in (got, want))
         assert np.all(want_defect > 0.1)
         assert np.all(np.abs(defect - want_defect) <= ORACLE_RTOL * want_defect)
 
@@ -520,8 +572,8 @@ def test_weyl_and_covariant_derivative_leave_their_inputs_alone():
     assert not np.shares_memory(wd.d_weyl, curv.d_b)
 
     rng = np.random.default_rng(0)
-    for variance in ("", "d", "u", "du", "dddd"):
-        shape = (3,) + (6,) * len(variance)
+    for variance in ("", "d", "u", "du", "dddd", (DOWN, DOWN, PAIR)):
+        shape = (3,) + tuple(15 if flag == PAIR else 6 for flag in variance)
         comp = rng.uniform(-1.0, 1.0, shape)
         d1 = rng.uniform(-1.0, 1.0, shape[:1] + (6,) + shape[1:])
         comp_before, d1_before = comp.copy(), d1.copy()

@@ -279,9 +279,18 @@ def _oracle_lovelock(b):
     return max_abs(_full_cyclic_sum(pattern), per_point=True)
 
 
+def _full_pairs(t, n):
+    """``t`` held at the pairs l < m of its last slot pair (in the order of
+    ``np.triu_indices``), written out as the antisymmetric (l, m) block."""
+    l, m = np.triu_indices(n, 1)
+    full = np.zeros(t.shape[:-1] + (n, n))
+    full[..., l, m], full[..., m, l] = t, -t
+    return full
+
+
 def _oracle_bianchi(b):
     g, dv = b.g, b.div_weyl
-    pattern = b.nabla_weyl - (
+    pattern = _full_pairs(b.nabla_weyl, b.n) - (
         np.einsum("...jm,...kil->...ijklm", g, dv) + np.einsum("...kl,...jim->...ijklm", g, dv)
     ) / (b.n - 3.0)
     return max_abs(_full_cyclic_sum(pattern), per_point=True)
@@ -314,7 +323,8 @@ def _antisymmetric(x, *slots):
 
 def _random_chunk(n, points=3, seed=0):
     """Random fields with the exact pair symmetries the suite relies on, but
-    satisfying none of the identities."""
+    satisfying none of the identities; ∇C is held at the pairs l < m of its
+    last slot pair, as the bundle holds it."""
     rng = np.random.default_rng(seed + n)
     g = rng.normal(size=(points, n, n))
     g_inv = rng.normal(size=(points, n, n))
@@ -326,7 +336,7 @@ def _random_chunk(n, points=3, seed=0):
         u_down=rng.normal(size=(points, n)),
         u_up=rng.normal(size=(points, n)),
         weyl=_antisymmetric(rng.normal(size=(points,) + (n,) * 4), 1, 3),
-        nabla_weyl=_antisymmetric(rng.normal(size=(points,) + (n,) * 5), 2, 4),
+        nabla_weyl=_antisymmetric(rng.normal(size=(points,) + (n,) * 3 + (n * (n - 1) // 2,)), 2),
         div_weyl=_antisymmetric(rng.normal(size=(points,) + (n,) * 3), 1),
         weyl_remainder=remainder + np.einsum("...abcd->...cdab", remainder),
     )
@@ -342,13 +352,17 @@ def test_independent_components_match_the_full_pattern_oracle(identity_id, n):
     np.testing.assert_allclose(residual, expected, rtol=1e-15, atol=0.0)
 
 
-def _first_pair_symmetric(n, j, k, *rest):
+def _first_pair_symmetric(n, j, k, *rest, pairs=False):
     """A unit tensor symmetric in its first pair (j, k); with two more slots
-    it is antisymmetric in them, as a curvature tensor's last pair is."""
+    it is antisymmetric in them, as a curvature tensor's last pair is, and
+    with ``pairs`` held at their pairs l < m, as ∇C's last pair is."""
     e = np.zeros((n,) * (2 + len(rest)))
     e[(j, k) + rest] = e[(k, j) + rest] = 1.0
     if len(rest) == 2:
         e[(j, k) + rest[::-1]] = e[(k, j) + rest[::-1]] = -1.0
+    if pairs:
+        l, m = np.triu_indices(n, 1)
+        e = e[..., l, m]
     return e
 
 
@@ -368,7 +382,8 @@ def test_a_first_pair_antisymmetry_defect_fails_the_cyclic_checks(small_bundles,
     # even on the diagonal the triples never see, fails the check.
     model, bundles = small_bundles["twisted_n4"]
     # The defect broadcasts over the leading axes: every point, and every p of ∇_p C.
-    defect = _first_pair_symmetric(model.n, *pair, *((3,) if field == "div_weyl" else (2, 3)))
+    rest = (3,) if field == "div_weyl" else (2, 3)
+    defect = _first_pair_symmetric(model.n, *pair, *rest, pairs=field == "nabla_weyl")
     broken = [dataclasses.replace(b, **{field: getattr(b, field) + 1e-6 * defect}) for b in bundles]
     for identity_id in _CHECKS_READING[field]:
         assert _report(identity_id, model, bundles).verdict == PASS
