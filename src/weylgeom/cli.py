@@ -51,11 +51,14 @@ __all__ = [
 ]
 
 # Element budget of one chunk of points built together.  The largest arrays
-# (third metric derivatives, ∂B and the Weyl kernel's sum W while a chunk is
-# built) hold n**5 entries per point, so a chunk has CHUNK_ELEMENTS // n**5
-# points: 128 at n = 4, 16 at n = 6.  ∇C in the bundle holds n**3 n(n-1)/2.
-# Larger chunks save little Python overhead but hold more memory at once.
-CHUNK_ELEMENTS = 2**17
+# (third metric derivatives, ∂B and the Weyl kernel's products while a chunk
+# is built) hold n**5 entries per point, so a chunk has at most
+# CHUNK_ELEMENTS // n**5 points: 256 at n = 4, 83 at n = 5, 33 at n = 6.  A
+# sample is split evenly into the fewest chunks this cap allows (see
+# _chunk_edges): 50 points are one chunk at n = 4 and 5, two of 25 at n = 6.
+# ∇C in the bundle holds n**3 n(n-1)/2.  The fixed cost of a chunk, not its
+# array size, sets the run time; larger chunks hold more memory at once.
+CHUNK_ELEMENTS = 2**18
 
 # Most sampled points per model.  Bundles are streamed a chunk at a time
 # from build to suite, so memory grows with the sample only by the per-point
@@ -234,15 +237,24 @@ def _labelled_models(entries: list[dict]) -> list[tuple[str, MetricModel]]:
 
 
 def chunk_size(n: int) -> int:
-    """Points per chunk for dimension n (see ``CHUNK_ELEMENTS``)."""
+    """Most points per chunk for dimension n (see ``CHUNK_ELEMENTS``)."""
     return max(1, CHUNK_ELEMENTS // n**5)
+
+
+def _chunk_edges(count: int, n: int) -> list[int]:
+    """Where the chunks of a sample of ``count`` points start, and where the
+    last one stops: the fewest chunks of at most ``chunk_size(n)`` points,
+    with sizes that differ by at most one.  An empty sample has no chunk."""
+    chunks = -(-count // chunk_size(n))
+    return [count * k // chunks for k in range(chunks + 1)] if chunks else [0]
 
 
 def _collect_bundles(
     model: MetricModel, points: np.ndarray, warnings: list[str]
 ) -> Iterator[CurvatureBundle]:
     """Bundles of a model's sampled points, built a chunk at a time and
-    yielded as they are built; none is kept.
+    yielded as they are built; none is kept.  Each is yielded straight from
+    its build, so this frame holds no bundle while the next one is built.
 
     A chunk that fails is rebuilt one point at a time, so only the points
     that fail are skipped (each with a warning); after the last chunk,
@@ -250,22 +262,18 @@ def _collect_bundles(
     array yields nothing, and the identity suite rejects it.
     """
     skipped = 0
-    size = chunk_size(model.n)
-    for start in range(0, len(points), size):
-        chunk = points[start : start + size]
+    edges = _chunk_edges(len(points), model.n)
+    for start, stop in zip(edges, edges[1:]):
+        chunk = points[start:stop]
         try:
-            bundle = build_bundle(model, chunk)
+            yield build_bundle(model, chunk)
         except ValueError:
             for point in chunk:
                 try:
-                    bundle = build_bundle(model, point[None])
+                    yield build_bundle(model, point[None])
                 except ValueError as err:
                     skipped += 1
                     warnings.append(f"{model.label}: skipped point {point.tolist()}: {err}")
-                else:
-                    yield bundle
-        else:
-            yield bundle
     if skipped and skipped / len(points) >= 0.05:
         raise RuntimeError(
             f"{model.label}: {skipped}/{len(points)} sampled points failed to evaluate"

@@ -22,7 +22,7 @@ Conventions (validated by the identity suite during bring-up):
 No ∂Riemann array is formed.  Riemann is the (c, d) exchange
 ``R_abcd = (B_abcd - B_abdc) / 2`` of a tensor B that one matrix product
 gives (see :func:`riemann_ricci_scalar`); :func:`weyl` adds the metric terms
-to ∂B in ∂B's own layout and gathers ∂C from that sum at the pairs c < d.
+to ∂B in ∂B's own buffer and gathers ∂C from that sum at the pairs c < d.
 
 Pair layout: ∂C and ∇C are antisymmetric in their last slot pair, so they
 are held only at its N = n(n-1)/2 pairs l < m, in the order of
@@ -31,8 +31,10 @@ entries at n = 4).  :func:`covariant_derivative` treats such a pair as one
 slot (the flag :data:`PAIR`), whose Γ-term is the connection induced on
 2-forms; :func:`expand_pairs` writes the full (l, m) block back.  R, C, h ∧ E
 and the remainder keep their n**4 entries, since the suite reads them often
-and cheaply; ∂B and its sum W with the metric terms keep n**5, since c and d
-sit on opposite sides of ∂B's matrix product.
+and cheaply; ∂B keeps n**5, since c and d sit on opposite sides of its
+matrix product.  The n**5 arrays of one build are ∂³g, ∂B (whose buffer then
+holds W) and the buffer of :func:`weyl`'s metric-term products, and at most
+two of them are alive at once.
 
 The comoving velocity, its covariant derivative, the expansion-type scalar
 ``hubble_rate = (∇_k u^k)/(n-1)``, the electric part of the Weyl tensor, its
@@ -267,23 +269,29 @@ def riemann_ricci_scalar(mj: MetricJets, conn: Connection) -> Curvature:
     # B is held as B[b, c, a, d]: its product is one matrix product over e
     # with rows (b, c) and columns (a, d), and its ∂²g part is the jet itself
     # less a view.  ∂_p B follows by the product rule, with ∂³g in place of
-    # ∂²g: one matrix product over (e, e') of [∂_p Γ^e_bc, Γ^e'_bc] and
-    # [2 Γ_ead; 2 ∂_p Γ_e'ad], with p a batch axis.
+    # ∂²g: for each p, one matrix product over (e, e') of [∂_p Γ^e_bc, Γ^e'_bc]
+    # and [2 Γ_ead; 2 ∂_p Γ_e'ad], written into ∂B's block p.  The two
+    # operands hold one p at a time, 2 n**3 entries each per point, so no
+    # operand of n**4 entries per point is alive beside ∂B and ∂³g, the
+    # peak of this stage.
     # Without ∂³g the ∂ half is skipped.  With it, value and ∂ steps
     # interleave in one fixed order: the order of the large allocations moves
     # the peak memory of a verify.
     rows = np.swapaxes(conn.gamma.reshape(lead + (n, n * n)), -1, -2)
     cols = 2.0 * conn.gamma_low.reshape(lead + (n, n * n))
-    if third:
-        d_rows = np.swapaxes(conn.d_gamma.reshape(lead + (n, n, n * n)), -1, -2)
-        d_cols = 2.0 * conn.d_gamma_low.reshape(lead + (n, n, n * n))
     b = (rows @ cols).reshape(lead + (n,) * 4)
     held = [(b, mj.d2)]
     if third:
-        d_b = (
-            np.concatenate((d_rows, np.broadcast_to(rows[..., None, :, :], d_rows.shape)), axis=-1)
-            @ np.concatenate((np.broadcast_to(cols[..., None, :, :], d_cols.shape), d_cols), axis=-2)
-        ).reshape(lead + (n,) * 5)
+        d_rows = np.swapaxes(conn.d_gamma.reshape(lead + (n, n, n * n)), -1, -2)
+        d_low = conn.d_gamma_low.reshape(lead + (n, n, n * n))
+        left, right = np.empty(lead + (n * n, 2 * n)), np.empty(lead + (2 * n, n * n))
+        left[..., n:], right[..., :n, :] = rows, cols
+        d_b = np.empty(lead + (n,) * 5)
+        blocks = d_b.reshape(lead + (n, n * n, n * n))
+        for p in range(n):
+            left[..., :n] = d_rows[..., p, :, :]
+            np.multiply(d_low[..., p, :, :], 2.0, out=right[..., n:, :])
+            np.matmul(left, right, out=blocks[..., p, :, :])
         held.append((d_b, mj.d3))
     for array, jet in held:
         array += jet
@@ -308,7 +316,9 @@ def riemann_ricci_scalar(mj: MetricJets, conn: Connection) -> Curvature:
 
 def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
     """Totally traceless part of the Riemann tensor, with its coordinate ∂'s
-    when ``curv`` holds ∂B.  Neither input array is written."""
+    when ``curv`` holds ∂B.  ``curv.d_b`` is consumed: the Weyl sum W is
+    formed in its buffer, so it holds no ∂B on return.  No other input array
+    is written."""
     n = mj.n
     if n < 4:
         raise ValueError("Weyl undefined for n < 4")
@@ -339,31 +349,24 @@ def weyl(mj: MetricJets, curv: Curvature) -> WeylData:
     # [∂_p g, g] and [2 S; 2 ∂_p S], written in ∂B's layout [..., p, b, c, a, d]
     # so that W is summed with every operand contiguous: 2 ∂_p(g_bc S_ad) with
     # rows (b, c) and columns (a, d), 2 ∂_p(g_ac S_bd) batched over b with
-    # rows (c, a) and columns d.  W, dropped on return, is allocated before
-    # the products' buffer: the other order cost about 4k more minor faults
-    # and 4-6% more time per default verify (where glibc places the arrays).
+    # rows (c, a) and columns d.  W is summed in ∂B's own buffer, which the
+    # caller does not read again.
     lead, nn = g.shape[:-2], n * n
     rows = np.stack((dg.reshape(lead + (n, nn)), np.broadcast_to(g.reshape(lead + (1, nn)), lead + (n, nn))), axis=-1)
     cols = 2.0 * np.stack((np.broadcast_to(schouten.reshape(lead + (1, nn)), lead + (n, nn)), d_schouten.reshape(lead + (n, nn))), axis=-2)
-    w = np.empty(curv.d_b.shape)
+    w = curv.d_b
     term = np.matmul(rows, cols).reshape(w.shape)
-    np.add(curv.d_b, term, out=w)
+    w += term
     by_b = cols.reshape(lead + (n, 2, n, n)).swapaxes(-3, -2)
     np.matmul(rows[..., None, :, :], by_b, out=term.reshape(lead + (n, n, nn, n)))
     w -= term
-    # Each n**4 block of W (one p) gives ∂_p C_ab[cd] by two flat gathers,
-    # written side by side into the products' buffer (together they take
-    # (n-1)/n of it), which holds the returned ∂C.  The offsets are in range,
-    # so mode="clip" changes no entry; it lets take write to ``out`` directly
-    # instead of through a buffered copy.
+    # Each n**4 block of W (one p) gives ∂_p C_ab[cd] by two flat gathers, so
+    # the returned ∂C is a compact array and the products' buffer is freed.
+    del term
     blocks = w.reshape(lead + (n, nn * nn))
     first, second = _pair_tables(n).exchange
-    shape = lead + (n,) + first.shape
-    size = math.prod(shape)
-    d_weyl, other = (term.reshape(-1)[k * size : (k + 1) * size].reshape(shape) for k in (0, 1))
-    np.take(blocks, first, axis=-1, out=d_weyl, mode="clip")
-    np.take(blocks, second, axis=-1, out=other, mode="clip")
-    d_weyl -= other
+    d_weyl = np.take(blocks, first, axis=-1)
+    d_weyl -= np.take(blocks, second, axis=-1)
     d_weyl *= 0.5
     return WeylData(weyl_c, d_weyl)
 
@@ -450,11 +453,12 @@ class CurvatureBundle:
     :data:`FIELD_VARIANCE` describes.
 
     Chunks: the command-line runner builds a model's bundles a chunk of
-    points at a time, with ``P = max(1, CHUNK_ELEMENTS // n**5)`` (see
-    :mod:`weylgeom.cli`), since the largest intermediates (∂³g, ∂B and its
-    sum W with the metric terms) hold n**5 entries per point.  Each bundle
-    is measured by the identity suite and dropped once the next one is
-    built, so a run holds at most two at once, whatever its sample size.  A
+    points at a time, splitting a sample into the fewest chunks of at most
+    ``max(1, CHUNK_ELEMENTS // n**5)`` points, with sizes that differ by at
+    most one (see :mod:`weylgeom.cli`), since the largest intermediates (∂³g,
+    ∂B and the Weyl kernel's products) hold n**5 entries per point.  Each
+    bundle is measured by the identity suite and dropped before the next one
+    is built, so a run holds one at a time, whatever its sample size.  A
     single-point evaluation is a chunk of one.
     """
 
@@ -562,7 +566,7 @@ def _stages(model: MetricModel, coords: np.ndarray, order: int) -> Iterator[dict
     yield dict(riemann=curv.riemann, ricci=curv.ricci, scalar_curvature=curv.scalar)
 
     wd = weyl(mj, curv)
-    del curv  # ∂B is not needed again
+    del curv  # weyl consumed ∂B; its buffer, which held W, is freed
     # E_kl = u^j C_jklm u^m: u contracted into the last slot, then the first.
     lead = coords.shape[:1]
     electric = u @ (wd.weyl.reshape(lead + (n**3, n)) @ u).reshape(lead + (n, n * n))

@@ -21,10 +21,10 @@ fields, the electric-part reconstruction h ∧ E of the Weyl tensor among them
 and computes each shared block at most once: transports along u, the squared
 norms, and the per-point maxima ``max_<name>`` of any field or block.  Every
 applicable check measures its per-point arrays on that view
-(``evaluate_check``), and the view is dropped before the next chunk's is
-built, so one chunk's blocks at most are alive.  Each report is then judged
-from its check's arrays over all chunks (``_report``); ``check_report`` runs
-the same two steps for one check alone.
+(``evaluate_check``), and the view is dropped, with its bundle, before the
+next chunk's bundle is built, so one chunk's bundle and blocks at most are
+alive.  Each report is then judged from its check's arrays over all chunks
+(``_report``); ``check_report`` runs the same two steps for one check alone.
 
 Checks whose residual pattern repeats itself up to sign are evaluated on
 its independent components only, from index tables built once per n
@@ -852,12 +852,12 @@ def run_model_suite(
     if unknown:
         raise ValueError(f"unknown identity ids in tolerance overrides: {sorted(unknown)}")
     # Every applicable check measures a chunk on that chunk's view, which is
-    # dropped before the next is built, so only one chunk's shared quantities
-    # are alive at once; each report is then judged over all the chunks.
+    # dropped, with its bundle, before the next is built, so only one chunk's
+    # bundle and shared quantities are alive at once; each report is then
+    # judged over all the chunks.
     applicable = [check for check in REGISTRY if check.applies(model)]
     measured: dict[str, list] = {check.identity_id: [] for check in applicable}
-    for b in bundles:
-        chunk = _Chunk(b)
+    for chunk in map(_Chunk, bundles):
         for check in applicable:
             measured[check.identity_id].append(evaluate_check(check, chunk))
         del chunk

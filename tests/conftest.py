@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from weylgeom import build_bundle, builtin_model, sample_points
-from weylgeom.cli import chunk_size
+from weylgeom.cli import _chunk_edges
 from weylgeom.models import default_model_specs
 
 SEED = 42
@@ -49,8 +49,8 @@ def fd_tensor_partials(field_fn, x, h=1e-3):
 
 def chunked_bundles(model, points):
     """Bundles of ``points`` built a chunk at a time, as the CLI builds them."""
-    size = chunk_size(model.n)
-    return [build_bundle(model, points[i : i + size]) for i in range(0, len(points), size)]
+    edges = _chunk_edges(len(points), model.n)
+    return [build_bundle(model, points[start:stop]) for start, stop in zip(edges, edges[1:])]
 
 
 def point_count(bundles):

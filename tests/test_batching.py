@@ -26,7 +26,7 @@ from weylgeom.tensors import max_abs
 
 RTOL = 64 * np.finfo(np.float64).eps
 POINTS = 7
-CHUNK_POINTS = 3  # chunks of 3, 3 and 1 points
+CHUNK_POINTS = 3  # chunks of 2, 2 and 3 points
 
 ARRAY_FIELDS = [f.name for f in dataclasses.fields(cli.CurvatureBundle) if f.name != "n"]
 
@@ -52,7 +52,7 @@ def test_chunked_equals_alone_and_reverses(monkeypatch, spec):
     points = sample_points(model, POINTS, 11)
     warnings = []
     chunked = list(cli._collect_bundles(model, points, warnings))
-    assert warnings == [] and [len(b.points) for b in chunked] == [3, 3, 1]
+    assert warnings == [] and [len(b.points) for b in chunked] == [2, 2, 3]
     alone = [build_bundle(model, p[None]) for p in points]
     reversed_chunks = list(cli._collect_bundles(model, points[::-1].copy(), warnings))
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -655,17 +656,17 @@ def test_many_singular_points_error_out(monkeypatch):
 
 def test_nan_point_is_skipped_alone_in_its_chunk():
     model = builtin_model("twisted_generic", 5)
-    size = cli.chunk_size(5)
-    points = sample_points(model, size + 5, 42)  # a full chunk, then one of 5
-    points[size + 2, 2] = np.nan
+    points = sample_points(model, cli.chunk_size(5) + 5, 42)  # two chunks
+    first, second, end = cli._chunk_edges(len(points), 5)
+    points[second + 2, 2] = np.nan
     warnings = []
     bundles = list(cli._collect_bundles(model, points, warnings))
     # The first chunk is untouched; the failing one is rebuilt point by point.
-    assert [len(b.points) for b in bundles] == [size] + [1] * 4
+    assert [len(b.points) for b in bundles] == [second - first] + [1] * (end - second - 1)
     assert len(warnings) == 1
     assert "skipped point" in warnings[0] and "chart coordinate x2 = nan" in warnings[0]
     kept = np.concatenate([b.points for b in bundles])
-    assert np.array_equal(kept, np.delete(points, size + 2, axis=0))
+    assert np.array_equal(kept, np.delete(points, second + 2, axis=0))
 
 
 def _skip_warnings(model, points):
@@ -679,25 +680,79 @@ def _skip_warnings(model, points):
     return out
 
 
-def test_a_model_holds_at_most_two_bundles_at_once(monkeypatch):
-    # twisted_generic n = 6 at 100 points is 7 chunks of at most 16 points.
-    # Each bundle is measured, then dropped once the next one is built, so
-    # only that one and the one being built may be alive.
-    alive, counts = weakref.WeakSet(), []
+def _count_bundles(monkeypatch):
+    """Patch ``cli.build_bundle`` to record, at each build, the chunk's size
+    and how many bundles are alive once it is built; returns both lists."""
+    alive, sizes, counts = weakref.WeakSet(), [], []
 
     def tracked(*args, _build=cli.build_bundle):
         bundle = _build(*args)
         alive.add(bundle)
+        sizes.append(len(bundle.points))
         counts.append(len(alive))
         return bundle
 
     monkeypatch.setattr(cli, "build_bundle", tracked)
+    return sizes, counts
+
+
+def test_a_model_holds_one_bundle_at_a_time(monkeypatch):
+    # twisted_generic n = 6 at 100 points is 4 chunks of 25 points.  Each
+    # bundle is measured and dropped before the next one is built, so no
+    # earlier bundle is reachable when a bundle is built.
+    sizes, counts = _count_bundles(monkeypatch)
     config = default_config()
     config.models = [entry for entry in config.models if entry["name"] == "twisted_generic" and entry["n"] == 6]
     config.points = 100
     result = run(config)
     assert result["exit_code"] == 0 and result["warnings"] == []
-    assert len(counts) == 7 and max(counts) <= 2
+    assert sizes == [25] * 4 and max(counts) == 1
+
+
+def test_a_default_verify_builds_eleven_chunks(monkeypatch):
+    # 50 points are one chunk at n = 4 and n = 5, and two of 25 at n = 6.
+    sizes, counts = _count_bundles(monkeypatch)
+    assert run(default_config())["exit_code"] == 0
+    assert sorted(sizes) == [25] * 4 + [50] * 7 and max(counts) == 1
+
+
+def test_the_default_report_does_not_depend_on_the_chunk_budget(monkeypatch):
+    reports = []
+    for budget in (2**17, 2**18, _SMALL_CHUNK_ELEMENTS):
+        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", budget)
+        reports.append(serialize_structured(run(default_config())))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_the_largest_default_chunk_builds_within_3_75_of_its_n5_arrays(n):
+    # The n**5 arrays of a chunk's build are ∂³g, ∂B (in whose buffer the
+    # Weyl sum W is formed) and the Weyl kernel's metric-term products.  The
+    # traced peak of the build must stay under 3.75 such arrays of the
+    # largest chunk of a default verify (50 points at n = 5, 25 at n = 6).
+    model = builtin_model("twisted_generic", n)
+    points = sample_points(model, max(np.diff(cli._chunk_edges(50, n))), 42)
+    build_bundle(model, points[:1])  # index tables are built on first use
+    tracemalloc.start()
+    try:
+        build_bundle(model, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.75 * len(points) * n**5 * 8
+
+
+@pytest.mark.parametrize("budget", [cli.CHUNK_ELEMENTS, _SMALL_CHUNK_ELEMENTS])
+def test_a_sample_splits_into_the_fewest_even_chunks(monkeypatch, budget):
+    monkeypatch.setattr(cli, "CHUNK_ELEMENTS", budget)
+    for n in range(4, 8):
+        cap = cli.chunk_size(n)
+        for count in range(1, 201):
+            edges = cli._chunk_edges(count, n)
+            sizes = np.diff(edges)
+            assert len(sizes) == -(-count // cap), (n, count)
+            assert edges[0] == 0 and edges[-1] == count and sizes.min() >= 1, (n, count)
+            assert sizes.max() - sizes.min() <= 1 and sizes.max() <= cap, (n, count)
 
 
 @pytest.mark.parametrize("failing", [1, 2, 22, 50])
@@ -736,14 +791,14 @@ def test_an_empty_sample_is_one_model_error(monkeypatch):
 
 def test_a_failing_point_in_the_last_chunk_warns_when_that_chunk_is_built():
     model = builtin_model("twisted_generic", 5)
-    size = cli.chunk_size(5)
-    points = sample_points(model, 2 * size + 5, 42)
+    points = sample_points(model, 2 * cli.chunk_size(5) + 5, 42)  # three chunks
+    edges = cli._chunk_edges(len(points), 5)
     points[-2, 1] = np.nan
     warnings = []
     stream = cli._collect_bundles(model, points, warnings)
-    assert [len(next(stream).points) for _ in range(2)] == [size, size]
+    assert [len(next(stream).points) for _ in range(2)] == list(np.diff(edges[:3]))
     assert warnings == []
-    assert [len(b.points) for b in stream] == [1] * 4
+    assert [len(b.points) for b in stream] == [1] * (edges[3] - edges[2] - 1)
     assert warnings == _skip_warnings(model, points) and len(warnings) == 1
 
 

@@ -546,8 +546,9 @@ def test_weyl_derivative_keeps_a_first_pair_defect_of_its_input():
     rng = np.random.default_rng(5)
     riemann = rng.uniform(-1.0, 1.0, curv.riemann.shape)
     d_b = rng.uniform(-1.0, 1.0, curv.d_b.shape)
-    synthetic = Curvature(riemann, d_b, curv.ricci, curv.d_ricci, curv.scalar, curv.d_scalar)
+    synthetic = Curvature(riemann, d_b.copy(), curv.ricci, curv.d_ricci, curv.scalar, curv.d_scalar)
     # ∂C is held at the pairs c < d, so its first pair (a, b) is the axes (-3, -2).
+    # weyl consumes its ∂B, so the oracle reads the copy d_b.
     wd = weyl(mj, synthetic)
     want_weyl, want_d_weyl = _einsum_weyl(mj, synthetic, _exchange_cd(d_b))
     cases = ((wd.weyl, want_weyl, riemann, -4), (wd.d_weyl, _at_pairs(want_d_weyl, 4, 5), d_b, -3))
@@ -560,16 +561,19 @@ def test_weyl_derivative_keeps_a_first_pair_defect_of_its_input():
 
 
 def test_weyl_and_covariant_derivative_leave_their_inputs_alone():
-    # Both kernels fill scratch buffers in place; none of them may be an input.
+    # Both kernels fill scratch buffers in place; none of them may be an
+    # input, except ∂B, in whose buffer weyl forms its sum W.  What weyl
+    # returns shares no memory with R or with that consumed ∂B.
     model = builtin_model("twisted_generic", 6)
     mj = model.metric_jets(sample_points(model, 3, 5))
     conn = christoffel_from_jets(mj)
     curv = riemann_ricci_scalar(mj, conn)
     riemann, d_b = curv.riemann.copy(), curv.d_b.copy()
     wd = weyl(mj, curv)
-    assert np.array_equal(curv.riemann, riemann) and np.array_equal(curv.d_b, d_b)
-    assert not np.shares_memory(wd.weyl, curv.riemann)
-    assert not np.shares_memory(wd.d_weyl, curv.d_b)
+    assert np.array_equal(curv.riemann, riemann) and not np.array_equal(curv.d_b, d_b)
+    for returned in (wd.weyl, wd.d_weyl):
+        assert not np.shares_memory(returned, curv.riemann)
+        assert not np.shares_memory(returned, curv.d_b)
 
     rng = np.random.default_rng(0)
     for variance in ("", "d", "u", "du", "dddd", (DOWN, DOWN, PAIR)):
