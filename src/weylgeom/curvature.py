@@ -29,10 +29,12 @@ are held only at its N = n(n-1)/2 pairs l < m, in the order of
 ``np.triu_indices(n, 1)``, as one last axis of length N (0.375 of the n**5
 entries at n = 4).  :func:`covariant_derivative` treats such a pair as one
 slot (the flag :data:`PAIR`), whose Γ-term is the connection induced on
-2-forms; :func:`expand_pairs` writes the full (l, m) block back.  R, C, h ∧ E
-and the remainder keep their n**4 entries, since the suite reads them often
-and cheaply; ∂B keeps n**5, since c and d sit on opposite sides of its
-matrix product.  The n**5 arrays of one build are ∂³g, ∂B (whose buffer then
+2-forms; :func:`expand_pairs` writes the full (l, m) block back and
+:func:`gather_pairs` reads a full block at its pairs.  R, C, h ∧ E and the
+remainder keep their n**4 entries, since the suite reads them often and
+cheaply; its recurrences gather them at the pairs once per chunk, and
+:func:`kulkarni_nomizu_pairs` forms a Kulkarni-Nomizu product there.  ∂B
+keeps n**5, since c and d sit on opposite sides of its matrix product.  The n**5 arrays of one build are ∂³g, ∂B (whose buffer then
 holds W) and the buffer of :func:`weyl`'s metric-term products, and at most
 two of them are alive at once.
 
@@ -52,7 +54,9 @@ reshaped views, with the summed index as the inner dimension and the other
 slots flattened into rows or columns.  The point axes and the derivative
 slots (p, q) are batch axes of ``@``, or join the rows when they belong to
 the factor that is not broadcast.  Index permutations and outer products,
-which sum nothing, stay ``np.einsum`` views and broadcasts.  A product that
+which sum nothing, stay ``np.einsum`` views and broadcasts.  A contraction
+with the velocity u = ∂_t sums nothing either: it reads index 0 of the slot
+(see :attr:`.models.MetricModel.u_up`).  A product that
 fills an n**5 array writes it in the layout that the next elementwise step
 reads, so most such steps run over contiguous memory; the (c, d) exchange
 of Riemann and the permuted views of ∂³g cannot.  Pair-layout steps read
@@ -69,7 +73,7 @@ from typing import Collection, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .models import ChartPoint, MetricJets, MetricModel
-from .tensors import DOWN, UP, kulkarni_nomizu
+from .tensors import DOWN, UP, check_symmetric_factors, kulkarni_nomizu
 
 __all__ = [
     "Connection",
@@ -83,6 +87,10 @@ __all__ = [
     "covariant_derivative",
     "PAIR",
     "expand_pairs",
+    "gather_pairs",
+    "time_column",
+    "kulkarni_nomizu_pairs",
+    "reconstruction_factor",
     "electric_reconstruction",
     "build_bundle",
 ]
@@ -239,13 +247,51 @@ def _signed(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x, 0.0 - x, np.zeros(x.shape[:-1] + (1,))), axis=-1)
 
 
+def _pair_dimension(t: np.ndarray) -> int:
+    """n, from the N = n(n-1)/2 pairs on the last axis of ``t``."""
+    return (math.isqrt(8 * t.shape[-1] + 1) + 1) // 2
+
+
 def expand_pairs(t: np.ndarray) -> np.ndarray:
     """The full (l, m) block of a tensor antisymmetric in its last slot pair
     and held at the pairs l < m on its last axis: a new array with two axes of
     length n in place of that one, holding ``0.0 - t`` at (m, l) and ``0.0``
     on l = m (so no -0.0 that ``t`` does not hold)."""
-    n = (math.isqrt(8 * t.shape[-1] + 1) + 1) // 2
-    return np.take(_signed(t), _pair_tables(n).expand, axis=-1)
+    return np.take(_signed(t), _pair_tables(_pair_dimension(t)).expand, axis=-1)
+
+
+def time_column(t: np.ndarray) -> np.ndarray:
+    """The column m = 0 of the full (l, m) block of a tensor held as
+    :func:`expand_pairs` reads it: ``T_..l0``, that last slot contracted with
+    u = ∂_t.  It is ``0.0 - T_..[0l]`` at the pairs (0, l), which come first
+    in the pair layout, and ``0.0`` at l = 0: a new array with an axis of
+    length n in place of the pair axis."""
+    n = _pair_dimension(t)
+    column = np.zeros(t.shape[:-1] + (n,))
+    np.subtract(0.0, t[..., : n - 1], out=column[..., 1:])
+    return column
+
+
+def gather_pairs(t: np.ndarray) -> np.ndarray:
+    """The entries l < m of a tensor's last slot pair, on one last axis in
+    the pair layout: the inverse of :func:`expand_pairs` on a tensor
+    antisymmetric in that pair."""
+    n = t.shape[-1]
+    return np.take(t.reshape(t.shape[:-2] + (n * n,)), _pair_tables(n).pairs, axis=-1)
+
+
+def kulkarni_nomizu_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`.tensors.kulkarni_nomizu` in the pair layout, shape
+    ``(..., n, n, N)``: ``h_ikq = a_im b_kl - a_il b_km`` at the q-th pair
+    l < m, less h with i and k exchanged.  These are that kernel's products
+    and differences in its order, so the result equals its product gathered
+    at the pairs bit for bit; it raises on an asymmetric factor where that
+    kernel raises."""
+    check_symmetric_factors(a, b)
+    l, m = np.divmod(_pair_tables(a.shape[-1]).pairs, a.shape[-1])
+    h = a[..., :, None, m] * b[..., None, :, l]
+    h -= a[..., :, None, l] * b[..., None, :, m]
+    return h - np.swapaxes(h, -3, -2)
 
 
 def _trace_ac(b: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -423,6 +469,12 @@ def covariant_derivative(
     return nabla
 
 
+def reconstruction_factor(g: np.ndarray, u_down: np.ndarray, n: int) -> np.ndarray:
+    """``h = (n-2)/(n-3) u⊗u + 1/(n-3) g``, the factor of the electric-part
+    reconstruction ``h ∧ E`` (see :func:`electric_reconstruction`)."""
+    return (n - 2.0) / (n - 3.0) * (u_down[..., :, None] * u_down[..., None, :]) + g / (n - 3.0)
+
+
 def electric_reconstruction(g: np.ndarray, u_down: np.ndarray, electric: np.ndarray, n: int) -> np.ndarray:
     """The electric-part reconstruction ``h ∧ E`` of the Weyl tensor, with
     ``h = (n-2)/(n-3) u⊗u + 1/(n-3) g``: by bilinearity of the
@@ -430,8 +482,7 @@ def electric_reconstruction(g: np.ndarray, u_down: np.ndarray, electric: np.ndar
     + 1/(n-3) g ∧ E`` in one product.  The Weyl remainder is ``C - h ∧ E``,
     a totally traceless generalized curvature tensor annihilated by u; it
     vanishes identically in n = 4, where ``h = 2 u⊗u + g``."""
-    h = (n - 2.0) / (n - 3.0) * (u_down[..., :, None] * u_down[..., None, :]) + g / (n - 3.0)
-    return kulkarni_nomizu(h, electric)
+    return kulkarni_nomizu(reconstruction_factor(g, u_down, n), electric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,14 +587,18 @@ def _stages(model: MetricModel, coords: np.ndarray, order: int) -> Iterator[dict
     conn = christoffel_from_jets(mj)
     gamma = conn.gamma
 
+    # u = ∂_t (see MetricModel.u_up), so each contraction with u reads index
+    # 0 of the slot: u_a = g_a0 with ∂_p u_a = ∂_p g_a0, ∇_p u^a = Γ^a_p0,
+    # ∂_p φ from ∂_p Γ^a_a0, and E_kl = C_0kl0 below.  Adding 0.0 turns a
+    # -0.0 into the 0.0 that a sum over the slot would give.
     u = model.u_up
     u_up = np.broadcast_to(u, coords.shape)
-    u_down = mj.value @ u
-    nabla_u_down = covariant_derivative((DOWN,), u_down, mj.d1 @ u, gamma)
-    nabla_u_up = covariant_derivative((UP,), u_up, np.zeros(coords.shape + (n,)), gamma)
+    u_down = mj.value[..., 0] + 0.0
+    nabla_u_down = covariant_derivative((DOWN,), u_down, mj.d1[..., 0] + 0.0, gamma)
+    nabla_u_up = np.swapaxes(gamma[..., 0], -1, -2) + 0.0
 
     hubble = np.trace(nabla_u_up, axis1=-2, axis2=-1) / (n - 1)
-    d_hubble = np.trace(conn.d_gamma, axis1=-3, axis2=-2) @ u / (n - 1)
+    d_hubble = (np.trace(conn.d_gamma[..., 0], axis1=-2, axis2=-1) + 0.0) / (n - 1)
     proj = conn.g_inv + np.multiply.outer(u, u)
     yield dict(
         points=coords,
@@ -557,7 +612,7 @@ def _stages(model: MetricModel, coords: np.ndarray, order: int) -> Iterator[dict
         nabla_u_up=nabla_u_up,
         hubble_rate=hubble,
         d_hubble_rate=d_hubble,
-        raychaudhuri_scalar=(n - 1) * (d_hubble @ u + hubble * hubble),
+        raychaudhuri_scalar=(n - 1) * (d_hubble[..., 0] + hubble * hubble),
         hubble_gradient_up=(proj @ d_hubble[..., None])[..., 0],
     )
 
@@ -567,32 +622,25 @@ def _stages(model: MetricModel, coords: np.ndarray, order: int) -> Iterator[dict
 
     wd = weyl(mj, curv)
     del curv  # weyl consumed ∂B; its buffer, which held W, is freed
-    # E_kl = u^j C_jklm u^m: u contracted into the last slot, then the first.
-    lead = coords.shape[:1]
-    electric = u @ (wd.weyl.reshape(lead + (n**3, n)) @ u).reshape(lead + (n, n * n))
-    electric = electric.reshape(lead + (n, n))
+    electric = wd.weyl[..., 0, :, :, 0] + 0.0
     yield dict(weyl=wd.weyl, electric=electric)
 
     reconstruction = electric_reconstruction(mj.value, u_down, electric, n)
     yield dict(electric_reconstruction=reconstruction, weyl_remainder=wd.weyl - reconstruction)
 
-    # ∂C and ∇C are held at the pairs l < m of their last slot pair.  A vector
-    # v contracted into that pair, Σ_m T_..lm v^m, is one matrix product with
-    # the (N, n) table V[(l, m), k] = δ_kl v_m - δ_km v_l over the pairs.
-    tables = _pair_tables(n)
-    pairs = len(tables.pairs)
-    u_pairs = np.take(_signed(u), tables.vector)
-    d_electric = u @ (wd.d_weyl.reshape(lead + (n**3, pairs)) @ u_pairs).reshape(lead + (n, n, n * n))
-    d_electric = d_electric.reshape(lead + (n,) * 3)
+    # ∂C and ∇C are held at the pairs l < m of their last slot pair.
+    d_electric = time_column(wd.d_weyl[..., 0, :, :])
     nabla_electric = covariant_derivative((DOWN, DOWN), electric, d_electric, gamma)
-    # Divergences g^ps ∇_p T_...s: for each p, T's last slot times row p of g⁻¹
-    # (for ∇C, that row's pair table), then the sum over p.
+    # Divergences g^ps ∇_p T_...s: for each p, T's last slot times row p of g⁻¹,
+    # then the sum over p.  For ∇C that row v = g^p. is contracted into the
+    # pair, Σ_m T_..lm v^m, as one matrix product with the (N, n) table
+    # V[(l, m), k] = δ_kl v_m - δ_km v_l over the pairs.
     div_electric = (nabla_electric @ conn.g_inv[..., None]).sum(axis=-3)[..., 0]
 
-    weyl_pairs = np.take(wd.weyl.reshape(lead + (n, n, n * n)), tables.pairs, axis=-1)
-    nabla_weyl = covariant_derivative((DOWN, DOWN, PAIR), weyl_pairs, wd.d_weyl, gamma)
-    g_inv_pairs = np.take(_signed(conn.g_inv), tables.vector, axis=-1)
-    div_weyl = (nabla_weyl.reshape(lead + (n, n * n, pairs)) @ g_inv_pairs).sum(axis=-3)
+    nabla_weyl = covariant_derivative((DOWN, DOWN, PAIR), gather_pairs(wd.weyl), wd.d_weyl, gamma)
+    g_inv_pairs = np.take(_signed(conn.g_inv), _pair_tables(n).vector, axis=-1)
+    lead = coords.shape[:1]
+    div_weyl = (nabla_weyl.reshape(lead + (n, n * n, -1)) @ g_inv_pairs).sum(axis=-3)
     yield dict(
         nabla_weyl=nabla_weyl,
         div_weyl=div_weyl.reshape(lead + (n,) * 3),

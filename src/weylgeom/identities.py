@@ -44,8 +44,17 @@ follow from its pair antisymmetry and pair exchange, which
 ∇C comes held at the pairs l < m of its last slot pair (see
 :mod:`.curvature`), antisymmetric there by construction.  Its per-point
 maximum and first-pair defect are read off that array as it is; the Bianchi
-check expands its gather at the triples to the full (l, m) block, and the
-transport u^p ∇_p C is expanded to n**4 entries for the recurrences.
+check expands its gather at the triples to the full (l, m) block, since it
+measures the symmetric part of its right side there.  The recurrences run
+at the pairs: u^p ∇_p C is ∇_0 C as held, and C, h ∧ E and the remainder are
+gathered at the pairs once per chunk, with h ∧ E's transport formed there
+by :func:`.curvature.kulkarni_nomizu_pairs`.  Every term is exactly
+antisymmetric in (l, m), with zeros on l = m, so their maxima are those of
+the full blocks.
+
+Every model's velocity is u = ∂_t (see :attr:`.models.MetricModel.u_up`), so
+a contraction with u reads index 0 of its slot: C_jklm u^m is C_jkl0, and
+u^p ∇_p T is ∇_0 T.
 
 The negative-control model declares which identities it is expected to fail;
 the runner treats an expected failure as a success of the suite's
@@ -61,7 +70,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .curvature import CurvatureBundle, electric_reconstruction, expand_pairs
+from .curvature import (
+    CurvatureBundle,
+    expand_pairs,
+    gather_pairs,
+    kulkarni_nomizu_pairs,
+    reconstruction_factor,
+    time_column,
+)
 from .models import TORSE_CLASSES, MetricModel
 from .tensors import generalized_curvature_check, kulkarni_nomizu, max_abs, norm_squared, raise_all
 
@@ -129,13 +145,6 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
 
-def _into_first(v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``v^p t_p...``: the vectors ``v`` (P, n) contracted into the first slot
-    of ``t`` after the point axis, as one product per point."""
-    points, n = v.shape
-    return (v[:, None, :] @ t.reshape(points, n, -1)).reshape(t.shape[:1] + t.shape[2:])
-
-
 def _into_last(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``t_...m v^m``: the vectors ``v`` (P, n) contracted into the last slot of ``t``."""
     points, n = v.shape
@@ -178,7 +187,9 @@ def _first_pair_defect(t: np.ndarray, slot: int) -> np.ndarray:
 class _Chunk:
     """One chunk's bundle fields, forwarded, and the quantities several
     evaluators use, each computed at most once while the view lives.
-    ``max_<name>`` is the per-point maximum of a field or shared quantity."""
+    ``max_<name>`` is the per-point maximum of a field or shared quantity.
+    A contraction with u = ∂_t is a view of the field at index 0, and the
+    recurrences are held at the pairs l < m of their last slot pair."""
 
     def __init__(self, b: CurvatureBundle) -> None:
         self.b = b
@@ -192,23 +203,17 @@ class _Chunk:
     @cached_property
     def acceleration(self) -> np.ndarray:
         """u^p ∇_p u_a (zero exactly when u is torse-forming)."""
-        return _into_first(self.b.u_up, self.b.nabla_u_down)
+        return self.b.nabla_u_down[:, 0]
 
     @cached_property
     def electric_along_u(self) -> np.ndarray:
         """u^p ∇_p E_kl."""
-        return _into_first(self.b.u_up, self.b.nabla_electric)
+        return self.b.nabla_electric[:, 0]
 
     @cached_property
     def weyl_u(self) -> np.ndarray:
         """C_jklm u^m."""
-        return _into_last(self.b.weyl, self.b.u_up)
-
-    @cached_property
-    def weyl_along_u(self) -> np.ndarray:
-        """u^p ∇_p C_jklm, contracted at the pairs l < m that ∇C holds and
-        then expanded to the full (l, m) block."""
-        return expand_pairs(_into_first(self.b.u_up, self.b.nabla_weyl))
+        return self.b.weyl[..., 0]
 
     @cached_property
     def weyl_first_pair_defect(self) -> np.ndarray:
@@ -229,9 +234,10 @@ class _Chunk:
         return norm_squared(self.b.weyl_remainder, self.b.g_inv)
 
     @cached_property
-    def recurrences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The Weyl-remainder transport u^p ∇_p Γ, and both sides of the
-        master recurrence as stated.
+    def recurrences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The Weyl-remainder transport u^p ∇_p Γ and its decay 2φ Γ, and both
+        sides of the master recurrence as stated, each held at the pairs
+        l < m of its last slot pair (see :mod:`.curvature`).
 
         Γ = C - h ∧ E with h = (n-2)/(n-3) u⊗u + 1/(n-3) g, so by the product
         rule and ∇g = 0 the transport is u^p ∇_p C - (u^p ∇_p h) ∧ E
@@ -244,15 +250,16 @@ class _Chunk:
         b = self.b
         n = b.n
         u, acc = b.u_down, self.acceleration
+        weyl_along_u = b.nabla_weyl[:, 0]
         d_h = (n - 2.0) / (n - 3.0) * (_outer(acc, u) + _outer(u, acc))
-        d_reconstruction = kulkarni_nomizu(d_h, b.electric)
-        d_reconstruction += electric_reconstruction(b.g, u, self.electric_along_u, n)
-        transport = self.weyl_along_u - d_reconstruction
+        d_reconstruction = kulkarni_nomizu_pairs(d_h, b.electric)
+        d_reconstruction += kulkarni_nomizu_pairs(reconstruction_factor(b.g, u, n), self.electric_along_u)
+        transport = weyl_along_u - d_reconstruction
 
-        two_phi = _slots(2.0 * b.hubble_rate, 4)
-        lhs = (n - 3.0) * (self.weyl_along_u + two_phi * b.weyl)
-        rhs = (n - 3.0) * (d_reconstruction + two_phi * b.electric_reconstruction)
-        return transport, lhs, rhs
+        two_phi = _slots(2.0 * b.hubble_rate, 3)
+        lhs = (n - 3.0) * (weyl_along_u + two_phi * gather_pairs(b.weyl))
+        rhs = (n - 3.0) * (d_reconstruction + two_phi * gather_pairs(b.electric_reconstruction))
+        return transport, two_phi * gather_pairs(b.weyl_remainder), lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +270,7 @@ class _Chunk:
 def _torse_forming(b: _Chunk) -> PointPairs:
     rhs = _slots(b.hubble_rate, 2) * (b.g + _outer(b.u_down, b.u_down))
     residual, scale = _pair(b.nabla_u_down, rhs)
-    u_norm = np.abs(_into_last(b.u_down, b.u_up) + 1.0)
+    u_norm = np.abs(b.u_down[:, 0] + 1.0)
     return np.maximum(residual, u_norm), scale
 
 
@@ -328,14 +335,14 @@ def _quarter_trace_n4(b: _Chunk) -> PointPairs:
 
 
 def _reconstruction_n4(b: _Chunk) -> PointPairs:
-    c = b.weyl
-    letters = "abcd"
+    c, u = b.weyl, b.u_down
     # u^m contracted into each slot of C, times u carrying that slot's index.
-    u_terms = 0.0
-    for slot, s in enumerate(letters):
-        rest = letters.replace(s, "")
-        q = _into_last(np.moveaxis(c, 1 + slot, -1), b.u_up)
-        u_terms = u_terms + np.einsum(f"...{s},...{rest}->...{letters}", b.u_down, q)
+    u_terms = (
+        np.einsum("...a,...bcd->...abcd", u, c[:, 0])
+        + np.einsum("...b,...acd->...abcd", u, c[:, :, 0])
+        + np.einsum("...c,...abd->...abcd", u, c[:, :, :, 0])
+        + np.einsum("...d,...abc->...abcd", u, c[..., 0])
+    )
     return _pair(c, kulkarni_nomizu(b.g, b.electric) - u_terms)
 
 
@@ -369,15 +376,12 @@ def _remainder_traceless(b: _Chunk) -> PointPairs:
 
 def _remainder_u_annihilation(b: _Chunk) -> PointPairs:
     t = b.weyl_remainder
-    worst = np.zeros(len(t))
-    for slot in (1, 2, 3, 4):
-        worst = np.maximum(worst, _pmax(_into_last(np.moveaxis(t, slot, -1), b.u_up)))
+    worst = np.max([_pmax(t[:, 0]), _pmax(t[:, :, 0]), _pmax(t[:, :, :, 0]), _pmax(t[..., 0])], axis=0)
     return worst, np.maximum(b.max_weyl, b.max_weyl_remainder)
 
 
 def _remainder_recurrence(b: _Chunk) -> PointPairs:
-    transport = b.recurrences[0]
-    decay = _slots(2.0 * b.hubble_rate, 4) * b.weyl_remainder
+    transport, decay = b.recurrences[:2]
     return _pmax(transport + decay), np.maximum(_pmax(transport), _pmax(decay))
 
 
@@ -442,13 +446,12 @@ def _divergence_formula(b: _Chunk) -> PointPairs:
 
 
 def _master_recurrence(b: _Chunk) -> PointPairs:
-    _, lhs, rhs = b.recurrences
+    lhs, rhs = b.recurrences[2:]
     return _pair(lhs, rhs)
 
 
 def _master_recurrence_consistency(b: _Chunk) -> PointPairs:
-    transport, lhs, rhs = b.recurrences
-    decay = _slots(2.0 * b.hubble_rate, 4) * b.weyl_remainder
+    transport, decay, lhs, rhs = b.recurrences
     return _pair(lhs - rhs, (b.n - 3.0) * (transport + decay))
 
 
@@ -473,9 +476,9 @@ def _electric_gradient_recurrence_point(b: _Chunk) -> PointPairs:
 
 
 def _weyl_u_recurrence_point(b: _Chunk) -> PointPairs:
-    # u^p ∇_p (C_jklm u^m) by the product rule: (u^p ∇_p C_jklm) u^m + C_jklm u^p ∇_p u^m.
-    acc_up = _into_first(b.u_up, b.nabla_u_up)
-    transport = _into_last(b.weyl_along_u, b.u_up) + _into_last(b.weyl, acc_up)
+    # u^p ∇_p (C_jklm u^m) by the product rule: (u^p ∇_p C_jklm) u^m + C_jklm u^p ∇_p u^m,
+    # whose first term is ∇_0 C_jkl0.
+    transport = time_column(b.nabla_weyl[:, 0]) + _into_last(b.weyl, b.nabla_u_up[:, 0])
     decay = _slots(b.hubble_rate * (b.n - 1.0), 3) * b.weyl_u
     return _pmax(transport + decay), np.maximum(_pmax(transport), _pmax(decay))
 

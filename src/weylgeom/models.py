@@ -131,7 +131,10 @@ class MetricModel:
 
     @property
     def u_up(self) -> np.ndarray:
-        """Declared comoving velocity components (chart-constant)."""
+        """Declared comoving velocity components (chart-constant): u = ∂_t,
+        ``(1, 0, ..., 0)`` in every model.  The bundle kernels and the identity
+        suite rely on this: each contraction with u reads index 0 of its slot
+        (u_a = g_a0, E_kl = C_0kl0, u^p ∇_p T = ∇_0 T)."""
         u = np.zeros(self.n)
         u[0] = 1.0
         return u

@@ -28,6 +28,7 @@ __all__ = [
     "contract",
     "raise_lower",
     "kulkarni_nomizu",
+    "check_symmetric_factors",
     "generalized_curvature_check",
     "raise_all",
     "norm_squared",
@@ -157,6 +158,14 @@ def raise_lower(t: TensorValue, slot: int, g: TensorValue, direction: str) -> Te
     return TensorValue(n=t.n, variance=variance, components=comp)
 
 
+def check_symmetric_factors(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise ``ValueError`` if either factor of a Kulkarni-Nomizu product is
+    asymmetric in its last two axes beyond 1e-10 anywhere."""
+    for t in (a, b):
+        if max_abs(t - np.swapaxes(t, -1, -2)) > 1e-10:
+            raise ValueError("asymmetric factor")
+
+
 def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kulkarni-Nomizu product of two symmetric covariant rank-2 tensors.
 
@@ -170,9 +179,7 @@ def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     receives the final exchange.  Neither factor is written.  Raises
     ``ValueError`` if either factor is asymmetric beyond 1e-10 anywhere.
     """
-    for t in (a, b):
-        if max_abs(t - np.swapaxes(t, -1, -2)) > 1e-10:
-            raise ValueError("asymmetric factor")
+    check_symmetric_factors(a, b)
     # a_im b_kl - a_il b_km, then the same with i and k exchanged.  The outer
     # product is taken over the flattened pairs (i, m) and (k, l), then viewed
     # with its slots in (i, k, l, m) order.  Once read into ``half`` its

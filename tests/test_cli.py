@@ -486,7 +486,8 @@ def _record_jet_orders(monkeypatch):
     return orders
 
 
-_CONNECTION_STAGE = ["christoffel_from_jets", "covariant_derivative/1", "covariant_derivative/1"]
+# ∇u_down; ∇_p u^a = Γ^a_p0 is read off Γ, since u = ∂_t.
+_CONNECTION_STAGE = ["christoffel_from_jets", "covariant_derivative/1"]
 _CURVATURE_STAGE = _CONNECTION_STAGE + ["riemann_ricci_scalar"]
 _WEYL_STAGE = _CURVATURE_STAGE + ["weyl"]
 # ∇C's last slot pair counts as one slot (curvature.PAIR).

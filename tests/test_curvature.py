@@ -14,7 +14,10 @@ from weylgeom.curvature import (
     covariant_derivative,
     electric_reconstruction,
     expand_pairs,
+    gather_pairs,
+    kulkarni_nomizu_pairs,
     riemann_ricci_scalar,
+    time_column,
     weyl,
 )
 from weylgeom.models import MetricModel, default_model_specs, evaluate_metric_jets
@@ -608,3 +611,101 @@ def test_the_bundle_hands_on_its_electric_reconstruction(spec):
     want = electric_reconstruction(b.g, b.u_down, b.electric, n)
     assert b.electric_reconstruction.tobytes() == want.tobytes()
     assert b.weyl_remainder.tobytes() == (b.weyl - b.electric_reconstruction).tobytes()
+
+
+def test_index_zero_reads_equal_the_contractions_with_u(small_bundles):
+    # u = ∂_t, so the bundle reads each contraction with u at index 0; each
+    # must equal the einsum contraction with model.u_up exactly.
+    for label, (model, bundles) in small_bundles.items():
+        u, n = model.u_up, model.n
+        for b in bundles:
+            mj = model.metric_jets(b.points)
+            conn = christoffel_from_jets(mj)
+            wd = weyl(mj, riemann_ricci_scalar(mj, conn))
+            u_down = np.einsum("...ab,b->...a", mj.value, u)
+            d_u_down = np.einsum("...pab,b->...pa", mj.d1, u)
+            electric = np.einsum("j,...jklm,m->...kl", u, wd.weyl, u)
+            d_electric = np.einsum("j,...pjklm,m->...pkl", u, expand_pairs(wd.d_weyl), u)
+            u_up = np.broadcast_to(u, b.points.shape)
+            expected = {
+                "u_down": u_down,
+                "nabla_u_down": covariant_derivative((DOWN,), u_down, d_u_down, conn.gamma),
+                "nabla_u_up": covariant_derivative((UP,), u_up, np.zeros(b.points.shape + (n,)), conn.gamma),
+                "d_hubble_rate": np.einsum("...pc,c->...p", np.trace(conn.d_gamma, axis1=-3, axis2=-2), u) / (n - 1),
+                "electric": electric,
+                "nabla_electric": covariant_derivative((DOWN, DOWN), electric, d_electric, conn.gamma),
+            }
+            for name, value in expected.items():
+                assert np.array_equal(getattr(b, name), value), (label, name)
+
+
+def _negative_zero(x):
+    return (x == 0.0) & np.signbit(x)
+
+
+def test_index_zero_reads_hold_no_negative_zero():
+    # A sum over the slot gives 0.0 where the entry it reads is -0.0, and a
+    # tensor dump prints the sign, so the index-0 reads must give 0.0 too.
+    # The expression grammar gives ∂_p g_00 = -0.0 for g_00 = -exp(0*t), and
+    # the negative control g_10 = δ sin(x²) = -0.0 at x² = -0.0.
+    g_diag = ["-exp(0*t)", "exp(0.6*t)", "exp(0.6*t)*(1 + 0.1*cos(x3))", "exp(0.6*t)"]
+    cases = [
+        (builtin_model("custom_diagonal", 4, {"g_diag": g_diag}), [0.5, 0.1, 0.2, 0.3]),
+        (builtin_model("non_twisted_perturbed", 4), [0.5, 0.1, -0.0, 0.3]),
+    ]
+    for model, point in cases:
+        points = np.array([point])
+        mj = model.metric_jets(points)
+        assert _negative_zero(mj.value[..., 0]).any() or _negative_zero(mj.d1[..., 0]).any()
+        b = build_bundle(model, points)
+        for name in ("u_down", "nabla_u_down", "nabla_u_up", "d_hubble_rate", "electric", "nabla_electric"):
+            assert not _negative_zero(getattr(b, name)).any(), (model.label, name)
+
+
+def _symmetric(rng, shape):
+    x = rng.normal(size=shape)
+    return x + np.swapaxes(x, -1, -2)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_pair_kernel_is_kulkarni_nomizu_at_the_pairs_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    a, b = _symmetric(rng, (3, n, n)), _symmetric(rng, (3, n, n))
+    a[0, 1, :] = a[0, :, 1] = 0.0  # zero products, so signed zeros are compared too
+    for a_, b_ in ((a, b), (a[0], b), (a, b[1])):
+        got = kulkarni_nomizu_pairs(a_, b_)
+        assert got.shape == b.shape + (n * (n - 1) // 2,)
+        assert got.tobytes() == gather_pairs(kulkarni_nomizu(a_, b_)).tobytes()
+
+
+def test_pair_kernel_raises_exactly_where_kulkarni_nomizu_does():
+    rng = np.random.default_rng(1)
+    n = 5
+    symmetric = _symmetric(rng, (2, n, n))
+    outcomes = set()
+    for defect in np.linspace(0.5e-10, 1.5e-10, 21):
+        skewed = symmetric.copy()
+        skewed[1, 2, 3] += defect
+        for factors in ((skewed, symmetric), (symmetric, skewed)):
+            results = []
+            for kernel in (kulkarni_nomizu, kulkarni_nomizu_pairs):
+                try:
+                    kernel(*factors)
+                    results.append(None)
+                except ValueError as error:
+                    results.append(str(error))
+            assert results[0] == results[1] and results[0] in (None, "asymmetric factor"), defect
+            outcomes.add(results[0])
+    assert outcomes == {None, "asymmetric factor"}
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_pair_layout_reads_match_the_expanded_block(n):
+    # gather_pairs inverts expand_pairs, and time_column is the m = 0 column
+    # of the expanded block, signed zeros included.
+    rng = np.random.default_rng(n)
+    t = rng.normal(size=(2, 3, n * (n - 1) // 2))
+    t[0, 0, :] = 0.0
+    full = expand_pairs(t)
+    assert gather_pairs(full).tobytes() == t.tobytes()
+    assert time_column(t).tobytes() == np.ascontiguousarray(full[..., 0]).tobytes()

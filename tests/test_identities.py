@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylgeom import build_bundle, builtin_model, curvature, identities, sample_points
-from weylgeom.curvature import electric_reconstruction
+from weylgeom.curvature import electric_reconstruction, expand_pairs, gather_pairs
 from weylgeom.models import default_model_specs
 from weylgeom.identities import (
     FAIL,
@@ -265,7 +265,8 @@ def _full_cyclic_sum(t):
 
 
 def _oracle_weyl_compatibility(b):
-    pattern = np.einsum("...i,...jkl->...ijkl", b.u_down, b.weyl_u)
+    weyl_u = np.einsum("...jklm,...m->...jkl", b.weyl, b.u_up)
+    pattern = np.einsum("...i,...jkl->...ijkl", b.u_down, weyl_u)
     return max_abs(_full_cyclic_sum(pattern), per_point=True)
 
 
@@ -324,7 +325,8 @@ def _antisymmetric(x, *slots):
 def _random_chunk(n, points=3, seed=0):
     """Random fields with the exact pair symmetries the suite relies on, but
     satisfying none of the identities; ∇C is held at the pairs l < m of its
-    last slot pair, as the bundle holds it."""
+    last slot pair, as the bundle holds it, and u^a is ∂_t, as in every
+    model, since the suite reads each contraction with u at index 0."""
     rng = np.random.default_rng(seed + n)
     g = rng.normal(size=(points, n, n))
     g_inv = rng.normal(size=(points, n, n))
@@ -334,7 +336,7 @@ def _random_chunk(n, points=3, seed=0):
         g=g + np.swapaxes(g, 1, 2),
         g_inv=g_inv + np.swapaxes(g_inv, 1, 2),
         u_down=rng.normal(size=(points, n)),
-        u_up=rng.normal(size=(points, n)),
+        u_up=np.broadcast_to(np.eye(n)[0], (points, n)),
         weyl=_antisymmetric(rng.normal(size=(points,) + (n,) * 4), 1, 3),
         nabla_weyl=_antisymmetric(rng.normal(size=(points,) + (n,) * 3 + (n * (n - 1) // 2,)), 2),
         div_weyl=_antisymmetric(rng.normal(size=(points,) + (n,) * 3), 1),
@@ -409,6 +411,59 @@ def test_master_recurrence_and_consistency(small_bundles):
         assert master.verdict == PASS, label
         assert consistency.verdict == PASS, label
         assert consistency.max_residual < 1e-9 * max(1.0, consistency.scale)
+
+
+def _along_u(b, t):
+    """u^p t_p... by einsum, with the bundle's u^p."""
+    return np.einsum("xp,xp...->x...", b.u_up, t)
+
+
+def _n4_recurrences(b):
+    """The suite's recurrence arrays as full n**4 tensors, from u^p ∇_p C
+    expanded to its (l, m) block: transport, decay, and both master sides."""
+    n, u = b.n, b.u_down
+    weyl_along_u = expand_pairs(_along_u(b, b.nabla_weyl))
+    acc = _along_u(b, b.nabla_u_down)
+    d_h = (n - 2.0) / (n - 3.0) * (np.einsum("xa,xb->xab", acc, u) + np.einsum("xa,xb->xab", u, acc))
+    d_reconstruction = kulkarni_nomizu(d_h, b.electric) + electric_reconstruction(b.g, u, _along_u(b, b.nabla_electric), n)
+    two_phi = 2.0 * b.hubble_rate[:, None, None, None, None]
+    lhs = (n - 3.0) * (weyl_along_u + two_phi * b.weyl)
+    rhs = (n - 3.0) * (d_reconstruction + two_phi * b.electric_reconstruction)
+    return weyl_along_u - d_reconstruction, two_phi * b.weyl_remainder, lhs, rhs
+
+
+def test_recurrences_equal_the_n4_formulas_at_the_pairs(small_bundles):
+    # The suite runs the recurrences at the pairs l < m that ∇C holds; every
+    # term is exactly antisymmetric in (l, m), so nothing is lost, and each
+    # array must be the n**4 formula gathered at the pairs, bit for bit.
+    for label, (model, bundles) in small_bundles.items():
+        for b in bundles:
+            chunk = identities._Chunk(b)
+            for got, want in zip(chunk.recurrences, _n4_recurrences(b)):
+                assert got.tobytes() == gather_pairs(want).tobytes(), label
+                assert np.array_equal(max_abs(got, per_point=True), max_abs(want, per_point=True)), label
+            # weyl_u_recurrence reads the (l, 0) column of u^p ∇_p C.
+            n = b.n
+            weyl_along_u = expand_pairs(_along_u(b, b.nabla_weyl))
+            acc_up = _along_u(b, b.nabla_u_up)
+            transport = np.einsum("xjklm,xm->xjkl", weyl_along_u, b.u_up) + identities._into_last(b.weyl, acc_up)
+            decay = (b.hubble_rate * (n - 1.0))[:, None, None, None] * np.einsum("xjklm,xm->xjkl", b.weyl, b.u_up)
+            residual, scale = POINT_EVALUATORS["weyl_u_recurrence"](b)
+            assert np.array_equal(residual, max_abs(transport + decay, per_point=True)), label
+            assert np.array_equal(scale, np.maximum(max_abs(transport, per_point=True), max_abs(decay, per_point=True)))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_recurrences_still_discriminate_on_the_negative_control(n):
+    # On the non-torse-forming control the suite does not apply these checks,
+    # but their pointwise residuals must stay far above the pass line at
+    # every point (about 0.008 and 0.016 for the first two at n = 5).
+    model = builtin_model("non_twisted_perturbed", n)
+    b = build_bundle(model, sample_points(model, 20, 42))
+    for identity_id in ("remainder_recurrence", "master_recurrence", "electric_contraction"):
+        residual, scale = POINT_EVALUATORS[identity_id](b)
+        line = _BY_ID[identity_id].tolerance * np.maximum(1.0, scale)
+        assert np.all(residual > 1e3 * line), identity_id
 
 
 def test_divergence_free_suite_on_witness(small_bundles):
@@ -506,17 +561,21 @@ def test_kulkarni_nomizu_matches_n4_paper_patterns():
 @pytest.mark.parametrize("name, n, limit", [("twisted_generic", 5, 4), ("twisted_generic", 6, 4), ("twisted_n4", 4, 5)])
 def test_each_reconstruction_block_is_built_once(monkeypatch, name, n, limit):
     # A chunk's Kulkarni-Nomizu products: C = R + g∧S and h∧E in the bundle,
-    # which hands h∧E on as a field; the two halves of its transport and, at
-    # n = 4, reconstruction_n4's own g∧E in the suite.
+    # which hands h∧E on as a field; the two halves of its transport, at the
+    # pairs, and, at n = 4, reconstruction_n4's own g∧E in the suite.
     model = builtin_model(name, n)
     calls = []
 
-    def counted(a, b):
-        calls.append(None)
-        return kulkarni_nomizu(a, b)
+    def counting(kernel):
+        def counted(a, b):
+            calls.append(None)
+            return kernel(a, b)
 
-    monkeypatch.setattr(curvature, "kulkarni_nomizu", counted)
-    monkeypatch.setattr(identities, "kulkarni_nomizu", counted)
+        return counted
+
+    monkeypatch.setattr(curvature, "kulkarni_nomizu", counting(kulkarni_nomizu))
+    monkeypatch.setattr(identities, "kulkarni_nomizu", counting(kulkarni_nomizu))
+    monkeypatch.setattr(identities, "kulkarni_nomizu_pairs", counting(curvature.kulkarni_nomizu_pairs))
     run_model_suite(model, [build_bundle(model, sample_points(model, 3, 1))])
     assert len(calls) <= limit
 

@@ -103,6 +103,21 @@ def test_velocity_normalization_at_sampled_points():
             assert abs(u @ g @ u + 1.0) < 1e-12
 
 
+def test_every_model_moves_along_the_time_direction():
+    # curvature._stages and the identity suite read every contraction with u
+    # at index 0 (u_a = g_a0, E_kl = C_0kl0, u^p ∇_p C = ∇_0 C, ...), which
+    # holds only while u^a = (1, 0, ..., 0) in every model.
+    for name in CATALOG_NAMES:
+        first, _, last = model_dimensions(name).partition("..")
+        for n in range(int(first), int(last or first) + 1):
+            params = {"g_diag": ["-1"] + ["1"] * (n - 1)} if name == "custom_diagonal" else {}
+            u = builtin_model(name, n, params).u_up
+            assert u.shape == (n,) and np.array_equal(u, np.eye(n)[0]), (
+                f"{name} n={n}: u^a = {u}; the bundle and the identity suite read "
+                "each contraction with u at index 0, so u must be ∂_t"
+            )
+
+
 def test_block_form_for_torse_classes():
     for name, n, params in default_model_specs():
         m = builtin_model(name, n, params)
