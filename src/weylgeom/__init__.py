@@ -9,7 +9,7 @@ numerical residuals at deterministically sampled chart points.
 
 __version__ = "0.1.0"
 
-from .jets import Jet3, constant, variables
+from .jets import Jet3, variables
 from .models import ChartPoint, MetricModel, builtin_model, sample_points
 from .curvature import CurvatureBundle, build_bundle, covariant_derivative
 from .tensors import generalized_curvature_check, kulkarni_nomizu, norm_squared
@@ -18,7 +18,6 @@ from .identities import IdentityReport, run_model_suite
 __all__ = [
     "__version__",
     "Jet3",
-    "constant",
     "variables",
     "ChartPoint",
     "MetricModel",

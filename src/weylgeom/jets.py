@@ -14,12 +14,13 @@ Monomials are index-sorted tuples ordered by degree, then lexically:
 ``()``, ``(0,)``, ..., ``(n-1,)``, ``(0, 0)``, ``(0, 1)``, ..., ``(n-1, n-1)``,
 ``(0, 0, 0)``, ..., ``(n-1, n-1, n-1)``.  Order 3 has C(n+3, 3) of them (35,
 56, 84 and 120 at n = 4, 5, 6, 7); order 2 has the first C(n+2, 2) (15, 21,
-28 and 36), and a jet's order is read from its coefficient count.  A sum is
-one array add; a product gathers the coefficient pairs whose degrees sum to
-at most the order and folds them onto their target monomial with
-``np.add.reduceat``; a function of a jet is its Taylor polynomial in
-``u - u(x)``.  An operation on jets of two orders (a constant built at order
-3 and an order-2 jet, say) truncates to the lower one.
+28 and 36).  Every jet carries the :class:`Basis` of its n and order, and
+jets combine only with jets of the same table.  A sum is one array add; a
+product gathers the coefficient pairs whose degrees sum to at most the order
+and folds them onto their target monomial with ``np.add.reduceat``; a
+function of a jet is its Taylor polynomial in ``u - u(x)``.  A constant is
+a number, not a jet: a number combines with a jet as a constant function
+does, and a function of a number is a number.
 
 A jet that is an affine function ``c x_i + a`` of one coordinate carries
 that coordinate as its ``axis``: :func:`variables` tags each coordinate jet,
@@ -43,8 +44,7 @@ only): each entry is the coefficient of its index-sorted monomial α times α!
 ``d2`` and ``d3`` are therefore exactly symmetric: every permutation of an
 index reads the same stored number.  The leading axes ``...`` are empty for
 a jet at one point and ``(P,)`` for a jet evaluated at P chart points at
-once.  A constant jet has no leading axes and broadcasts against a batched
-one.
+once.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Jet3", "variables", "constant", "reciprocal", "exp", "log", "sin", "cos", "power"]
+__all__ = ["Jet3", "variables", "reciprocal", "exp", "log", "sin", "cos", "power"]
 
 
 @dataclass(frozen=True)
 class Basis:
-    """Index tables of the degree <= ``order`` monomials in n variables.
+    """Index tables of the degree <= ``order`` monomials in ``n`` variables.
 
     ``top`` is the position of the first monomial of degree ``order``.
     ``partials[k]`` and ``weights[k]`` (k <= order) map the raw order-k
@@ -72,6 +72,7 @@ class Basis:
     degree <= order, grouped by product monomial, for ``np.add.reduceat``.
     """
 
+    n: int
     order: int
     size: int
     top: int
@@ -89,33 +90,11 @@ def _readonly(values, dtype) -> np.ndarray:
     return array
 
 
-def basis(n: int, order: int = 3) -> Basis:
+@functools.cache
+def basis(n: int, order: int) -> Basis:
     """The monomial tables for n variables at order 3 or 2, built on first use."""
     if order not in (2, 3):
         raise ValueError(f"jet order must be 2 or 3, got {order!r}")
-    tables, size = _tables(n), math.comb(n + order, order)
-    if size not in tables:
-        tables[size] = _build(n, order)
-    return tables[size]
-
-
-@functools.cache
-def _tables(n: int) -> dict[int, Basis]:
-    """The tables for n variables built so far, by monomial count (C(n+3, 3)
-    and C(n+2, 2) differ for every n >= 1); :func:`basis` adds them."""
-    return {}
-
-
-def _table_for(n: int, shape: tuple) -> Basis:
-    """The table for jet coefficients of ``shape``, built if need be."""
-    for order in (3, 2):
-        if shape and shape[-1] == math.comb(n + order, order):
-            return basis(n, order)
-    sizes = " or ".join(f"(..., {math.comb(n + order, order)})" for order in (3, 2))
-    raise ValueError(f"jet coefficients must have shape {sizes} for n = {n}, got {shape}")
-
-
-def _build(n: int, order: int) -> Basis:
     monomials = [m for k in range(order + 1) for m in itertools.combinations_with_replacement(range(n), k)]
     position = {m: i for i, m in enumerate(monomials)}
     factorials = np.array([math.prod(map(math.factorial, Counter(m).values())) for m in monomials])
@@ -133,6 +112,7 @@ def _build(n: int, order: int) -> Basis:
             left.append(position[alpha])
             right.append(position[beta])
     return Basis(
+        n=n,
         order=order,
         size=len(monomials),
         top=math.comb(n + order - 1, order - 1),
@@ -150,55 +130,32 @@ def _times(a: np.ndarray, b: np.ndarray, t: Basis) -> np.ndarray:
     return np.add.reduceat(a[..., t.left] * b[..., t.right], t.starts, axis=-1)
 
 
-def _constant_coeffs(value: float, t: Basis) -> np.ndarray:
-    coeffs = np.zeros(t.size)
-    coeffs[0] = value
-    return coeffs
-
-
 @dataclass(frozen=True, eq=False)
 class Jet3:
     """Taylor coefficients through order 3 or 2 of a scalar function of n variables.
 
-    ``coeffs`` has shape ``(..., C(n+3, 3))`` at order 3 and
-    ``(..., C(n+2, 2))`` at order 2, one coefficient per monomial in the
-    order of :func:`basis`; ``table`` is that order's :class:`Basis`, found
-    from the count.  ``axis`` is i when the jet is known to be ``c x_i + a``
-    (see the module docstring), and ``None`` otherwise.
+    ``table`` is the :class:`Basis` of the jet's n and order,
+    ``basis(n, order)``, and ``coeffs`` has shape ``(..., table.size)``:
+    C(n+3, 3) coefficients at order 3 and C(n+2, 2) at order 2, one per
+    monomial in the table's order.  ``axis`` is i when the jet is known to be
+    ``c x_i + a`` (see the module docstring), and ``None`` otherwise.
     """
 
     coeffs: np.ndarray
-    n: int
+    table: Basis = field(repr=False)
     axis: int | None = None
-    table: Basis = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coeffs, dtype=float)
-        try:
-            table = _tables(self.n)[coeffs.shape[-1]]
-        except (IndexError, KeyError):
-            table = _table_for(self.n, coeffs.shape)
-        object.__setattr__(self, "table", table)
+        if coeffs.shape[-1:] != (self.table.size,):
+            shape = f"(..., {self.table.size}) for n = {self.n} at order {self.table.order}"
+            raise ValueError(f"jet coefficients must have shape {shape}, got {coeffs.shape}")
         if coeffs is not self.coeffs:
             object.__setattr__(self, "coeffs", coeffs)
 
-    @classmethod
-    def from_partials(cls, value, d1, d2, d3) -> "Jet3":
-        """The jet with these raw partials, read from the index-sorted entries."""
-        parts = [np.asarray(part, dtype=float) for part in (value, d1, d2, d3)]
-        lead = parts[0].shape
-        n = parts[1].shape[-1] if parts[1].ndim else 0
-        if any(part.shape != lead + (n,) * k for k, part in enumerate(parts)):
-            raise ValueError(
-                "jet derivative arrays must have shapes (..., n), (..., n,n), (..., n,n,n)"
-            )
-        t = basis(n)
-        coeffs = []
-        for k, part in enumerate(parts):
-            # In lexical order an index-sorted tuple comes first among its permutations.
-            _, first = np.unique(t.partials[k], return_index=True)
-            coeffs.append(part.reshape(lead + (-1,))[..., first] / t.weights[k][first])
-        return cls(np.concatenate(coeffs, axis=-1), n)
+    @property
+    def n(self) -> int:
+        return self.table.n
 
     # -- raw partials ------------------------------------------------------
 
@@ -227,18 +184,18 @@ class Jet3:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _lift(self, other) -> tuple[np.ndarray, np.ndarray, Basis]:
-        """The coefficients of ``self`` and ``other`` at the lower of their
-        orders, and that order's table."""
+    def _lift(self, other) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficients of ``self`` and of ``other``: a jet of the same n
+        and order, or a number, whose jet is constant."""
         t = self.table
         if not isinstance(other, Jet3):
-            return self.coeffs, _constant_coeffs(float(other), t), t
-        if other.table is t:
-            return self.coeffs, other.coeffs, t
-        if other.n != self.n:
-            raise ValueError("jets have different numbers of variables")
-        low = min(t, other.table, key=lambda table: table.order)
-        return self.coeffs[..., : low.size], other.coeffs[..., : low.size], low
+            constant = np.zeros(t.size)
+            constant[0] = float(other)
+            return self.coeffs, constant
+        if (other.n, other.table.order) != (self.n, t.order):
+            pair = f"n = {self.n} at order {t.order} and of n = {other.n} at order {other.table.order}"
+            raise ValueError(f"jets of {pair} do not combine")
+        return self.coeffs, other.coeffs
 
     def _kept(self, other) -> int | None:
         """The axis a sum, difference or product with ``other`` keeps: this
@@ -248,26 +205,26 @@ class Jet3:
         return self.axis
 
     def __add__(self, other) -> "Jet3":
-        a, b, _ = self._lift(other)
-        return Jet3(a + b, self.n, self._kept(other))
+        a, b = self._lift(other)
+        return Jet3(a + b, self.table, self._kept(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet3":
-        return Jet3(-self.coeffs, self.n, self.axis)
+        return Jet3(-self.coeffs, self.table, self.axis)
 
     def __sub__(self, other) -> "Jet3":
-        a, b, _ = self._lift(other)
-        return Jet3(a - b, self.n, self._kept(other))
+        a, b = self._lift(other)
+        return Jet3(a - b, self.table, self._kept(other))
 
     def __rsub__(self, other) -> "Jet3":
-        a, b, _ = self._lift(other)
-        return Jet3(b - a, self.n, self._kept(other))
+        a, b = self._lift(other)
+        return Jet3(b - a, self.table, self._kept(other))
 
     def __mul__(self, other) -> "Jet3":
         if not isinstance(other, Jet3):
-            return Jet3(float(other) * self.coeffs, self.n, self._kept(other))
-        return Jet3(_times(*self._lift(other)), self.n)
+            return Jet3(float(other) * self.coeffs, self.table, self._kept(other))
+        return Jet3(_times(*self._lift(other), self.table), self.table)
 
     __rmul__ = __mul__
 
@@ -281,8 +238,14 @@ class Jet3:
         return power(self, exponent)
 
 
-def _compose(u: Jet3, f0, f1, f2, f3) -> Jet3:
-    """F(u) from F, F', F'', F''' at u.value: f0 + f1 h + f2/2 h² + f3/6 h³, h = u - u(x).
+def _value(u: Jet3 | float) -> np.ndarray:
+    """A jet's value, or a number as ``np.float64``, which overflows to inf."""
+    return u.value if isinstance(u, Jet3) else np.float64(u)
+
+
+def _compose(u: Jet3 | float, f0, f1, f2, f3) -> Jet3 | float:
+    """F(u) from F, F', F'', F''' at u.value: f0 + f1 h + f2/2 h² + f3/6 h³, h = u - u(x);
+    a number u gives the number f0.
 
     h³ (order 3 only) starts at degree 3, and its lower entries are exact
     zeros.  They are set to -0.0, which leaves every entry it is added to as
@@ -292,6 +255,8 @@ def _compose(u: Jet3, f0, f1, f2, f3) -> Jet3:
     For a jet tagged with an axis i, h = c x_i, so h² = c² x_i² and h³ = c³ x_i³:
     the three coefficients are written directly, as f1 c, (f2/2) c² and
     (f3/6)(c² c), the products in the order the general case forms them."""
+    if not isinstance(u, Jet3):
+        return float(f0)
     t = u.table
     if u.axis is not None:
         c = u.coeffs[..., 1 + u.axis]
@@ -303,7 +268,7 @@ def _compose(u: Jet3, f0, f1, f2, f3) -> Jet3:
         coeffs[..., powers[1]] = 0.5 * f2 * c2
         if t.order == 3:
             coeffs[..., powers[2]] = f3 / 6.0 * (c2 * c)
-        return Jet3(coeffs, u.n)
+        return Jet3(coeffs, t)
     h = u.coeffs.copy()
     h[..., 0] = 0.0
     h2 = _times(h, h, t)
@@ -315,24 +280,17 @@ def _compose(u: Jet3, f0, f1, f2, f3) -> Jet3:
         cubic[..., : t.top] = -0.0
         coeffs = coeffs + cubic
     coeffs[..., 0] = f0
-    return Jet3(coeffs, u.n)
+    return Jet3(coeffs, t)
 
 
 def reciprocal(u: Jet3 | float) -> Jet3 | float:
-    """1/u of a jet, or of a number, which stays a number; a zero value raises."""
+    """1/u of a jet, or of a number, which stays a number; a zero value raises.
+    A number is divided in Python floats, which give inf past the float range."""
     value = u.value if isinstance(u, Jet3) else float(u)
     if np.any(value == 0.0):
         raise ValueError("jet division singularity")
     w = 1.0 / value
     return _compose(u, w, -w * w, 2.0 * w**3, -6.0 * w**4) if isinstance(u, Jet3) else w
-
-
-# -- constructors ----------------------------------------------------------
-
-
-def constant(value: float, n: int) -> Jet3:
-    """Order-3 jet of a constant: all derivatives vanish (no leading point axes)."""
-    return Jet3(_constant_coeffs(value, basis(n)), n)
 
 
 def variables(coords, order: int = 3) -> list[Jet3]:
@@ -344,49 +302,50 @@ def variables(coords, order: int = 3) -> list[Jet3]:
     """
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[-1]
-    size = basis(n, order).size
+    table = basis(n, order)
     out = []
     for i in range(n):
-        coeffs = np.zeros(coords.shape[:-1] + (size,))
+        coeffs = np.zeros(coords.shape[:-1] + (table.size,))
         coeffs[..., 0] = coords[..., i]
         coeffs[..., 1 + i] = 1.0
-        out.append(Jet3(coeffs, n, i))
+        out.append(Jet3(coeffs, table, i))
     return out
 
 
-# -- elementary functions ---------------------------------------------------
+# -- elementary functions: a jet gives a jet, a number a number -------------
 
 
-def exp(u: Jet3) -> Jet3:
-    e = np.exp(u.value)
+def exp(u: Jet3 | float) -> Jet3 | float:
+    e = np.exp(_value(u))
     return _compose(u, e, e, e, e)
 
 
-def log(u: Jet3) -> Jet3:
-    if np.any(u.value <= 0.0):
+def log(u: Jet3 | float) -> Jet3 | float:
+    x = _value(u)
+    if np.any(x <= 0.0):
         raise ValueError("log domain violation: jet value must be positive")
-    w = 1.0 / u.value
-    return _compose(u, np.log(u.value), w, -w * w, 2.0 * w**3)
+    w = 1.0 / x
+    return _compose(u, np.log(x), w, -w * w, 2.0 * w**3)
 
 
-def sin(u: Jet3) -> Jet3:
-    s, c = np.sin(u.value), np.cos(u.value)
+def sin(u: Jet3 | float) -> Jet3 | float:
+    s, c = np.sin(_value(u)), np.cos(_value(u))
     return _compose(u, s, c, -s, -c)
 
 
-def cos(u: Jet3) -> Jet3:
-    s, c = np.sin(u.value), np.cos(u.value)
+def cos(u: Jet3 | float) -> Jet3 | float:
+    s, c = np.sin(_value(u)), np.cos(_value(u))
     return _compose(u, c, -s, -c, s)
 
 
-def power(u: Jet3, exponent: float) -> Jet3:
+def power(u: Jet3 | float, exponent: float) -> Jet3 | float:
     """u**p with the direct derivative formulas.
 
     Integer exponents are valid for any base, except a negative exponent at a
     zero base; fractional exponents require a positive base.
     """
     p = float(exponent)
-    x = u.value
+    x = _value(u)
     if p.is_integer():
         p_int = int(p)
         if p_int < 0 and np.any(x == 0.0):

@@ -6,9 +6,10 @@ component at a chart point, together with a declared comoving velocity
 field ``u^a = (1, 0, ..., 0)`` and an ``expected_class`` tag that the
 identity suite uses to decide which checks are assertions, which are
 expected failures, and which do not apply.
-A model's metric is one function of the coordinate jets that returns the jet
-of each stored component; a factor several components share (a scale factor
-f²) is a local value in it, computed once per call.
+A model's metric is one function of the coordinate jets that returns each
+stored component as a jet, or as a number when it is constant; a factor
+several components share (a scale factor f²) is a local value in it,
+computed once per call.
 
 The chart convention is ``x^0 = t`` first, signature (-, +, ..., +).  Block
 models take the form ``ds^2 = -dt^2 + f(t, x)^2 g*_{mu nu}(x) dx^mu dx^nu``;
@@ -76,9 +77,9 @@ NEGATIVE_CONTROL_EXPECTED_FAILURES = frozenset(
     }
 )
 
-EntryFn = Callable[[Sequence[Jet3]], Jet3]
+EntryFn = Callable[[Sequence[Jet3]], Jet3 | float]
 
-MetricFn = Callable[[Sequence[Jet3]], dict[tuple[int, int], Jet3]]
+MetricFn = Callable[[Sequence[Jet3]], dict[tuple[int, int], Jet3 | float]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +106,8 @@ class MetricModel:
     """Named, parameterized chart-level metric producing jet data per point.
 
     ``entries(xj)`` maps each stored component (a, b) to its jet at the
-    coordinate jets ``xj``; (b, a) mirrors an off-diagonal component, and an
+    coordinate jets ``xj``, of their order, or to a number when the
+    component is constant; (b, a) mirrors an off-diagonal component, and an
     absent component is zero.
     """
 
@@ -187,8 +189,8 @@ def evaluate_metric_jets(entries: MetricFn, n: int, points: ChartPoint, order: i
 
     ``entries`` runs once per call, on the coordinate jets of all points, so
     a factor that several of its components share is computed once.  A
-    constant component broadcasts, and one built at order 3 is truncated to
-    the order.  Each order of partials is one gather from the components'
+    component that is a number is that value with zero partials at every
+    point.  Each order of partials is one gather from the components'
     Taylor coefficients, written to (a, b) and exactly mirrored to (b, a);
     at order 2, ``d3`` is ``None``.  Non-finite coordinates are rejected
     before ``entries`` runs, naming the coordinate.
@@ -212,8 +214,12 @@ def evaluate_metric_jets(entries: MetricFn, n: int, points: ChartPoint, order: i
     # Column k of `stack` holds the Taylor coefficients of the k-th component.
     table = jets.basis(n, order)
     stack = np.empty(lead + (table.size, len(components)))
-    for k, jet in enumerate(components.values()):
-        stack[..., k] = jet.coeffs[..., : table.size]
+    for k, component in enumerate(components.values()):
+        if isinstance(component, Jet3):
+            stack[..., k] = component.coeffs
+        else:
+            stack[..., k] = 0.0
+            stack[..., 0, k] = component
     # Each component is written at (a, b) and, off the diagonal, at (b, a).
     placed = {(*ab, k) for k, key in enumerate(components) for ab in (key, key[::-1])}
     rows, cols, source = np.array(sorted(placed), dtype=np.intp).reshape(-1, 3).T
@@ -267,7 +273,11 @@ def _depth(tree: ast.Expression) -> int:
 
 
 def compile_expression(source: str, n: int) -> EntryFn:
-    """Compile one metric-entry expression into a jet-valued closure.
+    """Compile one metric-entry expression into a closure over the
+    coordinate jets.
+
+    The closure returns a jet, or a number when the expression is constant:
+    a literal, and a function or power of a number, stays a number.
 
     The grammar admits numeric literals, the names ``t`` and ``x1 .. x{n-1}``,
     the operators ``+ - * / **`` (exponents must be numeric literals), unary
@@ -298,8 +308,8 @@ def compile_expression(source: str, n: int) -> EntryFn:
                 raise ValueError(f"unknown name {node.id!r} in metric expression {source!r}")
             idx = names[node.id]
             return lambda xj: xj[idx]
-        # Operands are taken as they are, so a literal stays a number; a jet is
-        # formed only for a power base, a function argument and the root.
+        # Operands, power bases and function arguments are taken as they are,
+        # so a number stays a number.
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             inner = build(node.operand)
             sign = -1.0 if isinstance(node.op, ast.USub) else 1.0
@@ -315,24 +325,19 @@ def compile_expression(source: str, n: int) -> EntryFn:
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             base = build(node.left)
             expo = _literal_number(node.right, source)
-            return lambda xj: jets.power(_as_jet(base(xj), len(xj)), expo)
+            return lambda xj: jets.power(base(xj), expo)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             fname = node.func.id
             if fname in _ALLOWED_CALLS and len(node.args) == 1 and not node.keywords:
                 fn = _ALLOWED_CALLS[fname]
                 arg = build(node.args[0])
-                return lambda xj: fn(_as_jet(arg(xj), len(xj)))
+                return lambda xj: fn(arg(xj))
             raise ValueError(f"unsupported call {fname!r} in metric expression {source!r}")
         raise ValueError(
             f"unsupported syntax {type(node).__name__} in metric expression {source!r}"
         )
 
-    inner = build(tree)
-    return lambda xj: _as_jet(inner(xj), len(xj))
-
-
-def _as_jet(value, n: int) -> Jet3:
-    return value if isinstance(value, Jet3) else jets.constant(float(value), n)
+    return build(tree)
 
 
 def _literal_number(node: ast.AST, source: str) -> float:
@@ -392,8 +397,7 @@ def check_dimension(n, dimensions: range = DIMENSIONS, what: str = "dimension n"
 
 def _minkowski(n: int, params: dict) -> MetricModel:
     def entries(xj: Sequence[Jet3]) -> dict:
-        minus_one, one = jets.constant(-1.0, n), jets.constant(1.0, n)
-        return {(0, 0): minus_one, **{(mu, mu): one for mu in range(1, n)}}
+        return {(0, 0): -1.0, **{(mu, mu): 1.0 for mu in range(1, n)}}
 
     return MetricModel(
         name="minkowski",
@@ -427,7 +431,7 @@ def _rw_flat(n: int, params: dict) -> MetricModel:
 
     def entries(xj: Sequence[Jet3]) -> dict:
         f_sq = scale_sq(xj)
-        return {(0, 0): jets.constant(-1.0, n), **{(mu, mu): f_sq for mu in range(1, n)}}
+        return {(0, 0): -1.0, **{(mu, mu): f_sq for mu in range(1, n)}}
 
     return MetricModel(
         name="rw_flat",
@@ -451,7 +455,7 @@ def _grw_product_spheres(n: int, params: dict) -> MetricModel:
         f_sq = jets.exp((2.0 * h) * xj[0])
         g11, g33 = r1 * r1 * f_sq, r2 * r2 * f_sq
         return {
-            (0, 0): jets.constant(-1.0, n),
+            (0, 0): -1.0,
             (1, 1): g11,
             (2, 2): g11 * jets.power(jets.sin(xj[1]), 2),
             (3, 3): g33,
@@ -483,7 +487,7 @@ def _twisted_entries(n: int, alpha: float, beta: float, eps: float) -> MetricFn:
         t, x1 = xj[0], xj[1]
         f_sq = jets.exp(2.0 * (alpha * t + beta * t * jets.sin(x1)))
         spatial = {(mu, mu): f_sq * (1.0 + eps * jets.cos(xj[1 + mu % (n - 1)])) for mu in range(1, n)}
-        return {(0, 0): jets.constant(-1.0, n), **spatial}
+        return {(0, 0): -1.0, **spatial}
 
     return entries
 

@@ -968,6 +968,19 @@ def test_a_zero_divisor_in_an_entry_is_one_error(tmp_path, capsys, entry):
     assert "error: custom_diagonal_n4: 3/3 sampled points failed to evaluate" in out
 
 
+@pytest.mark.parametrize("entry", ["1e200**2", "pow(1e200, 2)*t", "exp(1000)", "1 + exp(1e3)*x1"])
+def test_a_constant_that_overflows_is_one_error(capsys, entry):
+    # A number is read as np.float64, so a power or function of it overflows
+    # to inf, as a jet's value does; the non-finite check then names the
+    # point.  A power of a Python float would raise OverflowError instead.
+    g_diag = ["-1", entry, "1", "1"]
+    argv = ["tensor-dump", "phi", "--model", "custom_diagonal", "--n", "4", "--param", f"g_diag={json.dumps(g_diag)}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--point", "0.5,0.1,0.2,0.3"]) == 2
+    assert capsys.readouterr() == ("", "error: non-finite metric components at point [0.5, 0.1, 0.2, 0.3]\n")
+
+
 @pytest.mark.parametrize(
     "flags",
     [

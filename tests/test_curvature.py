@@ -84,7 +84,7 @@ def test_unit_sphere_block_curvature():
     # Pure two-sphere metric diag(1, sin^2 theta): the pipeline runs on any
     # dimension up to the Weyl step.
     def entries(xj):
-        return {(0, 0): jets.constant(1.0, 2), (1, 1): jets.power(jets.sin(xj[0]), 2)}
+        return {(0, 0): 1.0, (1, 1): jets.power(jets.sin(xj[0]), 2)}
 
     for theta in (0.7, 1.1, 2.0):
         mj = evaluate_metric_jets(entries, 2, np.array([theta, 0.4]))
@@ -216,7 +216,7 @@ def test_mixed_weyl_conformal_invariance():
         )
 
     variants = [
-        scaled_model(lambda xj: jets.constant(2.7, len(xj))),
+        scaled_model(lambda xj: 2.7),
         scaled_model(lambda xj: jets.exp(0.1 * xj[0] + 0.05 * xj[1])),
     ]
     points = sample_points(base, 3, 7)
@@ -241,7 +241,7 @@ def test_bundle_construction_is_deterministic():
 
 def test_singular_metric_raises():
     def entries(xj):
-        return {(a, a): jets.constant(g, 4) for a, g in enumerate((-1.0, 0.0, 1.0, 1.0))}
+        return {(a, a): g for a, g in enumerate((-1.0, 0.0, 1.0, 1.0))}
 
     mj = evaluate_metric_jets(entries, 4, np.zeros(4))
     with pytest.raises(ValueError, match="singular metric"):
@@ -255,7 +255,7 @@ def test_non_lorentzian_signature_rejected():
         n=4,
         parameters={},
         expected_class="minkowski",
-        entries=lambda xj: {(a, a): jets.constant(1.0, 4) for a in range(4)},
+        entries=lambda xj: {(a, a): 1.0 for a in range(4)},
         bounds=m.bounds,
         description="",
     )

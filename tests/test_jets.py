@@ -1,6 +1,9 @@
 """Jet arithmetic against analytic values and the finite-difference oracle."""
 
 import itertools
+import math
+import operator
+import re
 
 import numpy as np
 import pytest
@@ -11,53 +14,12 @@ from weylgeom import jets
 
 
 def _random_jet(rng, n):
-    return jets.Jet3.from_partials(
-        rng.uniform(0.5, 2.0),
-        rng.normal(size=n),
-        _sym2(rng.normal(size=(n, n))),
-        _sym3(rng.normal(size=(n, n, n))),
-    )
-
-
-def _sym2(a):
-    return 0.5 * (a + a.T)
-
-
-def _sym3(a):
-    out = np.zeros_like(a)
-    for perm in itertools.permutations(range(3)):
-        out += np.transpose(a, perm)
-    return out / 6.0
-
-
-def test_from_partials_round_trips():
-    rng = np.random.default_rng(9)
-    n = 4
-    # Exactly symmetric partials at three points: each entry copied from
-    # its index-sorted representative.
-    i2, i3 = np.sort(np.indices((n, n)), axis=0), np.sort(np.indices((n, n, n)), axis=0)
-    parts = [
-        rng.normal(size=(3,)),
-        rng.normal(size=(3, n)),
-        rng.normal(size=(3, n, n))[:, i2[0], i2[1]],
-        rng.normal(size=(3, n, n, n))[:, i3[0], i3[1], i3[2]],
-    ]
-    jet = jets.Jet3.from_partials(*parts)
-    assert np.array_equal(jet.value, parts[0])
-    assert np.array_equal(jet.d1, parts[1])
-    # Coefficients are partials / α!; α! = 2 divides exactly, α! = 6 may round.
-    assert np.array_equal(jet.d2, parts[2])
-    assert np.allclose(jet.d3, parts[3], rtol=4 * np.finfo(float).eps, atol=0.0)
-
-
-def test_from_partials_reads_the_index_sorted_entries():
-    d2 = np.arange(9.0).reshape(3, 3)
-    d3 = np.arange(27.0).reshape(3, 3, 3)
-    jet = jets.Jet3.from_partials(1.0, np.zeros(3), d2, d3)
-    for idx in itertools.product(range(3), repeat=2):
-        assert jet.d2[idx] == d2[tuple(sorted(idx))]
-    for idx in itertools.product(range(3), repeat=3):
-        assert jet.d3[idx] == pytest.approx(d3[tuple(sorted(idx))], rel=1e-15)
+    """An order-3 jet in n variables with random Taylor coefficients and a
+    value in [0.5, 2]."""
+    table = jets.basis(n, 3)
+    coeffs = rng.normal(size=table.size)
+    coeffs[0] = rng.uniform(0.5, 2.0)
+    return jets.Jet3(coeffs, table)
 
 
 def test_square_of_coordinate():
@@ -100,7 +62,8 @@ def test_product_partials_match_finite_differences():
 
 
 def test_exp_of_zero_jet_is_constant_one():
-    z = jets.constant(0.0, 3)
+    table = jets.basis(3, 3)
+    z = jets.Jet3(np.zeros(table.size), table)
     e = jets.exp(z)
     assert e.value == 1.0
     assert np.all(e.d1 == 0.0) and np.all(e.d2 == 0.0) and np.all(e.d3 == 0.0)
@@ -157,17 +120,17 @@ def test_product_rule_first_order(seed):
 def test_division_by_zero_value_jet():
     t, = jets.variables([0.0])
     with pytest.raises(ValueError, match="jet division singularity"):
-        jets.constant(1.0, 1) / t
+        1.0 / t
 
 
 def test_log_domain_error_names_function():
     with pytest.raises(ValueError, match="log"):
-        jets.log(jets.constant(-1.0, 2))
+        jets.log(jets.variables([-1.0, 0.0])[0])
 
 
 def test_fractional_power_domain_error():
     with pytest.raises(ValueError, match="power"):
-        jets.power(jets.constant(-2.0, 2), 0.5)
+        jets.power(jets.variables([-2.0, 0.0])[0], 0.5)
 
 
 def test_integer_power_matches_repeated_multiplication():
@@ -184,7 +147,7 @@ def test_integer_power_of_a_zero_base_is_the_repeated_product(p):
     x, y = jets.variables(np.array([0.0, 0.4]))
     base = x * jets.exp(y)  # value exactly 0, nonzero partials through d3
     assert base.value == 0.0
-    want = [jets.constant(1.0, 2), base, base * base, base * base * base][p]
+    want = [1.0 + 0.0 * base, base, base * base, base * base * base][p]
     got = jets.power(base, p)
     for order in ("value", "d1", "d2", "d3"):
         assert np.array_equal(getattr(got, order), getattr(want, order))
@@ -197,8 +160,63 @@ def test_negative_integer_power_of_a_zero_base_raises():
 
 
 def test_mismatched_variable_counts_rejected():
-    with pytest.raises(ValueError, match="different numbers of variables"):
-        jets.constant(1.0, 2) + jets.constant(1.0, 3)
+    # Jets combine only at one n and one order; a number combines with any jet.
+    x2, x3 = jets.variables([0.3, 0.7])[0], jets.variables([0.3, 0.7, 0.1])[0]
+    x2_order_2 = jets.variables([0.3, 0.7], order=2)[0]
+    for combine in (operator.add, operator.sub, operator.mul):
+        for a, b in ((x2, x3), (x3, x2), (x2, x2_order_2), (x2_order_2, x2)):
+            with pytest.raises(ValueError, match="do not combine"):
+                combine(a, b)
+        assert combine(x2, jets.variables([0.5, 0.2])[1]).table is x2.table
+        assert combine(x2_order_2, 2.0).table is x2_order_2.table
+
+
+def test_coefficients_must_fill_the_table():
+    table = jets.basis(3, 3)
+    assert jets.Jet3(np.zeros((2, table.size)), table).n == 3
+    for shape in ((jets.basis(3, 2).size,), (table.size, 2), ()):
+        with pytest.raises(ValueError, match=re.escape(f"shape (..., {table.size}) for n = 3 at order 3")):
+            jets.Jet3(np.zeros(shape), table)
+
+
+@pytest.mark.parametrize(
+    "fn, arg, want",
+    [
+        (jets.exp, 2.0, math.exp(2.0)),
+        (jets.log, 3.0, math.log(3.0)),
+        (jets.sin, 1.0, math.sin(1.0)),
+        (jets.cos, 0.5, math.cos(0.5)),
+        (lambda u: jets.power(u, 3), 2.0, 8.0),
+        (lambda u: jets.power(u, 1.5), 4.0, 8.0),
+        (jets.reciprocal, 4.0, 0.25),
+    ],
+)
+def test_a_number_in_gives_a_number_out(fn, arg, want):
+    got = fn(arg)
+    assert type(got) is float and got == want
+
+
+def test_a_number_overflows_to_inf_as_a_jet_value_does():
+    # Read as np.float64, not as a Python float, whose ** raises OverflowError.
+    with np.errstate(over="ignore"):
+        assert jets.power(1e200, 2) == math.inf == jets.exp(1e3)
+    assert jets.reciprocal(5e-324) == math.inf
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: jets.log(-1.0), "log domain violation"),
+        (lambda: jets.log(0.0), "log domain violation"),
+        (lambda: jets.power(-2.0, 0.5), "fractional exponent needs positive base"),
+        (lambda: jets.power(0.0, -1), "negative integer exponent is singular at a zero base"),
+        (lambda: jets.reciprocal(0.0), "^jet division singularity$"),
+        (lambda: jets.reciprocal(-0.0), "^jet division singularity$"),
+    ],
+)
+def test_numbers_raise_the_domain_errors_of_jets(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 _COMPOSED = {
@@ -233,7 +251,7 @@ def test_a_function_of_one_coordinate_needs_no_jet_product(monkeypatch, name, fo
     tagged = build(jets.variables(coords, order)[1])
     assert tagged.axis == 1
     # The same jet without its axis is composed through jet products.
-    want = fn(jets.Jet3(tagged.coeffs, tagged.n))
+    want = fn(jets.Jet3(tagged.coeffs, tagged.table))
     products = []
     monkeypatch.setattr(jets, "_times", lambda *args: products.append(args))
     got = fn(tagged)

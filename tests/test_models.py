@@ -134,11 +134,10 @@ def test_grw_fiber_is_einstein_for_equal_radii():
     # itself: a product of two unit spheres has Ricci = g (Einstein constant
     # 1/r^2 with r = 1).
     def entries(xj):
-        one = jets.constant(1.0, 4)
         return {
-            (0, 0): one,
+            (0, 0): 1.0,
             (1, 1): jets.power(jets.sin(xj[0]), 2),
-            (2, 2): one,
+            (2, 2): 1.0,
             (3, 3): jets.power(jets.sin(xj[2]), 2),
         }
 
@@ -183,13 +182,12 @@ def test_metric_jets_do_not_depend_on_an_earlier_call():
 
 
 def _mixed_constant_model() -> MetricModel:
-    """A metric whose entries mix order-3 constants with the coordinate jets."""
+    """A metric whose entries mix numbers with the coordinate jets."""
 
     def entries(xj):
-        n = len(xj)
-        two, half = jets.constant(2.0, n), jets.constant(0.5, n)
+        two, half = 2.0, 0.5
         return {
-            (0, 0): jets.constant(-1.0, n),
+            (0, 0): -1.0,
             (0, 1): half * jets.cos(xj[2]) * 0.1,
             (1, 1): two + half * xj[1] * xj[0],
             (2, 2): jets.exp(half * xj[2]) / two,
@@ -203,7 +201,7 @@ def _mixed_constant_model() -> MetricModel:
         expected_class="non_twisted",
         entries=entries,
         bounds=((0.1, 2.0),) + ((-1.2, 1.2),) * 3,
-        description="order-3 constants combined with coordinate jets",
+        description="numbers combined with coordinate jets",
     )
 
 
@@ -242,11 +240,13 @@ def test_metric_jets_are_the_same_from_untagged_coordinates(model):
     points = sample_points(model, 6, 2)
     for at in (points, points[1]):
         tagged = jets.variables(at)
-        untagged = [jets.Jet3(x.coeffs, x.n) for x in tagged]
+        untagged = [jets.Jet3(x.coeffs, x.table) for x in tagged]
         got, want = model.entries(tagged), model.entries(untagged)
         assert got.keys() == want.keys()
         for key in got:
-            assert np.array_equal(got[key].coeffs, want[key].coeffs), key
+            # A constant component is a number either way.
+            coeffs = [getattr(entry[key], "coeffs", entry[key]) for entry in (got, want)]
+            assert np.array_equal(*coeffs), key
 
 
 def test_grw_requires_five_dimensions():
@@ -346,7 +346,40 @@ def test_a_literal_operand_makes_no_jet_product(products, source):
 def test_a_number_divided_by_a_number_is_scaled_by_its_reciprocal():
     # As a jet divides.  3 / 5 rounds to 0.6, one unit in the last place below 3 * (1 / 5).
     xj = jets.variables(np.array([0.9, 0.4, -0.7, 1.1]))
-    assert compile_expression("3/5", 4)(xj).value == 3 * (1 / 5) != 3 / 5
+    assert compile_expression("3/5", 4)(xj) == 3 * (1 / 5) != 3 / 5
+
+
+# Each entry calls functions of constants; each such call gives a number.
+_CONSTANT_CALLS = ["-exp(0)", "exp(2)*exp(0.6*t)*(1 + 0.1*cos(x2))", "pow(2, 2)*(1 + t**2)", "sin(1) + x1**2"]
+
+
+def _table_cases() -> list[MetricModel]:
+    models = [builtin_model(name, n, params) for name, n, params in default_model_specs()]
+    return models + [builtin_model("custom_diagonal", 4, {"g_diag": _CONSTANT_CALLS})]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("model", _table_cases(), ids=lambda model: model.label)
+def test_every_jet_of_a_metric_evaluation_has_the_table_of_its_order(monkeypatch, model, order):
+    tables, post_init = [], jets.Jet3.__post_init__
+
+    def recorded(jet):
+        post_init(jet)
+        tables.append(jet.table)
+
+    monkeypatch.setattr(jets.Jet3, "__post_init__", recorded)
+    model.metric_jets(sample_points(model, 3, 4), order=order)
+    assert len(tables) >= model.n
+    assert all(table is jets.basis(model.n, order) for table in tables)
+
+
+def test_a_function_of_a_number_is_a_number(products):
+    xj = jets.variables(np.array([0.9, 0.4]))
+    scaled = compile_expression("exp(2)*t", 2)(xj)
+    assert scaled.axis == 0 and not products
+    assert np.array_equal(scaled.coeffs, (float(np.exp(2.0)) * xj[0]).coeffs)
+    constant = compile_expression("pow(2, 2) + sin(1) - exp(0)", 2)(xj)
+    assert type(constant) is float and constant == 4.0 + float(np.sin(1.0)) - 1.0
 
 
 def test_the_twisted_twin_makes_24_jet_products(products):
