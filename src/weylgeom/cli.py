@@ -309,7 +309,6 @@ def run(config: RunConfig) -> dict:
                     **report.to_dict(),
                 }
             )
-    rows.sort(key=lambda row: (row["model"], row["identity_id"]))
     exit_code = 0 if all(row["ok"] for row in rows) and not errors else 1
     return {
         "run": {

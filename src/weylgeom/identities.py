@@ -24,7 +24,7 @@ applicable check measures its per-point arrays on that view
 (``evaluate_check``), and the view is dropped, with its bundle, before the
 next chunk's bundle is built, so one chunk's bundle and blocks at most are
 alive.  Each report is then judged from its check's arrays over all chunks
-(``_report``); ``check_report`` runs the same two steps for one check alone.
+(``_report``).
 
 Checks whose residual pattern repeats itself up to sign are evaluated on
 its independent components only, from index tables built once per n
@@ -87,10 +87,8 @@ __all__ = [
     "REGISTRY",
     "registry_ids",
     "evaluate_check",
-    "check_report",
     "run_model_suite",
     "expected_verdict",
-    "POINT_EVALUATORS",
 ]
 
 # Relative threshold below which a measured tensor counts as zero when
@@ -382,7 +380,7 @@ def _remainder_u_annihilation(b: _Chunk) -> PointPairs:
 
 def _remainder_recurrence(b: _Chunk) -> PointPairs:
     transport, decay = b.recurrences[:2]
-    return _pmax(transport + decay), np.maximum(_pmax(transport), _pmax(decay))
+    return _pair(transport, -decay)
 
 
 def _remainder_vanishes_n4(b: _Chunk) -> PointPairs:
@@ -446,8 +444,7 @@ def _divergence_formula(b: _Chunk) -> PointPairs:
 
 
 def _master_recurrence(b: _Chunk) -> PointPairs:
-    lhs, rhs = b.recurrences[2:]
-    return _pair(lhs, rhs)
+    return _pair(*b.recurrences[2:])
 
 
 def _master_recurrence_consistency(b: _Chunk) -> PointPairs:
@@ -480,7 +477,7 @@ def _weyl_u_recurrence_point(b: _Chunk) -> PointPairs:
     # whose first term is ∇_0 C_jkl0.
     transport = time_column(b.nabla_weyl[:, 0]) + _into_last(b.weyl, b.nabla_u_up[:, 0])
     decay = _slots(b.hubble_rate * (b.n - 1.0), 3) * b.weyl_u
-    return _pmax(transport + decay), np.maximum(_pmax(transport), _pmax(decay))
+    return _pair(transport, -decay)
 
 
 # ---------------------------------------------------------------------------
@@ -764,14 +761,6 @@ REGISTRY: tuple[IdentityCheck, ...] = (
 # Report groups, in the order the registry first lists them.
 GROUPS = tuple(dict.fromkeys(check.group for check in REGISTRY))
 
-# Pointwise evaluators exposed for tests that need per-point residuals; each
-# takes a bundle, through a view of its own.
-POINT_EVALUATORS: dict[str, Callable[[CurvatureBundle], PointPairs]] = {
-    check.identity_id: lambda b, fn=check.point_fn: fn(_Chunk(b))
-    for check in REGISTRY
-    if check.point_fn is not None
-}
-
 
 def registry_ids() -> tuple[str, ...]:
     return tuple(check.identity_id for check in REGISTRY)
@@ -827,18 +816,6 @@ def _report(
         residual, scale = float(arrays["residual"][k]), float(arrays["scale"][k])
     verdict = PASS if residual <= tol * max(1.0, scale) else FAIL
     return IdentityReport(check.identity_id, check.paper_ref, points, residual, scale, tol, verdict, extras)
-
-
-def check_report(
-    check: IdentityCheck,
-    model: MetricModel,
-    bundles: Sequence[CurvatureBundle],
-    tolerance: float | None = None,
-) -> IdentityReport:
-    """One identity's report over a model's bundles (chunks of sampled
-    points): the suite's measure and judge steps for this check alone."""
-    measured = [evaluate_check(check, _Chunk(b)) for b in bundles] if check.applies(model) else []
-    return _report(check, model, measured, tolerance)
 
 
 def run_model_suite(

@@ -347,18 +347,13 @@ def power(u: Jet3 | float, exponent: float) -> Jet3 | float:
     p = float(exponent)
     x = _value(u)
     if p.is_integer():
-        p_int = int(p)
-        if p_int < 0 and np.any(x == 0.0):
+        if p < 0 and np.any(x == 0.0):
             raise ValueError("power domain violation: a negative integer exponent is singular at a zero base")
-        coeffs = [1.0, p, p * (p - 1.0), p * (p - 1.0) * (p - 2.0)]
-        vals = [c * x ** (p_int - k) if c != 0.0 else np.zeros_like(x) for k, c in enumerate(coeffs)]
-        return _compose(u, *vals)
-    if np.any(x <= 0.0):
+        e = int(p)
+    elif np.any(x <= 0.0):
         raise ValueError("power domain violation: fractional exponent needs positive base")
-    return _compose(
-        u,
-        x**p,
-        p * x ** (p - 1.0),
-        p * (p - 1.0) * x ** (p - 2.0),
-        p * (p - 1.0) * (p - 2.0) * x ** (p - 3.0),
-    )
+    else:
+        e = p
+    # A zero coefficient (p = 0, 1 or 2) gives a zero term, even where x**(e - k) is infinite.
+    coeffs = [1.0, p, p * (p - 1.0), p * (p - 1.0) * (p - 2.0)]
+    return _compose(u, *(c * x ** (e - k) if c != 0.0 else np.zeros_like(x) for k, c in enumerate(coeffs)))

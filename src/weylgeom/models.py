@@ -279,7 +279,8 @@ def compile_expression(source: str, n: int) -> EntryFn:
     The closure returns a jet, or a number when the expression is constant:
     a literal, and a function or power of a number, stays a number.
 
-    The grammar admits numeric literals, the names ``t`` and ``x1 .. x{n-1}``,
+    The grammar admits numeric literals (not ``True`` or ``False``; an integer
+    too large for a float is infinite), the names ``t`` and ``x1 .. x{n-1}``,
     the operators ``+ - * / **`` (exponents must be numeric literals), unary
     minus, and calls to ``exp``, ``log``, ``sin``, ``cos``, ``pow``.
     Anything else, or nesting deeper than ``MAX_EXPRESSION_DEPTH``, is rejected.
@@ -299,9 +300,7 @@ def compile_expression(source: str, n: int) -> EntryFn:
         if isinstance(node, ast.Expression):
             return build(node.body)
         if isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
-                raise ValueError(f"non-numeric literal in metric expression {source!r}")
-            c = float(node.value)
+            c = _literal(node, f"non-numeric literal in metric expression {source!r}")
             return lambda xj: c
         if isinstance(node, ast.Name):
             if node.id not in names:
@@ -324,7 +323,7 @@ def compile_expression(source: str, n: int) -> EntryFn:
             node = ast.BinOp(node.args[0], ast.Pow(), node.args[1])
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             base = build(node.left)
-            expo = _literal_number(node.right, source)
+            expo = _literal(node.right, f"exponent must be a numeric literal in metric expression {source!r}")
             return lambda xj: jets.power(base(xj), expo)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             fname = node.func.id
@@ -340,12 +339,17 @@ def compile_expression(source: str, n: int) -> EntryFn:
     return build(tree)
 
 
-def _literal_number(node: ast.AST, source: str) -> float:
+def _literal(node: ast.AST, message: str) -> float:
+    """A numeric literal, or a negated one, as a float (±inf past the float
+    range); anything else, a bool included, raises ``ValueError(message)``."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return -_literal_number(node.operand, source)
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        return -_literal(node.operand, message)
+    if not (isinstance(node, ast.Constant) and type(node.value) in (int, float)):
+        raise ValueError(message)
+    try:
         return float(node.value)
-    raise ValueError(f"exponent must be a numeric literal in metric expression {source!r}")
+    except OverflowError:  # an integer literal has no sign: its minus is a UnaryOp
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +496,18 @@ def _twisted_entries(n: int, alpha: float, beta: float, eps: float) -> MetricFn:
     return entries
 
 
-def _twisted_generic(n: int, params: dict) -> MetricModel:
+def _twisted_parameters(params: dict) -> tuple[float, float, float]:
+    """The twisted family's alpha, beta and eps, with |eps| < 0.9 (a positive fiber)."""
     alpha = _number(params, "alpha", 0.2)
     beta = _number(params, "beta", 0.1)
     eps = _number(params, "eps", 0.05)
     if not -0.9 < eps < 0.9:
         raise ValueError("fiber perturbation eps must keep the metric Riemannian (|eps| < 0.9)")
+    return alpha, beta, eps
+
+
+def _twisted_generic(n: int, params: dict) -> MetricModel:
+    alpha, beta, eps = _twisted_parameters(params)
     return MetricModel(
         name="twisted_generic",
         n=n,
@@ -523,9 +533,7 @@ def _twisted_n4(n: int, params: dict) -> MetricModel:
 
 def _non_twisted_perturbed(n: int, params: dict) -> MetricModel:
     delta = _number(params, "delta", 0.1)
-    alpha = _number(params, "alpha", 0.2)
-    beta = _number(params, "beta", 0.1)
-    eps = _number(params, "eps", 0.05)
+    alpha, beta, eps = _twisted_parameters(params)
     twisted = _twisted_entries(n, alpha, beta, eps)
 
     # The off-block perturbation must depend on a coordinate other than x1:

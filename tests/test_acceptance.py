@@ -13,7 +13,7 @@ import pytest
 from conftest import SEED, SUITE_POINTS, fd_partial, point_count
 from weylgeom import jets
 from weylgeom.cli import default_config, main, run, serialize_structured
-from weylgeom.identities import NOT_APPLICABLE, PASS, POINT_EVALUATORS, run_model_suite
+from weylgeom.identities import NOT_APPLICABLE, PASS, REGISTRY, _Chunk, run_model_suite
 from weylgeom.models import compile_expression
 from weylgeom.tensors import max_abs
 
@@ -49,7 +49,11 @@ def _assert_pass(report, tolerance, label):
 
 
 def test_criterion_01_torse_forming(suite_data):
-    fn = POINT_EVALUATORS["torse_forming"]
+    check = next(c for c in REGISTRY if c.identity_id == "torse_forming")
+
+    def fn(b):
+        return check.point_fn(_Chunk(b))
+
     for label in ("rw_flat_n4", "grw_product_spheres_n5", "twisted_generic_n5", "twisted_n4"):
         _, bundles = suite_data[label]
         assert point_count(bundles) == SUITE_POINTS

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from weylgeom import build_bundle, builtin_model, cli, sample_points
-from weylgeom.identities import POINT_EVALUATORS
+from weylgeom.identities import REGISTRY, _Chunk
 from weylgeom.models import default_model_specs
 from weylgeom.tensors import max_abs
 
@@ -39,8 +39,8 @@ def _stacked(bundles, name):
     return np.concatenate([getattr(b, name) for b in bundles])
 
 
-def _evaluated(bundles, fn):
-    pairs = [fn(b) for b in bundles]
+def _evaluated(bundles, check):
+    pairs = [check.point_fn(_Chunk(b)) for b in bundles]
     return np.concatenate([r for r, _ in pairs]), np.concatenate([s for _, s in pairs])
 
 
@@ -63,8 +63,8 @@ def test_chunked_equals_alone_and_reverses(monkeypatch, spec):
         assert _close(_stacked(reversed_chunks, field)[::-1], single), field
 
     magnitude = np.maximum(1.0, [max(max_abs(getattr(b, f)) for f in ARRAY_FIELDS) for b in alone])
-    for identity_id, fn in POINT_EVALUATORS.items():
-        want = _evaluated(alone, fn)
-        for got in (_evaluated(chunked, fn), tuple(x[::-1] for x in _evaluated(reversed_chunks, fn))):
-            assert _close(got[0], want[0], magnitude), identity_id
-            assert _close(got[1], want[1], magnitude), identity_id
+    for check in (c for c in REGISTRY if c.point_fn is not None):
+        want = _evaluated(alone, check)
+        for got in (_evaluated(chunked, check), tuple(x[::-1] for x in _evaluated(reversed_chunks, check))):
+            assert _close(got[0], want[0], magnitude), check.identity_id
+            assert _close(got[1], want[1], magnitude), check.identity_id

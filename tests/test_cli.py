@@ -143,9 +143,17 @@ def test_verify_includes_negative_control_expectations(capsys):
 
 def test_structured_output_roundtrip(tmp_path):
     out_path = tmp_path / "report.json"
-    code = main(
-        _verify_args("--model", "twisted_n4", "--format", "structured", "--output", str(out_path))
-    )
+    # The config lists its models out of label order.
+    config = {
+        "models": [{"name": "twisted_n4"}, {"name": "minkowski"}],
+        "points": 4,
+        "seed": 42,
+        "output_format": "structured",
+        "output_path": str(out_path),
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code = main(["verify", "--config", str(config_path)])
     assert code == 0
     data = json.loads(out_path.read_text())
     assert data["exit_code"] == 0
@@ -165,7 +173,7 @@ def test_structured_output_roundtrip(tmp_path):
         assert key in row
     # Row order is the deterministic (model, identity_id) merge.
     keys = [(r["model"], r["identity_id"]) for r in data["reports"]]
-    assert keys == sorted(keys)
+    assert keys == sorted(keys) and {model for model, _ in keys} == {"minkowski_n4", "twisted_n4"}
     # Serialization round-trips exactly.
     assert json.loads(serialize_structured(data)) == data
     # A row is one report's fields plus the model and the expectation bookkeeping.
@@ -902,6 +910,8 @@ def _case(index, config, message):
             _case(34 + i, {"models": [{"name": "rw_flat", "n": n}]}, f"model dimension n must be an integer in 4..7, got {n!r}")
             for i, n in enumerate((4.7, "5", True, 5.0, 3, 8))
         ],
+        # The negative control reads eps as the twisted family does.
+        _case(40, {"models": [{"name": "non_twisted_perturbed", "parameters": {"eps": 0.95}}]}, "fiber perturbation eps must keep the metric Riemannian"),
     ],
 )
 def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, config, message):
@@ -968,17 +978,56 @@ def test_a_zero_divisor_in_an_entry_is_one_error(tmp_path, capsys, entry):
     assert "error: custom_diagonal_n4: 3/3 sampled points failed to evaluate" in out
 
 
-@pytest.mark.parametrize("entry", ["1e200**2", "pow(1e200, 2)*t", "exp(1000)", "1 + exp(1e3)*x1"])
+_HUGE = "1" + "0" * 400  # an integer literal too large for a float
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "1e200**2",
+        "pow(1e200, 2)*t",
+        "exp(1000)",
+        "1 + exp(1e3)*x1",
+        pytest.param(f"{_HUGE}*t", id="huge-integer-times-t"),
+        pytest.param(f"t**{_HUGE}", id="t-to-a-huge-integer"),
+        pytest.param(f"-{_HUGE} + t", id="minus-a-huge-integer-plus-t"),
+    ],
+)
 def test_a_constant_that_overflows_is_one_error(capsys, entry):
     # A number is read as np.float64, so a power or function of it overflows
     # to inf, as a jet's value does; the non-finite check then names the
     # point.  A power of a Python float would raise OverflowError instead.
+    # An integer literal too large for a float reads as inf, as 1e400 does.
     g_diag = ["-1", entry, "1", "1"]
     argv = ["tensor-dump", "phi", "--model", "custom_diagonal", "--n", "4", "--param", f"g_diag={json.dumps(g_diag)}"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv + ["--point", "0.5,0.1,0.2,0.3"]) == 2
     assert capsys.readouterr() == ("", "error: non-finite metric components at point [0.5, 0.1, 0.2, 0.3]\n")
+
+
+def test_a_huge_integer_literal_is_one_model_error(tmp_path, capsys):
+    config = {"models": [{"name": "custom_diagonal", "n": 4, "parameters": {"g_diag": ["-1", f"{_HUGE}*t", "1", "1"]}}], "points": 3}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+    assert main(["verify", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("error: ") == 1
+    assert "error: custom_diagonal_n4: 3/3 sampled points failed to evaluate" in out
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("True*t + 1", "non-numeric literal in metric expression 'True*t + 1'"),
+        ("t**True", "exponent must be a numeric literal in metric expression 't**True'"),
+    ],
+)
+def test_a_bool_literal_is_not_a_number(capsys, entry, message):
+    g_diag = ["-1", entry, "1", "1"]
+    argv = ["tensor-dump", "phi", "--model", "custom_diagonal", "--n", "4", "--param", f"g_diag={json.dumps(g_diag)}"]
+    assert main(argv + ["--point", "0.5,0.1,0.2,0.3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

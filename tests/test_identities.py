@@ -17,11 +17,9 @@ from weylgeom.identities import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
-    POINT_EVALUATORS,
     REGISTRY,
     GROUPS,
     IdentityReport,
-    check_report,
     expected_verdict,
     registry_ids,
     run_model_suite,
@@ -31,9 +29,22 @@ from weylgeom.tensors import kulkarni_nomizu, max_abs
 
 _BY_ID = {check.identity_id: check for check in REGISTRY}
 
+# run_model_suite's reports for each list of bundles, keyed by identity id.
+# The entry holds its list, so no later list can reuse its id.
+_SUITES = {}
+
+
+def _suite(model, bundles):
+    if id(bundles) not in _SUITES:
+        reports = run_model_suite(model, bundles)
+        _SUITES[id(bundles)] = (bundles, model, {r.identity_id: r for r in reports})
+    cached, cached_model, reports = _SUITES[id(bundles)]
+    assert cached is bundles and cached_model is model
+    return reports
+
 
 def _report(identity_id, model, bundles):
-    return check_report(_BY_ID[identity_id], model, bundles)
+    return _suite(model, bundles)[identity_id]
 
 
 def _reports(ids, model, bundles):
@@ -42,11 +53,13 @@ def _reports(ids, model, bundles):
 
 def _group(group, model, bundles):
     """Reports of every registry check in ``group``, keyed by identity id."""
-    return {
-        check.identity_id: check_report(check, model, bundles)
-        for check in REGISTRY
-        if check.group == group
-    }
+    return {i: r for i, r in _suite(model, bundles).items() if _BY_ID[i].group == group}
+
+
+def _point(identity_id, b):
+    """A pointwise check's (residual, scale) on one bundle, through a view of its own."""
+    return _BY_ID[identity_id].point_fn(identities._Chunk(b))
+
 
 # Static manifest: every identity the suite must cover, with its exact anchor.
 # A registry entry without a manifest row (or vice versa) is a defect.
@@ -348,7 +361,7 @@ def _random_chunk(n, points=3, seed=0):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_independent_components_match_the_full_pattern_oracle(identity_id, n):
     b = _random_chunk(n)
-    residual, _ = POINT_EVALUATORS[identity_id](b)
+    residual, _ = _point(identity_id, b)
     expected = _ORACLES[identity_id](identities._Chunk(b))
     assert np.all(expected > 1.0)  # the random fields violate the identity
     np.testing.assert_allclose(residual, expected, rtol=1e-15, atol=0.0)
@@ -448,7 +461,7 @@ def test_recurrences_equal_the_n4_formulas_at_the_pairs(small_bundles):
             acc_up = _along_u(b, b.nabla_u_up)
             transport = np.einsum("xjklm,xm->xjkl", weyl_along_u, b.u_up) + identities._into_last(b.weyl, acc_up)
             decay = (b.hubble_rate * (n - 1.0))[:, None, None, None] * np.einsum("xjklm,xm->xjkl", b.weyl, b.u_up)
-            residual, scale = POINT_EVALUATORS["weyl_u_recurrence"](b)
+            residual, scale = _point("weyl_u_recurrence", b)
             assert np.array_equal(residual, max_abs(transport + decay, per_point=True)), label
             assert np.array_equal(scale, np.maximum(max_abs(transport, per_point=True), max_abs(decay, per_point=True)))
 
@@ -460,7 +473,7 @@ def _control_ratios(n: int, identity_ids) -> dict[str, np.ndarray]:
     b = build_bundle(model, sample_points(model, 20, 42))
     ratios = {}
     for identity_id in identity_ids:
-        residual, scale = POINT_EVALUATORS[identity_id](b)
+        residual, scale = _point(identity_id, b)
         ratios[identity_id] = residual / (_BY_ID[identity_id].tolerance * np.maximum(1.0, scale))
     return ratios
 
@@ -647,8 +660,7 @@ def test_report_roundtrip():
 
 def test_verdict_matches_relative_tolerance_rule(small_bundles):
     for label, (model, bundles) in small_bundles.items():
-        for check in REGISTRY:
-            report = check_report(check, model, bundles)
+        for report in _suite(model, bundles).values():
             if report.verdict == NOT_APPLICABLE:
                 continue
             should_pass = report.max_residual <= report.tolerance * max(1.0, report.scale)
@@ -670,10 +682,12 @@ def test_tolerance_override_changes_verdict(small_bundles):
 
 
 def test_point_evaluators_exposed_for_all_pointwise_checks():
-    assert "torse_forming" in POINT_EVALUATORS
-    assert "weyl_divergence_formula" in POINT_EVALUATORS
-    assert "divfree_corollary" in POINT_EVALUATORS  # pointwise, with a hypothesis
-    assert "electric_contraction_iff" not in POINT_EVALUATORS  # an iff check
+    pointwise = {check.identity_id for check in REGISTRY if check.point_fn is not None}
+    iff = {check.identity_id for check in REGISTRY if check.iff is not None}
+    assert iff == {"electric_contraction_iff", "electric_iff_n4"}
+    assert pointwise == set(registry_ids()) - iff
+    # A conditional check is pointwise, with a hypothesis.
+    assert _BY_ID["divfree_corollary"].hypothesis and "divfree_corollary" in pointwise
 
 
 def test_suite_reports_are_sorted(small_bundles):
@@ -693,9 +707,15 @@ def test_suite_keeps_one_chunks_shared_blocks_and_the_same_reports(monkeypatch, 
     model = builtin_model(*spec)
     points = sample_points(model, 17, 5)
     bundles = [build_bundle(model, points[i : i + 3]) for i in range(0, len(points), 3)]
-    expected = sorted(
-        (check_report(check, model, bundles) for check in REGISTRY), key=lambda r: r.identity_id
-    )
+
+    def alone(check):
+        # The check measured and judged by itself, on fresh views of every chunk.
+        if not check.applies(model):
+            return identities._report(check, model, [], None)
+        measured = [identities.evaluate_check(check, identities._Chunk(b)) for b in bundles]
+        return identities._report(check, model, measured, None)
+
+    expected = sorted(map(alone, REGISTRY), key=lambda r: r.identity_id)
 
     live = weakref.WeakSet()
     holding = []

@@ -408,6 +408,18 @@ def test_grammar_rejects_unknown_names_and_calls():
         compile_expression("t**x1", 4)
     with pytest.raises(ValueError, match="invalid metric expression"):
         compile_expression("exp(", 4)
+    # A bool is not a number, as a literal or as an exponent.
+    with pytest.raises(ValueError, match="non-numeric literal"):
+        compile_expression("True*t + 1", 4)
+    with pytest.raises(ValueError, match="exponent must be a numeric literal"):
+        compile_expression("t**True", 4)
+    # An integer literal too large for a float reads as ±inf, so its metric
+    # is non-finite at every point, not an OverflowError.
+    huge = "1" + "0" * 400
+    for entry in (f"{huge}*t", f"t**{huge}", f"-{huge} + t"):
+        model = builtin_model("custom_diagonal", 4, {"g_diag": ["-1", entry, "1", "1"]})
+        with pytest.raises(ValueError, match="non-finite metric components"):
+            model.metric_jets(np.array([0.5, 0.1, 0.2, 0.3]))
 
 
 def test_custom_diagonal_model_runs_like_rw():
