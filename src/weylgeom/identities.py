@@ -410,19 +410,38 @@ def _bianchi_contraction(b: _Chunk) -> PointPairs:
     antisymmetric in (i, j, k), so the other triples repeat these up to sign
     and those with a repeated index vanish.  Both antisymmetries are measured
     instead, and count as residual.  ∇C is held at the pairs l < m of (l, m);
-    its gather at the triples is expanded to the full (l, m) block, so every
-    (l, m) entry of each cyclic sum is measured."""
-    n = b.n
+    the left side's cyclic sum is formed there and expanded to the full
+    (l, m) block, so every (l, m) entry is measured.  The right side's cyclic
+    sum is one matrix product per triple (:func:`_bianchi_tables`)."""
+    n, g, dv = b.n, b.g, b.div_weyl
     i, j, k = _cyclic_triples(n)
-    g, dv = b.g, b.div_weyl
-    # Outer products of n-vectors: einsum writes them about twice as fast as
-    # a broadcast multiply, whose inner loops are only n long.
-    outer = "...l,...m->...lm"
-    terms = expand_pairs(b.nabla_weyl[:, i, j, k]) - (
-        np.einsum(outer, dv[:, k, i], g[:, j]) + np.einsum(outer, g[:, k], dv[:, j, i])
-    ) / (n - 3.0)
-    residual = np.maximum(_pmax(_sum_shifts(terms)), _first_pair_defect(b.nabla_weyl, 2))
+    rows, cols = _bianchi_tables(n)
+    lhs = expand_pairs(_sum_shifts(b.nabla_weyl[:, i, j, k]))
+    flat = np.concatenate((dv.reshape(len(dv), -1), g.reshape(len(g), -1)), axis=1)
+    rhs = np.take(flat, rows, axis=1) @ np.take(flat, cols, axis=1)
+    residual = np.maximum(_pmax(lhs - rhs / (n - 3.0)), _first_pair_defect(b.nabla_weyl, 2))
     return np.maximum(residual, _first_pair_defect(dv, 1)), b.max_nabla_weyl
+
+
+@cache
+def _bianchi_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in a point's D = div C and g, raveled and concatenated, of
+    the factors of the six terms g_jm D_kil and g_kl D_jim over the three
+    cyclic shifts of each triple (as :func:`_cyclic_triples` lists them):
+    ``rows`` of shape (C(n,3), n, 6) holds [D_kil, g_kl] at l, and ``cols``
+    of shape (C(n,3), 6, n) holds [g_jm, D_jim] at m, so their matrix product
+    is the cyclic sum of g_jm D_kil + g_kl D_jim at (l, m)."""
+    i, j, k = (index[..., None] for index in _cyclic_triples(n))
+    slot, g_at = np.arange(n), n**3 + np.arange(n)
+    rows = np.stack(((k * n + i) * n + slot, k * n + g_at), axis=-1)
+    cols = np.stack((j * n + g_at, (j * n + i) * n + slot), axis=-1)
+    # (shift, triple, slot, factor) -> (triple, slot, 2 shift + factor) and
+    # (triple, 2 shift + factor, slot).
+    rows = rows.transpose(1, 2, 0, 3).reshape(len(rows[0]), n, 6)
+    cols = cols.transpose(1, 0, 3, 2).reshape(len(cols[0]), 6, n)
+    for table in (rows, cols):
+        table.setflags(write=False)
+    return rows, cols
 
 
 def _divergence_formula(b: _Chunk) -> PointPairs:

@@ -25,6 +25,8 @@ execution).
 from __future__ import annotations
 
 import ast
+import functools
+import json
 import math
 import numbers
 import reprlib
@@ -146,19 +148,14 @@ class MetricModel:
         ``(n,)`` or at points ``(P, n)``.
 
         Raises ``ValueError`` naming the first point whose coordinates or
-        metric components (through the order's partials) are not finite, or
-        whose metric has not exactly one negative eigenvalue ("not
+        metric components (through the order's partials) are not finite, as
+        :func:`evaluate_metric_jets` checks them on its weighted coefficient
+        stack, or whose metric has not exactly one negative eigenvalue ("not
         Lorentzian"), or is singular: an eigenvalue of 0, or too
         ill-conditioned to invert reliably.
         """
         mj = evaluate_metric_jets(self.entries, self.n, points, order)
         coords = np.reshape(points, (-1, self.n))
-        finite = np.ones(len(coords), dtype=bool)
-        for array in (mj.value, mj.d1, mj.d2, mj.d3)[: order + 1]:
-            finite &= np.isfinite(array).reshape(len(coords), -1).all(axis=1)
-        if not finite.all():
-            bad = coords[np.argmin(finite)].tolist()
-            raise ValueError(f"non-finite metric components at point {bad}")
         eigvals = np.linalg.eigvalsh(mj.value).reshape(-1, self.n)
         magnitudes = np.abs(eigvals)
         smallest = magnitudes.min(axis=1)
@@ -190,10 +187,16 @@ def evaluate_metric_jets(entries: MetricFn, n: int, points: ChartPoint, order: i
     ``entries`` runs once per call, on the coordinate jets of all points, so
     a factor that several of its components share is computed once.  A
     component that is a number is that value with zero partials at every
-    point.  Each order of partials is one gather from the components'
-    Taylor coefficients, written to (a, b) and exactly mirrored to (b, a);
-    at order 2, ``d3`` is ``None``.  Non-finite coordinates are rejected
-    before ``entries`` runs, naming the coordinate.
+    point.  The components' Taylor coefficients are stacked once, each
+    monomial's row times its α!, beside one zero column; each order of
+    partials is then one gather from that stack, writing every component to
+    (a, b) and exactly mirrored to (b, a); at order 2, ``d3`` is ``None``.
+
+    Raises ``ValueError`` naming the coordinate when a coordinate is not
+    finite (before ``entries`` runs), and naming the first point whose
+    weighted stack holds a value that is not finite: every partial is one
+    entry of that stack or an exact 0.0, so those are the points with a
+    non-finite metric component through the order's partials.
     """
     coords = np.asarray(points, dtype=float)
     if coords.ndim not in (1, 2) or coords.shape[-1] != n:
@@ -206,29 +209,53 @@ def evaluate_metric_jets(entries: MetricFn, n: int, points: ChartPoint, order: i
             f"at point {rows[row].tolist()}"
         )
     lead = coords.shape[:-1]
-    # A component that overflows or leaves its domain gives non-finite jets,
-    # which metric_jets rejects point by point; numpy's warnings would only
-    # repeat that on stderr.
+    # A component that overflows or leaves its domain, or whose weighted
+    # coefficient overflows, is rejected below point by point; numpy's
+    # warnings would only repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         components = entries(jets.variables(coords, order))
-    # Column k of `stack` holds the Taylor coefficients of the k-th component.
-    table = jets.basis(n, order)
-    stack = np.empty(lead + (table.size, len(components)))
-    for k, component in enumerate(components.values()):
-        if isinstance(component, Jet3):
-            stack[..., k] = component.coeffs
-        else:
-            stack[..., k] = 0.0
-            stack[..., 0, k] = component
-    # Each component is written at (a, b) and, off the diagonal, at (b, a).
-    placed = {(*ab, k) for k, key in enumerate(components) for ab in (key, key[::-1])}
-    rows, cols, source = np.array(sorted(placed), dtype=np.intp).reshape(-1, 3).T
-    orders = []
-    for degree, (monomials, weights) in enumerate(zip(table.partials, table.weights)):
-        partials = np.zeros(lead + (len(monomials), n, n))
-        partials[..., rows, cols] = (stack[..., monomials, :] * weights[:, None])[..., source]
-        orders.append(partials.reshape(lead + (n,) * (degree + 2)))
+        factorials, gathers = _partial_gathers(n, order, tuple(components))
+        # Column k of `stack` holds the Taylor coefficients of the k-th
+        # component; the last column stays 0.0.
+        stack = np.zeros(lead + (len(factorials), len(components) + 1))
+        for k, component in enumerate(components.values()):
+            if isinstance(component, Jet3):
+                stack[..., k] = component.coeffs
+            else:
+                stack[..., 0, k] = component
+        stack *= factorials[:, None]
+    finite = np.isfinite(stack).reshape(len(rows), -1).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite metric components at point {rows[np.argmin(finite)].tolist()}")
+    flat = stack.reshape(lead + (-1,))
+    orders = [
+        np.take(flat, index, axis=-1).reshape(lead + (n,) * (k + 2)) for k, index in enumerate(gathers)
+    ]
     return MetricJets(n, *orders, *[None] * (3 - order))
+
+
+@functools.cache
+def _partial_gathers(
+    n: int, order: int, keys: tuple[tuple[int, int], ...]
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The α! of each monomial of ``jets.basis(n, order)``, and for each order
+    k <= ``order`` the flat positions in :func:`evaluate_metric_jets`'s stack
+    (a row per monomial, a column per key, then the zero column) of the
+    order-k partials in the layout (index tuple, a, b): the stored component
+    at (a, b) and at (b, a) for each key (a, b), the zero column elsewhere."""
+    table = jets.basis(n, order)
+    factorials = np.empty(table.size)
+    width = len(keys) + 1
+    column = np.full((n, n), len(keys))
+    for k, (a, b) in enumerate(keys):
+        column[a, b] = column[b, a] = k
+    gathers = []
+    for monomials, weights in zip(table.partials, table.weights):
+        factorials[monomials] = weights
+        gathers.append((monomials[:, None, None] * width + column).ravel())
+    for array in (factorials, *gathers):
+        array.setflags(write=False)
+    return factorials, tuple(gathers)
 
 
 def sample_points(model: MetricModel, count: int, seed: int) -> np.ndarray:
@@ -559,13 +586,34 @@ def _non_twisted_perturbed(n: int, params: dict) -> MetricModel:
     )
 
 
+def _diagonal_entry(entry, index: int, n: int) -> EntryFn:
+    """The ``g_diag`` entry at ``index``: an expression string, compiled, or
+    a finite number (not a bool), that constant.  Anything else raises
+    ``ValueError`` naming the position and what the entry is (``true``,
+    ``false`` and ``null`` in their JSON spelling)."""
+    if isinstance(entry, str):
+        return compile_expression(entry, n)
+    if is_finite_real(entry):
+        value = float(entry)
+        return lambda xj: value
+    if entry is None or isinstance(entry, bool):
+        got = json.dumps(entry)
+    elif isinstance(entry, numbers.Real):
+        got = "a number that is not finite"
+    else:
+        got = f"a {type(entry).__name__}"
+    raise ValueError(
+        f"custom_diagonal g_diag[{index}] must be an expression string or a finite number, got {got}"
+    )
+
+
 def _custom_diagonal(n: int, params: dict) -> MetricModel:
     exprs = params.get("g_diag")
     if not isinstance(exprs, (list, tuple)) or len(exprs) != n:
-        raise ValueError("custom_diagonal needs a list 'g_diag' of n expression strings")
+        raise ValueError("custom_diagonal needs a list 'g_diag' of n expression strings or numbers")
     expected_class = params.get("expected_class", "twisted")
-    compiled = [compile_expression(str(src), n) for src in exprs]
-    used = {"g_diag": list(map(str, exprs)), "expected_class": expected_class}
+    compiled = [_diagonal_entry(entry, index, n) for index, entry in enumerate(exprs)]
+    used = {"g_diag": list(exprs), "expected_class": expected_class}
     if "expected_failures" in params:
         declared = params["expected_failures"]
         if not isinstance(declared, (list, tuple)) or not all(isinstance(i, str) for i in declared):

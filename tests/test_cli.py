@@ -1006,6 +1006,30 @@ def test_a_constant_that_overflows_is_one_error(capsys, entry):
     assert capsys.readouterr() == ("", "error: non-finite metric components at point [0.5, 0.1, 0.2, 0.3]\n")
 
 
+def test_a_partial_that_overflows_is_one_error(tmp_path, capsys):
+    # 5e307 t³ and its Taylor coefficients are finite, but ∂_t³ of it is
+    # 6 · 5e307: the weighting by α! overflows, and that is one error line,
+    # with no numpy warning before it.  phi reads only the 2-jet, whose
+    # metric is singular at the point instead, so the dump asks for ∇C.
+    g_diag = ["-1", "5e307*t**3 + 1", "1", "1"]
+    param = f"g_diag={json.dumps(g_diag)}"
+    dumped = _run_module(
+        "weylgeom", "tensor-dump", "nablaC", "--model", "custom_diagonal", "--n", "4", "--param", param,
+        "--point", "0.5,0.1,0.2,0.3",
+    )
+    assert dumped.returncode == 2
+    assert (dumped.stdout, dumped.stderr) == ("", "error: non-finite metric components at point [0.5, 0.1, 0.2, 0.3]\n")
+    config = {"models": [{"name": "custom_diagonal", "n": 4, "parameters": {"g_diag": g_diag}}], "points": 3}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("error: ") == 1
+    assert "error: custom_diagonal_n4: 3/3 sampled points failed to evaluate" in out
+
+
 def test_a_huge_integer_literal_is_one_model_error(tmp_path, capsys):
     config = {"models": [{"name": "custom_diagonal", "n": 4, "parameters": {"g_diag": ["-1", f"{_HUGE}*t", "1", "1"]}}], "points": 3}
     path = tmp_path / "huge.json"
@@ -1028,6 +1052,31 @@ def test_a_bool_literal_is_not_a_number(capsys, entry, message):
     argv = ["tensor-dump", "phi", "--model", "custom_diagonal", "--n", "4", "--param", f"g_diag={json.dumps(g_diag)}"]
     assert main(argv + ["--point", "0.5,0.1,0.2,0.3"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "entry, got",
+    [("true", "true"), ("null", "null"), ("1e999", "a number that is not finite")],
+)
+def test_a_g_diag_entry_that_is_not_a_string_or_finite_number_is_named(capsys, entry, got):
+    # The entry is read as JSON, so the message must not quote its Python
+    # spelling ('True', 'None', 'inf').
+    param = f"g_diag=[-1, {entry}, 1, 1]"
+    argv = ["tensor-dump", "phi", "--model", "custom_diagonal", "--n", "4", "--param", param]
+    assert main(argv + ["--point", "0.5,0.1,0.2,0.3"]) == 2
+    message = f"custom_diagonal g_diag[1] must be an expression string or a finite number, got {got}"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_finite_number_in_g_diag_is_that_constant(capsys):
+    argv = ["tensor-dump", "gamma", "--model", "custom_diagonal", "--n", "4", "--point", "0.5,0.1,0.2,0.3"]
+    dumps = []
+    for g_diag in ("[-1, 1, 1, 1]", '["-1", "1", "1", "1"]', '[-1, 2.5, 1, "exp(t)"]', '["-1", "2.5", "1", "exp(t)"]'):
+        assert main(argv + ["--param", f"g_diag={g_diag}"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        dumps.append(out)
+    assert dumps[0] == dumps[1] and dumps[2] == dumps[3]
 
 
 @pytest.mark.parametrize(

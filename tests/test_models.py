@@ -233,6 +233,28 @@ def test_order_two_jets_are_the_order_three_jets_without_d3(model):
 
 
 @pytest.mark.parametrize("model", _order_cases(), ids=lambda model: model.label)
+def test_metric_jets_are_each_components_own_partials(model):
+    # metric_jets gathers every order from one weighted coefficient stack;
+    # each component's partials must be its jet's own, bit for bit, at (a, b)
+    # and at (b, a), and every other entry 0.0 (not -0.0).
+    n, points = model.n, sample_points(model, 12, 3)
+    for at in (points, points[4]):
+        lead = at.shape[:-1]
+        for order in (2, 3):
+            got = model.metric_jets(at, order)
+            components = model.entries(jets.variables(at, order))
+            for k, name in enumerate(("value", "d1", "d2", "d3")[: order + 1]):
+                want = np.zeros(lead + (n,) * (k + 2))
+                for (a, b), component in components.items():
+                    if isinstance(component, jets.Jet3):
+                        partial = getattr(component, name)
+                    else:
+                        partial = component if k == 0 else 0.0
+                    want[..., a, b] = want[..., b, a] = partial
+                assert getattr(got, name).tobytes() == want.tobytes(), (order, name)
+
+
+@pytest.mark.parametrize("model", _order_cases(), ids=lambda model: model.label)
 def test_metric_jets_are_the_same_from_untagged_coordinates(model):
     # A function of one coordinate is composed without jet products when its
     # argument carries the coordinate's axis; with the axes dropped every
