@@ -520,16 +520,19 @@ def _json_float_array(value: np.ndarray, depth: int) -> str:
 
     ``json`` spells a finite float as ``float.__repr__`` does (the shortest
     round-trip form); ``build_bundle`` rejects non-finite fields, so this
-    never meets the NaN and Infinity spellings.  Each distinct bit pattern is
-    spelled once (so -0.0 and 0.0 stay apart), and the text interleaves the
-    spellings with the separators of :func:`_json_separators`.  Every axis
-    must be non-empty.
+    never meets the NaN and Infinity spellings.  Each distinct magnitude is
+    spelled once and the sign is written as a ``-`` prefix, since
+    ``repr(-x) == "-" + repr(x)`` for every finite float; the sign bit is
+    read apart from the magnitude, so -0.0 stays apart from 0.0.  The text
+    interleaves the spellings with the separators of
+    :func:`_json_separators`.  Every axis must be non-empty.
     """
     flat = np.ascontiguousarray(value, dtype=np.float64).ravel()
-    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    spellings = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    magnitudes, inverse = np.unique(np.abs(flat), return_inverse=True)
+    spellings = list(map(float.__repr__, magnitudes.tolist()))
+    table = np.array(spellings + ["-" + s for s in spellings], dtype=object)
     parts = list(_json_separators(value.shape, depth))
-    parts[1::2] = spellings[inverse].tolist()
+    parts[1::2] = table[inverse + len(spellings) * np.signbit(flat)].tolist()
     return "".join(parts)
 
 

@@ -590,7 +590,11 @@ def _stages(model: MetricModel, coords: np.ndarray, order: int) -> Iterator[dict
     # u = ∂_t (see MetricModel.u_up), so each contraction with u reads index
     # 0 of the slot: u_a = g_a0 with ∂_p u_a = ∂_p g_a0, ∇_p u^a = Γ^a_p0,
     # ∂_p φ from ∂_p Γ^a_a0, and E_kl = C_0kl0 below.  Adding 0.0 turns a
-    # -0.0 into the 0.0 that a sum over the slot would give.
+    # -0.0 into the 0.0 that a sum over the slot would give.  Γ, ∂Γ and C
+    # hold no -0.0 today: Γ and ∂Γ are matrix products, which sum from +0.0,
+    # and C adds R, which is built on one; x + y is -0.0 only when both are,
+    # and x - y only when x is.  Their additions keep the reads safe if a
+    # kernel ever forms them another way.
     u = model.u_up
     u_up = np.broadcast_to(u, coords.shape)
     u_down = mj.value[..., 0] + 0.0

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from weylgeom import builtin_model, cli, curvature, sample_points
 from weylgeom.cli import default_config, load_config, main, run, serialize_structured
@@ -568,9 +569,45 @@ def _assert_json_float_array_matches_json_dumps(values):
 
 @pytest.mark.parametrize("shape", [(1,), (1, 1), (4, 4), (3,) * 5, (2, 1, 3, 1)])
 def test_json_float_array_matches_json_dumps(shape):
-    # Repeated values, and -0.0 next to 0.0: each distinct bit pattern is
+    # Repeated values, and -0.0 next to 0.0: each distinct magnitude is
     # spelled once, and the two zeros keep their own spellings.
     values = np.resize([-0.0, 5e-324, 1e-7, 0.0, 1e16, 1e300, 0.1, -2.5, 1.0 / 3.0, 0.1, -0.0], shape)
+    _assert_json_float_array_matches_json_dumps(values)
+
+
+# Where repr switches between fixed and exponent notation (1e16 against
+# 9999999999999998.0, 1e-05 against 0.0001), and its limits: the smallest
+# subnormal, the smallest normal and the largest finite float.
+_REPR_EDGES = [1e16, 9999999999999998.0, 1e-05, 0.0001, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([sign * x for x in _REPR_EDGES for sign in (1.0, -1.0)]).reshape(7, 2),
+        -np.array([[0.5, 3.0, 1e-300], [2.0, 0.5, 7.25]]),
+        np.array([[0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]]),
+    ],
+    ids=["signed_repr_edges", "all_negative", "signed_zeros_only"],
+)
+def test_json_float_array_writes_the_sign_as_a_prefix(values):
+    # Each magnitude is spelled once: a value and its negation share that
+    # spelling, and the sign bit alone picks the "-".
+    _assert_json_float_array_matches_json_dumps(values)
+    for x in np.abs(values).ravel().tolist():
+        assert repr(-x) == "-" + repr(x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=4),
+        # Signed repeats among arbitrary floats, so magnitudes are shared.
+        elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 0.1, -0.1])),
+    )
+)
+def test_json_float_array_matches_json_dumps_on_any_finite_array(values):
     _assert_json_float_array_matches_json_dumps(values)
 
 
