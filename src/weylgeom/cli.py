@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import numbers
 import os
@@ -134,6 +135,8 @@ def _validate_config(config: RunConfig) -> RunConfig:
         raise ValueError(f"output_format must be one of {_FORMATS}")
     if config.output_path is not None and not isinstance(config.output_path, str):
         raise ValueError(f"output_path must be a file path string, got {config.output_path!r}")
+    if config.output_path == "":
+        raise ValueError("output_path must not be empty")
     if not isinstance(config.tolerances, dict):
         raise ValueError("tolerances must be an object mapping identity ids to numbers")
     unknown = set(config.tolerances) - set(registry_ids())
@@ -162,9 +165,6 @@ def _validate_config(config: RunConfig) -> RunConfig:
             raise ValueError(f"model-entry 'label' must be a string, got {label!r}")
         if label == "":
             raise ValueError("model-entry 'label' must not be empty")
-        parameters = entry.get("parameters") or {}
-        if not isinstance(parameters, dict):
-            raise ValueError(f"model-entry 'parameters' must be an object, got {parameters!r}")
     return config
 
 
@@ -347,12 +347,10 @@ def render_text(result: dict) -> str:
         "weylgeom identity verification "
         f"(points={result['run']['points']}, seed={result['run']['seed']})",
     ]
-    by_model: dict[str, list[dict]] = {}
-    for row in result["reports"]:
-        by_model.setdefault(row["model"], []).append(row)
     group_of = {check.identity_id: check.group for check in REGISTRY}
-    for model_label in sorted(by_model):
-        model_rows = by_model[model_label]
+    # run() emits the rows in (model, identity_id) order.
+    for model_label, rows in itertools.groupby(result["reports"], key=lambda row: row["model"]):
+        model_rows = list(rows)
         lines.append("")
         lines.append(f"model {model_label} (n={model_rows[0]['n']})")
         for group in GROUPS:
@@ -470,7 +468,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if config.output_format == "structured"
         else render_text(result)
     )
-    if config.output_path:
+    if config.output_path is not None:
         with open(config.output_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -542,29 +540,14 @@ def _json_separators(shape: tuple, depth: int) -> tuple:
     ``shape`` nested ``depth`` levels deep, as ``(opening, None, sep, None,
     ..., None, closing)``: one ``None`` slot per entry.
 
-    Between entries ``i - 1`` and ``i``, the last ``k`` axes roll over (``i``
-    is a multiple of the product of the last ``k`` sizes); the separator
-    closes those ``k`` lists and opens ``k`` new ones."""
-    last = depth + len(shape)
-
-    def opening(k):
-        return "".join("[\n" + "  " * level for level in range(last - k + 1, last + 1))
-
-    def closing(k):
-        return "".join("\n" + "  " * (level - 1) + "]" for level in range(last, last - k, -1))
-
-    table = [closing(k) + ",\n" + "  " * (last - k) + opening(k) for k in range(len(shape))]
-    size = int(np.prod(shape))
-    index = np.arange(1, size)
-    rolled = np.zeros(size - 1, dtype=np.intp)
-    block = 1
-    for axis_size in reversed(shape[1:]):
-        block *= axis_size
-        rolled += index % block == 0
-    parts = [None] * (2 * size + 1)
-    parts[0] = opening(len(shape))
-    parts[2:-1:2] = [table[k] for k in rolled.tolist()]
-    parts[-1] = closing(len(shape))
+    It is json's own text for a zero array of ``shape``, indented ``depth``
+    levels further and split at its entries, each spelled ``0.0``; the
+    separators hold only brackets, commas and whitespace.  Each distinct
+    separator is stored once, as one object."""
+    text = json.dumps(np.zeros(shape).tolist(), indent=2).replace("\n", "\n" + "  " * depth)
+    stored: dict[str, str] = {}
+    parts = [None] * (2 * text.count("0.0") + 1)
+    parts[::2] = [stored.setdefault(piece, piece) for piece in text.split("0.0")]
     return tuple(parts)
 
 
@@ -628,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     dump = sub.add_parser("tensor-dump", help="print one bundle field at one chart point")
-    dump.add_argument("field", help="bundle field name (aliases: phi, E, xi, v, C, nablaC, divC, scalarR, gamma)")
+    dump.add_argument("field", help=f"bundle field name (aliases: {', '.join(_FIELD_ALIASES)})")
     dump.add_argument("--model", required=True, help="catalog model name")
     dump.add_argument("--n", type=_flag_int, help="dimension (model default when omitted)")
     dump.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")

@@ -64,20 +64,21 @@ __all__ = ["Jet3", "variables", "reciprocal", "exp", "log", "sin", "cos", "power
 class Basis:
     """Index tables of the degree <= ``order`` monomials in ``n`` variables.
 
-    ``top`` is the position of the first monomial of degree ``order``.
-    ``partials[k]`` and ``weights[k]`` (k <= order) map the raw order-k
-    partials, flattened over their n**k index tuples in lexical order, to the
-    position of the index-sorted monomial and its α!.  ``left``, ``right``
-    and ``starts`` list every ordered pair of monomials whose product has
-    degree <= order, grouped by product monomial, for ``np.add.reduceat``.
+    ``top`` is the position of the first monomial of degree ``order``, and
+    ``factorials[m]`` is the α! of monomial m, stored once per monomial.
+    ``partials[k]`` (k <= order) maps the raw order-k partials, flattened
+    over their n**k index tuples in lexical order, to the position of the
+    index-sorted monomial.  ``left``, ``right`` and ``starts`` list every
+    ordered pair of monomials whose product has degree <= order, grouped by
+    product monomial, for ``np.add.reduceat``.
     """
 
     n: int
     order: int
     size: int
     top: int
+    factorials: np.ndarray
     partials: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
     left: np.ndarray
     right: np.ndarray
     starts: np.ndarray
@@ -97,12 +98,10 @@ def basis(n: int, order: int) -> Basis:
         raise ValueError(f"jet order must be 2 or 3, got {order!r}")
     monomials = [m for k in range(order + 1) for m in itertools.combinations_with_replacement(range(n), k)]
     position = {m: i for i, m in enumerate(monomials)}
-    factorials = np.array([math.prod(map(math.factorial, Counter(m).values())) for m in monomials])
-    partials, weights = [], []
-    for k in range(order + 1):
-        grid = [position[tuple(sorted(idx))] for idx in itertools.product(range(n), repeat=k)]
-        partials.append(_readonly(grid, np.intp))
-        weights.append(_readonly(factorials[grid], float))
+    partials = [
+        _readonly([position[tuple(sorted(idx))] for idx in itertools.product(range(n), repeat=k)], np.intp)
+        for k in range(order + 1)
+    ]
     left, right, starts = [], [], []
     for target in monomials:
         starts.append(len(left))
@@ -116,8 +115,8 @@ def basis(n: int, order: int) -> Basis:
         order=order,
         size=len(monomials),
         top=math.comb(n + order - 1, order - 1),
+        factorials=_readonly([math.prod(map(math.factorial, Counter(m).values())) for m in monomials], float),
         partials=tuple(partials),
-        weights=tuple(weights),
         left=_readonly(left, np.intp),
         right=_readonly(right, np.intp),
         starts=_readonly(starts, np.intp),
@@ -161,7 +160,7 @@ class Jet3:
 
     def _partials(self, k: int) -> np.ndarray:
         t = self.table
-        flat = self.coeffs[..., t.partials[k]] * t.weights[k]
+        flat = self.coeffs[..., t.partials[k]] * t.factorials[t.partials[k]]
         return flat.reshape(self.coeffs.shape[:-1] + (self.n,) * k)
 
     @property

@@ -214,7 +214,8 @@ def evaluate_metric_jets(entries: MetricFn, n: int, points: ChartPoint, order: i
     # warnings would only repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         components = entries(jets.variables(coords, order))
-        factorials, gathers = _partial_gathers(n, order, tuple(components))
+        factorials = jets.basis(n, order).factorials
+        gathers = _partial_gathers(n, order, tuple(components))
         # Column k of `stack` holds the Taylor coefficients of the k-th
         # component; the last column stays 0.0.
         stack = np.zeros(lead + (len(factorials), len(components) + 1))
@@ -235,27 +236,22 @@ def evaluate_metric_jets(entries: MetricFn, n: int, points: ChartPoint, order: i
 
 
 @functools.cache
-def _partial_gathers(
-    n: int, order: int, keys: tuple[tuple[int, int], ...]
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The α! of each monomial of ``jets.basis(n, order)``, and for each order
-    k <= ``order`` the flat positions in :func:`evaluate_metric_jets`'s stack
-    (a row per monomial, a column per key, then the zero column) of the
+def _partial_gathers(n: int, order: int, keys: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
+    """For each order k <= ``order``, the flat positions in
+    :func:`evaluate_metric_jets`'s stack (a row per monomial of
+    ``jets.basis(n, order)``, a column per key, then the zero column) of the
     order-k partials in the layout (index tuple, a, b): the stored component
     at (a, b) and at (b, a) for each key (a, b), the zero column elsewhere."""
-    table = jets.basis(n, order)
-    factorials = np.empty(table.size)
     width = len(keys) + 1
     column = np.full((n, n), len(keys))
     for k, (a, b) in enumerate(keys):
         column[a, b] = column[b, a] = k
-    gathers = []
-    for monomials, weights in zip(table.partials, table.weights):
-        factorials[monomials] = weights
-        gathers.append((monomials[:, None, None] * width + column).ravel())
-    for array in (factorials, *gathers):
-        array.setflags(write=False)
-    return factorials, tuple(gathers)
+    gathers = tuple(
+        (monomials[:, None, None] * width + column).ravel() for monomials in jets.basis(n, order).partials
+    )
+    for gather in gathers:
+        gather.setflags(write=False)
+    return gathers
 
 
 def sample_points(model: MetricModel, count: int, seed: int) -> np.ndarray:
@@ -664,7 +660,8 @@ def builtin_model(name: str, n: int | None = None, parameters: dict | None = Non
     """Instantiate a catalog model by name.
 
     Raises ``ValueError`` for unknown names, a dimension the model does not
-    build (see :func:`check_dimension`), invalid parameters, or parameter
+    build (see :func:`check_dimension`), ``parameters`` that are neither
+    ``None`` nor a dict, invalid parameters, or parameter
     keys the model does not read (each builder records the keys it reads in
     the model's ``parameters``).
     """
@@ -674,6 +671,8 @@ def builtin_model(name: str, n: int | None = None, parameters: dict | None = Non
     if n is None and default_n is None:
         raise ValueError(f"{name} requires an explicit dimension n")
     n = check_dimension(default_n if n is None else n, dimensions, f"{name} dimension n")
+    if parameters is not None and not isinstance(parameters, dict):
+        raise ValueError(f"'parameters' must be an object, got {reprlib.repr(parameters)}")
     params = dict(parameters or {})
     model = build(n, params)
     unread = sorted(set(params) - set(model.parameters))

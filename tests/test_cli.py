@@ -182,6 +182,21 @@ def test_structured_output_roundtrip(tmp_path):
     assert IdentityReport(**report_fields).to_dict() == report_fields
 
 
+def test_text_output_prints_the_models_in_label_order(tmp_path, capsys):
+    # The config lists its models out of label order, as above.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"models": [{"name": "twisted_n4"}, {"name": "minkowski"}], "points": 2}))
+    assert main(["verify", "--config", str(config_path)]) == 0
+    headers = [line for line in capsys.readouterr().out.splitlines() if line.startswith("model ")]
+    assert headers == ["model minkowski_n4 (n=4)", "model twisted_n4 (n=4)"]
+
+
+def test_tensor_dump_help_lists_every_alias(capsys):
+    assert main(["tensor-dump", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "(aliases: phi, E, xi, v, C, nablaC, divC, scalarR, gamma)" in help_text
+
+
 def test_fixed_seed_runs_are_byte_identical(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:
@@ -567,6 +582,14 @@ def _assert_json_float_array_matches_json_dumps(values):
     assert '{\n  "components": ' + cli._json_float_array(values, 1) + "\n}" == nested
 
 
+@pytest.mark.parametrize("shape, depth", [((1,), 0), ((4, 4), 1), ((3,) * 5, 1), ((2, 1, 3, 1), 2), ((6,) * 5, 1)])
+def test_json_separators_hold_each_distinct_separator_once(shape, depth):
+    parts = cli._json_separators(shape, depth)
+    assert len(parts) == 2 * int(np.prod(shape)) + 1 and parts[1::2] == (None,) * int(np.prod(shape))
+    separators = parts[::2]
+    assert len({id(text) for text in separators}) == len(set(separators))
+
+
 @pytest.mark.parametrize("shape", [(1,), (1, 1), (4, 4), (3,) * 5, (2, 1, 3, 1)])
 def test_json_float_array_matches_json_dumps(shape):
     # Repeated values, and -0.0 next to 0.0: each distinct magnitude is
@@ -949,6 +972,12 @@ def _case(index, config, message):
         ],
         # The negative control reads eps as the twisted family does.
         _case(40, {"models": [{"name": "non_twisted_perturbed", "parameters": {"eps": 0.95}}]}, "fiber perturbation eps must keep the metric Riemannian"),
+        # Only an absent or null "parameters" means no parameters.
+        *[
+            _case(41 + i, {"models": [{"name": "twisted_generic", "parameters": value}]}, f"'parameters' must be an object, got {value!r}")
+            for i, value in enumerate(([], 0, False, ""))
+        ],
+        _case(45, {"output_path": ""}, "output_path must not be empty"),
     ],
 )
 def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, config, message):
@@ -1125,6 +1154,7 @@ def test_a_finite_number_in_g_diag_is_that_constant(capsys):
         ["--points", str(10**15)],
         ["--tolerance", "torse_forming=1" + "0" * 5000],
         ["--param", "H=1" + "0" * 5000],
+        ["--output", ""],
     ],
 )
 def test_malformed_flags_exit_two(capsys, flags):
